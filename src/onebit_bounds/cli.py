@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +38,7 @@ from .optimizer import (
     replica_bound,
     sweep_onebit_alpha,
 )
-from .replica import SolverError, SystemParams
+from .replica import SolverError, SystemParams, snr_from_db
 
 _FIGURE_ALPHAS = [float(2 ** k) for k in range(9)]
 _FIGURE1_BETAS = (5.0, 10.0, 20.0)
@@ -74,9 +73,11 @@ class RunConfig:
     def resolved_rho(self) -> float:
         if (self.rho is None) == (self.rho_db is None):
             raise ValueError("exactly one of --rho / --rho-db must be provided")
-        if self.rho is not None:
-            return float(self.rho)
-        return 10.0 ** (float(self.rho_db) / 10.0)
+        if self.rho is None:
+            return snr_from_db(self.rho_db)
+        if not math.isfinite(self.rho):
+            raise ValueError(f"rho must be finite, got {self.rho}")
+        return float(self.rho)
 
 
 _CONFIG_FIELDS = {
@@ -101,11 +102,7 @@ def _merge_config(args) -> RunConfig:
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     cfg = RunConfig()
     for name, cast in _CONFIG_FIELDS.items():
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            setattr(cfg, name, cast(cli_val))
-        elif name in file_cfg and file_cfg[name] is not None:
-            setattr(cfg, name, cast(file_cfg[name]))
+        setattr(cfg, name, _merged_value(args, file_cfg, name, cast, getattr(cfg, name)))
     return cfg
 
 
@@ -161,13 +158,16 @@ def _emit_sections(sections, cfg: RunConfig) -> None:
 
 # --- subcommands -------------------------------------------------------------
 
-def _cmd_bound(args) -> int:
-    cfg = _merge_config(args)
+def _system_params(cfg: RunConfig) -> SystemParams:
     if cfg.alpha is None or cfg.beta is None:
         raise ValueError("--alpha and --beta are required")
-    rho = cfg.resolved_rho()
-    params = SystemParams(alpha=cfg.alpha, beta=cfg.beta, rho=rho,
-                          tx_type="onebit" if cfg.tx == "onebit" else "linear")
+    return SystemParams(alpha=cfg.alpha, beta=cfg.beta, rho=cfg.resolved_rho(),
+                        tx_type="onebit" if cfg.tx == "onebit" else "linear")
+
+
+def _cmd_bound(args) -> int:
+    cfg = _merge_config(args)
+    params = _system_params(cfg)
     rule = gauss_hermite(cfg.quad_nodes)
     result, curve = replica_bound(params, cfg.grid_step, rule, cfg.tol,
                                   refine=bool(args.refine))
@@ -184,22 +184,13 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _compare_rows(cfg: RunConfig, alphas, betas, rho_dbs, rule):
-    jobs = [(a, b) for b in betas for a in alphas]
+_COMPARE_HEADER = ["rho_db", "alpha", "beta", "c_bound_replica", "c_bound_bussgang", "r_csir"]
 
-    def run(job):
-        a, b = job
-        return compare_sweep(a, b, rho_dbs, cfg.grid_step, rule, cfg.tol)
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            per_job = list(pool.map(run, jobs))
-    else:
-        per_job = [run(j) for j in jobs]
-    rows = []
-    for chunk in per_job:
-        rows.extend(chunk)
-    return rows
+def _compare_table(cfg: RunConfig, alphas, betas, rho_dbs, rule):
+    return [[r.rho_db, r.alpha, r.beta, r.c_bound_replica, r.c_bound_bussgang, r.r_csir]
+            for b in betas for a in alphas
+            for r in compare_sweep(a, b, rho_dbs, cfg.grid_step, rule, cfg.tol)]
 
 
 def _cmd_compare(args) -> int:
@@ -212,15 +203,13 @@ def _cmd_compare(args) -> int:
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
     rho_dbs = [lo + k * step for k in range(n)]
     rule = gauss_hermite(cfg.quad_nodes)
-    rows = _compare_rows(cfg, [cfg.alpha], [cfg.beta], rho_dbs, rule)
-    for name in ("c_bound_replica", "c_bound_bussgang", "r_csir"):
-        vals = [getattr(r, name) for r in rows]
+    table = _compare_table(cfg, [cfg.alpha], [cfg.beta], rho_dbs, rule)
+    for col in range(3, 6):
+        vals = [row[col] for row in table]
         if any(b < a - 1e-12 for a, b in zip(vals, vals[1:])):
-            print(f"warning: column {name} is not nondecreasing in rho", file=sys.stderr)
-    header = ["rho_db", "alpha", "beta", "c_bound_replica", "c_bound_bussgang", "r_csir"]
-    table = [[r.rho_db, r.alpha, r.beta, r.c_bound_replica, r.c_bound_bussgang, r.r_csir]
-             for r in rows]
-    _emit_sections([("compare", header, table)], cfg)
+            print(f"warning: column {_COMPARE_HEADER[col]} is not nondecreasing in rho",
+                  file=sys.stderr)
+    _emit_sections([("compare", _COMPARE_HEADER, table)], cfg)
     return 0
 
 
@@ -230,11 +219,8 @@ def _cmd_figure(args) -> int:
     if args.which == 1:
         rho_dbs = [float(d) for d in range(-10, 21)]
         betas = (cfg.beta,) if cfg.beta is not None else _FIGURE1_BETAS
-        rows = _compare_rows(cfg, [1.0, 2.0], betas, rho_dbs, rule)
-        header = ["rho_db", "alpha", "beta", "c_bound_replica", "c_bound_bussgang", "r_csir"]
-        table = [[r.rho_db, r.alpha, r.beta, r.c_bound_replica, r.c_bound_bussgang, r.r_csir]
-                 for r in rows]
-        _emit_sections([("figure1", header, table)], cfg)
+        table = _compare_table(cfg, [1.0, 2.0], betas, rho_dbs, rule)
+        _emit_sections([("figure1", _COMPARE_HEADER, table)], cfg)
         return 0
 
     # figures 2 and 3 share the one-bit receiver-ratio sweep at SNR 10
@@ -247,10 +233,7 @@ def _cmd_figure(args) -> int:
         results = sweep_onebit_alpha(_FIGURE_ALPHAS, beta, rho, cfg.grid_step,
                                      rule, cfg.tol, refine=True)
         for alpha, (res, _) in zip(_FIGURE_ALPHAS, results):
-            if args.which == 2:
-                table.append([alpha, beta, res.beta_t_opt])
-            else:
-                table.append([alpha, beta, res.c_bound])
+            table.append([alpha, beta, res.beta_t_opt if args.which == 2 else res.c_bound])
     header = (["alpha", "beta", "beta_t_opt"] if args.which == 2
               else ["alpha", "beta", "c_bound_onebit"])
     _emit_sections([(f"figure{args.which}", header, table)], cfg)
@@ -294,11 +277,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_asymptotics(args) -> int:
     cfg = _merge_config(args)
-    if cfg.alpha is None or cfg.beta is None:
-        raise ValueError("--alpha and --beta are required")
-    rho = cfg.resolved_rho()
-    params = SystemParams(alpha=cfg.alpha, beta=cfg.beta, rho=rho,
-                          tx_type="onebit" if cfg.tx == "onebit" else "linear")
+    params = _system_params(cfg)
     bt, c = low_snr_asymptotics(params)
     _emit_sections([
         ("asymptotics",
@@ -340,7 +319,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="Gauss-Hermite order for expectations (default 128)")
     sub.add_argument("--tol", type=float, default=None, help="fixed-point tolerance (default 1e-10)")
     sub.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (default 0)")
-    sub.add_argument("--workers", type=int, default=None, help="parallel sweep workers (default 1)")
+    sub.add_argument("--workers", type=int, default=None,
+                     help="accepted for old configs; has no effect, sweeps run in one thread")
     sub.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default csv)")
     sub.add_argument("--config", type=str, default=None,

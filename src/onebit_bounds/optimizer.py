@@ -33,10 +33,13 @@ from .numerics import LN2, QuadratureRule, gauss_hermite
 from .replica import (
     SystemParams,
     csir_rate,
+    linear_rates,
     reff_linear,
     reff_onebit,
     single_pair_capacity,
+    snr_from_db,
     solve_qh,
+    solve_qh_grid,
 )
 
 __all__ = [
@@ -98,16 +101,19 @@ def optimize_training(
     params: Optional[SystemParams] = None,
     method: str = "replica-linear",
     refine: bool = False,
+    rates: Optional[np.ndarray] = None,
 ):
     """Maximize ((beta - beta_t)/beta) * reff(beta_t) over the training grid.
 
     Returns ``(BoundResult, RateCurve)``.  Ties break toward smaller beta_t.
     With ``refine=True`` a bounded golden-section search runs inside the
     bracket around the winning grid point and replaces the optimum if it
-    improves the objective.
+    improves the objective.  ``rates`` may hold reff already evaluated on
+    the grid; reff is then called by the refinement only.
     """
     bts = training_grid(beta, grid_step)
-    rates = np.array([float(reff(bt)) for bt in bts])
+    if rates is None:
+        rates = np.array([float(reff(bt)) for bt in bts])
     objective = (beta - bts) / beta * rates
     i = int(np.argmax(objective))  # first maximum == smallest beta_t on ties
     beta_t_opt = float(bts[i])
@@ -131,17 +137,34 @@ def optimize_training(
                        method=method, params=params), curve
 
 
-def _overlap_cache(rho: float, rule: QuadratureRule, tol: float):
-    cache = {}
+def _grid_bounds(rho, beta, grid_step, rule, tol, jobs, refine=False):
+    """Solve the training grid at ``rho`` once and optimize every
+    ``(params, method)`` job on it; one ``(BoundResult, RateCurve)`` per job.
 
-    def get(bt: float):
-        ov = cache.get(bt)
-        if ov is None:
-            ov = solve_qh(rho, bt, rule, tol)
-            cache[bt] = ov
-        return ov
+    q_h comes from one batched solve over the grid and the linear data
+    overlaps from one more over its effective SNRs, so those rates are
+    arrays; the one-bit data solve and the refinement go point by point.
+    """
+    rule = rule or gauss_hermite()
+    overlaps = solve_qh_grid(rho, training_grid(beta, grid_step), rule, tol)
+    snr_eff = np.array([ov.snr_eff for ov in overlaps])
+    out = []
+    for params, method in jobs:
+        if method == "bussgang":  # never refined
+            rates, point = np.array([bussgang_inner_rate(params.alpha, s) for s in snr_eff]), None
+        else:
+            rate_fn = reff_linear if method == "replica-linear" else reff_onebit
+            if method == "replica-linear":
+                rates = linear_rates(params.alpha, snr_eff, rule, tol)
+            else:
+                rates = np.array([rate_fn(params, ov, rule, tol) for ov in overlaps])
 
-    return get
+            def point(bt, _p=params, _f=rate_fn):
+                return _f(_p, solve_qh(rho, bt, rule, tol), rule, tol)
+
+        out.append(optimize_training(point, beta, grid_step, params=params, method=method,
+                                     refine=refine, rates=rates))
+    return out
 
 
 def replica_bound(
@@ -157,18 +180,9 @@ def replica_bound(
     Returns ``(BoundResult, RateCurve)`` with method ``replica-linear`` or
     ``replica-onebit``.
     """
-    rule = rule or gauss_hermite()
-    overlap_at = _overlap_cache(params.rho, rule, tol)
-    if params.tx_type == "linear":
-        method, rate_fn = "replica-linear", reff_linear
-    else:
-        method, rate_fn = "replica-onebit", reff_onebit
-
-    def rate(bt: float) -> float:
-        return rate_fn(params, overlap_at(bt), rule, tol)
-
-    return optimize_training(rate, params.beta, grid_step,
-                             params=params, method=method, refine=refine)
+    method = "replica-linear" if params.tx_type == "linear" else "replica-onebit"
+    return _grid_bounds(params.rho, params.beta, grid_step, rule, tol,
+                        [(params, method)], refine)[0]
 
 
 def bussgang_inner_rate(alpha: float, snr_eff: float) -> float:
@@ -189,15 +203,8 @@ def bussgang_bound(
     """
     if params.tx_type != "linear":
         raise ValueError("the Bussgang comparison bound is defined for linear transmitters")
-    rule = rule or gauss_hermite()
-    overlap_at = _overlap_cache(params.rho, rule, tol)
-
-    def rate(bt: float) -> float:
-        return bussgang_inner_rate(params.alpha, overlap_at(bt).snr_eff)
-
-    result, _ = optimize_training(rate, params.beta, grid_step,
-                                  params=params, method="bussgang")
-    return result
+    return _grid_bounds(params.rho, params.beta, grid_step, rule, tol,
+                        [(params, "bussgang")])[0][0]
 
 
 def low_snr_asymptotics(params: SystemParams):
@@ -233,18 +240,9 @@ def sweep_onebit_alpha(
     effective channels is solved once and shared by every alpha.  Returns a
     list of ``(BoundResult, RateCurve)`` in the order of ``alphas``.
     """
-    rule = rule or gauss_hermite()
-    overlap_at = _overlap_cache(rho, rule, tol)
-    out = []
-    for alpha in alphas:
-        params = SystemParams(alpha=alpha, beta=beta, rho=rho, tx_type="onebit")
-
-        def rate(bt: float, _p=params) -> float:
-            return reff_onebit(_p, overlap_at(bt), rule, tol)
-
-        out.append(optimize_training(rate, beta, grid_step, params=params,
-                                     method="replica-onebit", refine=refine))
-    return out
+    jobs = [(SystemParams(alpha=alpha, beta=beta, rho=rho, tx_type="onebit"), "replica-onebit")
+            for alpha in alphas]
+    return _grid_bounds(rho, beta, grid_step, rule, tol, jobs, refine)
 
 
 @dataclass(frozen=True)
@@ -273,19 +271,15 @@ def compare_sweep(
     optimized bounds.
     """
     rule = rule or gauss_hermite()
+    rho_dbs = [float(d) for d in rho_db_values]
+    rhos = [snr_from_db(d) for d in rho_dbs]  # every point checked before any solve
     rows = []
-    for rho_db in rho_db_values:
-        rho = 10.0 ** (rho_db / 10.0)
+    for rho_db, rho in zip(rho_dbs, rhos):
         params = SystemParams(alpha=alpha, beta=beta, rho=rho, tx_type="linear")
-        overlap_at = _overlap_cache(rho, rule, tol)
-        rep, _ = optimize_training(
-            lambda bt: reff_linear(params, overlap_at(bt), rule, tol),
-            beta, grid_step, params=params, method="replica-linear")
-        bus, _ = optimize_training(
-            lambda bt: bussgang_inner_rate(alpha, overlap_at(bt).snr_eff),
-            beta, grid_step, params=params, method="bussgang")
+        (rep, _), (bus, _) = _grid_bounds(rho, beta, grid_step, rule, tol,
+                                          [(params, "replica-linear"), (params, "bussgang")])
         rows.append(CompareRow(
-            rho_db=float(rho_db),
+            rho_db=rho_db,
             alpha=alpha,
             beta=beta,
             c_bound_replica=rep.c_bound,

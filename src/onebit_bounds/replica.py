@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +44,9 @@ __all__ = [
     "ChannelOverlap",
     "DataOverlap",
     "SolverError",
+    "snr_from_db",
     "solve_qh",
+    "solve_qh_grid",
     "perfect_csi_overlap",
     "f1_value",
     "effective_snr",
@@ -52,6 +54,7 @@ __all__ = [
     "solve_qx_onebit",
     "f2_linear",
     "f2_onebit",
+    "linear_rates",
     "reff_linear",
     "reff_onebit",
     "csir_rate",
@@ -66,6 +69,15 @@ TX_TYPES = ("linear", "onebit")
 _GRID_LO = 1e-12
 _GRID_HI = 1.0 - 1e-9
 _GRID_N = 64
+_SCAN_Q = np.geomspace(_GRID_LO, _GRID_HI, _GRID_N)
+# Distinct SNRs whose residual scan is evaluated at once: 2 x 64 x 128
+# elements keep the temporaries under 1 MB however long the grid is.
+_SCAN_ROWS = 2
+# Refined brackets close at _ROOT_ULPS ulp (or after _MAX_STEPS); the
+# bisection replay evaluates the residual up to _WINDOW ulp outside them.
+_ROOT_ULPS = 4
+_MAX_STEPS = 200
+_WINDOW = 4
 
 
 class SolverError(RuntimeError):
@@ -100,10 +112,21 @@ class SystemParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.rho >= 0.0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
         if self.tx_type not in TX_TYPES:
             raise ValueError(f"tx_type must be one of {TX_TYPES}, got {self.tx_type!r}")
+
+
+def snr_from_db(db: float) -> float:
+    """The linear SNR 10^(db/10); raises ValueError when it is not finite."""
+    try:
+        rho = 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        rho = math.inf
+    if not math.isfinite(rho):
+        raise ValueError(f"SNR of {db} dB is out of range")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -128,86 +151,205 @@ class DataOverlap:
     a_coeff: float
 
 
-def _k_sq(snr: float, q) -> np.ndarray:
+def _k_sq(snr, q) -> np.ndarray:
     # K^2 = snr / (1 + snr (1 - q)); the squared scale of the Q argument.
     return snr / (1.0 + snr * (1.0 - q))
 
 
-def _gaussian_rhs(q, coef: float, snr: float, rule: QuadratureRule):
+def _expect(values, rule: QuadratureRule):
+    # E_u along the last axis.  Each row is its own dot product, so a batch
+    # gives the same bits as one point at a time (a matrix-vector product
+    # does not).
+    if values.ndim == 1:
+        return values @ rule.weights
+    return (values[..., None, :] @ rule.weights[:, None])[..., 0, 0]
+
+
+def _gaussian_rhs(q, coef, snr, rule: QuadratureRule):
     """(coef K^2 / pi) E_u[ exp(-K^2 q u^2) / Q(K sqrt(q) u) ], vectorized in q."""
     q = np.asarray(q, dtype=float)
     ksq = _k_sq(snr, q)
-    arg = np.sqrt(ksq * q)[..., None] * rule.nodes
-    return coef * ksq / np.pi * (exp_ratio(arg) @ rule.weights)
+    return coef * ksq / np.pi * _expect(exp_ratio(np.sqrt(ksq * q)[..., None] * rule.nodes), rule)
 
 
-def _overlap_residual(q, coef: float, snr: float, rule: QuadratureRule):
+def _overlap_residual(q, coef, snr, rule: QuadratureRule):
     q = np.asarray(q, dtype=float)
     return q / (1.0 - q) - _gaussian_rhs(q, coef, snr, rule)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Bisection to machine-width brackets (the residual is cheap)."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+def _refine(lo, hi, flo, fhi, coef, snr, rule: QuadratureRule) -> np.ndarray:
+    """Roots inside the sign-change brackets [lo, hi], all refined together.
+
+    Each step takes the regula falsi point of every open bracket, kept
+    strictly inside it, and halves the residual kept at an end that stayed
+    twice in a row (Illinois).  A point that is not finite, or three steps
+    that fail to halve a bracket, give way to bisection.  Brackets close at
+    ``_ROOT_ULPS`` ulp; :func:`_replay_bisection` then picks each root.
+    """
+    start = lo, hi, flo
+    # (1 - q) times the residual has its signs but no pole at q = 1, where
+    # the residual's steepness stalls regula falsi
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    flo, fhi = flo * (1.0 - lo), fhi * (1.0 - hi)
+    moved = np.zeros(lo.shape)  # end replaced by the last step: +1 hi, -1 lo
+    widths = np.full((3,) + lo.shape, np.inf)  # bracket widths 1, 2, 3 steps back
+    for step in range(_MAX_STEPS):
+        k = np.flatnonzero(hi - lo > _ROOT_ULPS * np.spacing(hi))
+        if k.size == 0:
             break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+        l, h, fl, fh = lo[k], hi[k], flo[k], fhi[k]
+        w = h - l
+        x = np.clip(l - fl * (w / (fh - fl)), np.nextafter(l, h), np.nextafter(h, l))
+        bisect = ~np.isfinite(x) | (w > 0.5 * widths[step % 3, k])
+        x[bisect] = 0.5 * (l + h)[bisect]
+        fx = _overlap_residual(x, coef[k], snr[k], rule) * (1.0 - x)
+        to_hi = np.sign(fx) == np.sign(fh)
+        side = np.where(to_hi, 1.0, -1.0)
+        again = moved[k] == side
+        hi[k], fhi[k] = np.where(to_hi, x, h), np.where(to_hi, fx, np.where(again, 0.5 * fh, fh))
+        lo[k], flo[k] = np.where(to_hi, l, x), np.where(to_hi, np.where(again, 0.5 * fl, fl), fx)
+        moved[k], widths[step % 3, k] = side, w
+    return _replay_bisection(*start, lo - _WINDOW * np.spacing(lo),
+                             hi + _WINDOW * np.spacing(hi), coef, snr, rule)
+
+
+def _replay_bisection(lo, hi, flo, near_lo, near_hi, coef, snr, rule: QuadratureRule):
+    """Bisect every bracket [lo, hi] down to adjacent floats or an exact zero.
+
+    This is the bisection earlier releases ran, so their roots, and output
+    bytes, are kept: the residual can vanish or flip sign on several floats
+    next to a root, and bisection picks among them by its own path.  It is
+    evaluated only at midpoints in [near_lo, near_hi]; outside, its sign
+    follows from the side the midpoint lies on, so the steps that get the
+    midpoints there are plain arithmetic.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    for i, (l, h, a, b) in enumerate(zip(lo.tolist(), hi.tolist(), near_lo.tolist(),
+                                         near_hi.tolist())):
+        mid = 0.5 * (l + h)  # Python floats: the same IEEE steps, far cheaper one by one
+        while l < mid < h and not a <= mid <= b:
+            l, h = (mid, h) if mid < a else (l, mid)
+            mid = 0.5 * (l + h)
+        lo[i], hi[i] = l, h
+    left = np.sign(flo)
+    out = np.empty(lo.shape)
+    k = np.arange(lo.size)
+    while k.size:
+        l, h, mid = lo[k], hi[k], 0.5 * (lo[k] + hi[k])
+        done = (mid == l) | (mid == h)
+        sign = np.where(mid < near_lo[k], left[k], -left[k])
+        ev = np.flatnonzero(~done & (mid >= near_lo[k]) & (mid <= near_hi[k]))
+        if ev.size:
+            sign[ev] = np.sign(_overlap_residual(mid[ev], coef[k[ev]], snr[k[ev]], rule))
+        done |= sign == 0.0
+        out[k[done]] = mid[done]
+        to_hi = sign == -left[k]
+        lo[k], hi[k] = np.where(to_hi, l, mid), np.where(to_hi, mid, h)
+        k = k[~done]
+    return out
+
+
+def _fixed_points(coef: np.ndarray, snr: np.ndarray, rule: QuadratureRule):
+    """Every root in (0, 1) of the overlap equation at each (coef, snr) pair.
+
+    The residual is sampled at ``_GRID_N`` log-spaced points.  Its Gaussian
+    expectation does not depend on coef, so it is computed once per
+    distinct snr, ``_SCAN_ROWS`` of them at a time.  Returns ``(owner,
+    roots, lo, hi)``: root k belongs to pair ``owner[k]`` and was refined in
+    the bracket [lo[k], hi[k]] (lo == hi where a sample is an exact zero);
+    a pair's roots come in increasing order.
+    """
+    qs = _SCAN_Q
+    usnr, inv = np.unique(snr, return_inverse=True)
+    ksq = _k_sq(usnr[:, None], qs)
+    mean = np.empty_like(ksq)
+    for i in range(0, len(usnr), _SCAN_ROWS):
+        arg = np.sqrt(ksq[i:i + _SCAN_ROWS] * qs)[..., None] * rule.nodes
+        mean[i:i + _SCAN_ROWS] = _expect(exp_ratio(arg), rule)
+    res = qs / (1.0 - qs) - coef[:, None] * ksq[inv] / np.pi * mean[inv]
+    sign = np.sign(res)
+    z_own, z_j = np.nonzero(sign == 0.0)
+    b_own, b_j = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+    owner, j_lo = np.concatenate([b_own, z_own]), np.concatenate([b_j, z_j])
+    j_hi = np.concatenate([b_j + 1, z_j])
+    order = np.lexsort((j_lo, owner))
+    owner, j_lo, j_hi = owner[order], j_lo[order], j_hi[order]
+    roots = _refine(qs[j_lo], qs[j_hi], res[owner, j_lo], res[owner, j_hi],
+                    coef[owner], snr[owner], rule)
+    return owner, roots, qs[j_lo], qs[j_hi]
 
 
 def overlap_fixed_points(coef: float, snr: float, rule: QuadratureRule):
     """All roots in (0, 1) of  q/(1-q) = (coef K^2/pi) E_u exp(-K^2 q u^2)/Q(K sqrt(q) u).
 
-    Samples the residual at log-spaced points and bisects every sign-change
+    Samples the residual at log-spaced points and refines every sign-change
     bracket.  Returns ``(roots, brackets)`` so callers can inspect
     multiplicity.  With coef * snr > 0 the residual is negative at 0+ and
     positive at 1-, so at least one root is always bracketed.
     """
-    qs = np.geomspace(_GRID_LO, _GRID_HI, _GRID_N)
-    res = _overlap_residual(qs, coef, snr, rule)
-
-    def scalar(q: float) -> float:
-        return float(_overlap_residual(q, coef, snr, rule))
-
-    roots, brackets = [], []
-    for i in range(len(qs) - 1):
-        if res[i] == 0.0:
-            roots.append(float(qs[i]))
-            continue
-        if res[i] * res[i + 1] < 0.0:
-            brackets.append((float(qs[i]), float(qs[i + 1])))
-            roots.append(_bisect(scalar, float(qs[i]), float(qs[i + 1]), float(res[i]), float(res[i + 1])))
-    if res[-1] == 0.0:
-        roots.append(float(qs[-1]))
-    return roots, brackets
+    _, roots, lo, hi = _fixed_points(np.array([float(coef)]), np.array([float(snr)]), rule)
+    return [float(r) for r in roots], [(float(a), float(b)) for a, b in zip(lo, hi) if a < b]
 
 
-def _select_root(
-    roots, brackets, coef: float, snr: float, rule: QuadratureRule, tol: float,
-    free_energy: Callable[[float], float], what: str,
-):
-    if not roots:
+def _solve_overlaps(coef, snr, rule: QuadratureRule, tol: float, what: str,
+                    coef_name: str) -> np.ndarray:
+    """The admissible overlap at every (coef, snr) pair, solved as one batch.
+
+    Pairs with coef * snr == 0 give q = 0.  Where a pair has several roots
+    the one of least free energy wins (the first on ties); every chosen
+    root must meet the residual tolerance.
+    """
+    coef, snr = np.broadcast_arrays(np.atleast_1d(np.asarray(coef, dtype=float)),
+                                    np.asarray(snr, dtype=float))
+    q = np.zeros(coef.shape)
+    live = np.flatnonzero(coef * snr > 0.0)
+    if live.size == 0:
+        return q
+    c, s = coef[live], snr[live]
+    owner, roots, lo, hi = _fixed_points(c, s, rule)
+    count = np.bincount(owner, minlength=live.size)
+    if not count.all():
+        i = int(np.argmin(count))
         raise SolverError(
-            f"no {what} fixed point bracketed (coef={coef:g}, snr={snr:g}); "
-            f"residual sampled at {_GRID_N} log-spaced points in ({_GRID_LO:g}, {_GRID_HI:g})",
-            brackets=brackets,
-        )
-    q = min(roots, key=free_energy)
-    resid = abs(float(_overlap_residual(q, coef, snr, rule)))
-    if resid > tol * max(1.0, q / (1.0 - q)):
+            f"no {what} fixed point bracketed ({coef_name}={c[i]:g}, snr={s[i]:g}); "
+            f"residual sampled at {_GRID_N} log-spaced points in ({_GRID_LO:g}, {_GRID_HI:g})")
+    pick = np.cumsum(count) - count
+    multi = np.flatnonzero(count[owner] > 1)
+    if multi.size:
+        r, o = roots[multi], owner[multi]
+        energy = _free_energy(r, r / (1.0 - r), c[o], s[o], rule)
+        order = multi[np.lexsort((energy, o))]
+        owners, first = np.unique(owner[order], return_index=True)
+        pick[owners] = order[first]
+    chosen = roots[pick]
+    resid = np.abs(_overlap_residual(chosen, c, s, rule))
+    bad = np.flatnonzero(~(resid <= tol * np.maximum(1.0, chosen / (1.0 - chosen))))
+    if bad.size:
+        i = int(bad[0])
+        mine = owner == i
         raise SolverError(
-            f"{what} fixed point residual {resid:.3e} exceeds tol {tol:.3e} at q={q!r}",
-            brackets=brackets,
-            diagnostics={"roots": roots, "residual": resid},
+            f"{what} fixed point residual {resid[i]:.3e} exceeds tol {tol:.3e} at "
+            f"q={float(chosen[i])!r} ({coef_name}={c[i]:g}, snr={s[i]:g})",
+            brackets=[(float(a), float(b)) for a, b in zip(lo[mine], hi[mine]) if a < b],
+            diagnostics={"roots": [float(r) for r in roots[mine]], "residual": float(resid[i])},
         )
+    q[live] = chosen
     return q
+
+
+def _tail_term(coef, snr, q, rule: QuadratureRule):
+    # -4 coef E_u[ Q(a u) ln Q(a u) ],  a = sqrt(K^2 q); vectorized
+    a = np.sqrt(_k_sq(snr, q) * q)
+    return -4.0 * coef * _expect(q_log_q(np.multiply.outer(a, rule.nodes)), rule)
+
+
+# libm's log1p elementwise; numpy's vectorized one can differ in the last bit
+_log1p = np.vectorize(math.log1p, otypes=[float])
+
+
+def _free_energy(q, q_hat, coef, snr, rule: QuadratureRule):
+    # F1 = F2_L: tail term + ln(1 + q_hat) - q_hat + q q_hat
+    return _tail_term(coef, snr, q, rule) + _log1p(q_hat) - q_hat + q * q_hat
 
 
 def effective_snr(rho: float, q_h: float) -> float:
@@ -234,10 +376,30 @@ def f1_value(q: float, q_hat: float, rho: float, beta_t: float,
         raise ValueError(f"q must lie in [0, 1), got {q}")
     if not q_hat >= 0.0:
         raise ValueError(f"q_hat must be nonnegative, got {q_hat}")
-    rule = rule or gauss_hermite()
-    a = math.sqrt(_k_sq(rho, q) * q)
-    term = -4.0 * beta_t * float(rule.weights @ q_log_q(a * rule.nodes))
-    return term + q * q_hat + math.log1p(q_hat) - q_hat
+    return float(_free_energy(q, q_hat, beta_t, rho, rule or gauss_hermite()))
+
+
+def solve_qh_grid(rho: float, beta_ts, rule: Optional[QuadratureRule] = None,
+                  tol: float = 1e-10) -> list:
+    """:func:`solve_qh` at every training length of a grid, as one batched solve.
+
+    The grid shares one residual scan, since the Gaussian expectation in the
+    residual depends on rho but not on beta_t.  Returns a list of
+    :class:`ChannelOverlap` in grid order.
+    """
+    bts = np.atleast_1d(np.asarray(beta_ts, dtype=float))
+    if not rho >= 0.0:
+        raise ValueError(f"rho must be nonnegative, got {rho}")
+    if not (bts >= 0.0).all():
+        raise ValueError(f"beta_t must be nonnegative, got {bts[~(bts >= 0.0)][0]}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    q_h = _solve_overlaps(bts, rho, rule or gauss_hermite(), tol, "channel overlap", "beta_t")
+    return [
+        ChannelOverlap(beta_t=float(bt), q_h=q, q_h_hat=q / (1.0 - q), rho_eff=rho * q,
+                       sigma_eff_sq=1.0 + (1.0 - q) * rho, snr_eff=effective_snr(rho, q))
+        for bt, q in zip(bts, q_h.tolist())
+    ]
 
 
 def solve_qh(rho: float, beta_t: float, rule: Optional[QuadratureRule] = None,
@@ -247,28 +409,7 @@ def solve_qh(rho: float, beta_t: float, rule: Optional[QuadratureRule] = None,
     beta_t = 0 (or rho = 0) degenerates to q_h = 0: no estimate, snr_eff = 0.
     Among multiple fixed points the F1 minimizer is returned.
     """
-    if not rho >= 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    if not beta_t >= 0.0:
-        raise ValueError(f"beta_t must be nonnegative, got {beta_t}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    rule = rule or gauss_hermite()
-    if rho == 0.0 or beta_t == 0.0:
-        return ChannelOverlap(beta_t=beta_t, q_h=0.0, q_h_hat=0.0, rho_eff=0.0,
-                              sigma_eff_sq=1.0 + rho, snr_eff=0.0)
-    roots, brackets = overlap_fixed_points(beta_t, rho, rule)
-    q = _select_root(roots, brackets, beta_t, rho, rule, tol,
-                     lambda r: f1_value(r, r / (1.0 - r), rho, beta_t, rule),
-                     "channel overlap")
-    return ChannelOverlap(
-        beta_t=beta_t,
-        q_h=q,
-        q_h_hat=q / (1.0 - q),
-        rho_eff=rho * q,
-        sigma_eff_sq=1.0 + (1.0 - q) * rho,
-        snr_eff=effective_snr(rho, q),
-    )
+    return solve_qh_grid(rho, beta_t, rule, tol)[0]
 
 
 def perfect_csi_overlap(rho: float) -> ChannelOverlap:
@@ -281,20 +422,14 @@ def perfect_csi_overlap(rho: float) -> ChannelOverlap:
 
 def f2_linear(r: float, r_hat: float, alpha: float, snr_eff: float,
               rule: Optional[QuadratureRule] = None) -> float:
-    """Data-phase free energy for Gaussian data symbols:
+    """Data-phase free energy for Gaussian data symbols, F1 with
+    (beta_t, rho) -> (alpha, snr_eff):
 
         F2_L(r, r_hat) = -4 alpha E_u[ Q(A sqrt(r) u) ln Q(A sqrt(r) u) ]
                          + ln(1 + r_hat) - r_hat + r r_hat,
         A = sqrt(snr_eff / (snr_eff (1 - r) + 1)).
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"r must lie in [0, 1), got {r}")
-    if not r_hat >= 0.0:
-        raise ValueError(f"r_hat must be nonnegative, got {r_hat}")
-    rule = rule or gauss_hermite()
-    a = math.sqrt(_k_sq(snr_eff, r) * r)
-    term = -4.0 * alpha * float(rule.weights @ q_log_q(a * rule.nodes))
-    return term + math.log1p(r_hat) - r_hat + r * r_hat
+    return f1_value(r, r_hat, snr_eff, alpha, rule)
 
 
 def _ln_cosh(t: np.ndarray) -> np.ndarray:
@@ -316,10 +451,17 @@ def f2_onebit(r: float, r_hat: float, alpha: float, snr_eff: float,
     if not r_hat >= 0.0:
         raise ValueError(f"r_hat must be nonnegative, got {r_hat}")
     rule = rule or gauss_hermite()
-    a = math.sqrt(_k_sq(snr_eff, r) * r)
-    term = -4.0 * alpha * float(rule.weights @ q_log_q(a * rule.nodes))
     cosh_term = float(rule.weights @ _ln_cosh(r_hat + math.sqrt(r_hat) * rule.nodes))
-    return term + r_hat - 2.0 * cosh_term + r * r_hat
+    return float(_tail_term(alpha, snr_eff, r, rule)) + r_hat - 2.0 * cosh_term + r * r_hat
+
+
+def _check_data_args(snr_eff: float, alpha: float, tol: float) -> None:
+    if not snr_eff >= 0.0:
+        raise ValueError(f"snr_eff must be nonnegative, got {snr_eff}")
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
 
 
 def solve_qx_linear(snr_eff: float, alpha: float, rule: Optional[QuadratureRule] = None,
@@ -331,20 +473,9 @@ def solve_qx_linear(snr_eff: float, alpha: float, rule: Optional[QuadratureRule]
     with (beta_t, rho) -> (alpha, snr_eff).  Among multiple roots the F2_L
     minimizer is returned.
     """
-    if not snr_eff >= 0.0:
-        raise ValueError(f"snr_eff must be nonnegative, got {snr_eff}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_data_args(snr_eff, alpha, tol)
     rule = rule or gauss_hermite()
-    if snr_eff == 0.0:
-        return DataOverlap(q_x=0.0, q_x_hat=0.0,
-                           f2_value=f2_linear(0.0, 0.0, alpha, 0.0, rule), a_coeff=0.0)
-    roots, brackets = overlap_fixed_points(alpha, snr_eff, rule)
-    q = _select_root(roots, brackets, alpha, snr_eff, rule, tol,
-                     lambda r: f2_linear(r, r / (1.0 - r), alpha, snr_eff, rule),
-                     "linear data overlap")
+    q = float(_solve_overlaps(alpha, snr_eff, rule, tol, "linear data overlap", "alpha")[0])
     q_hat = q / (1.0 - q)
     return DataOverlap(
         q_x=q,
@@ -378,12 +509,7 @@ def solve_qx_onebit(snr_eff: float, alpha: float, rule: Optional[QuadratureRule]
     minimizer wins.  Raises :class:`SolverError` with per-start residuals if
     no start converges within ``max_iter``.
     """
-    if not snr_eff >= 0.0:
-        raise ValueError(f"snr_eff must be nonnegative, got {snr_eff}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_data_args(snr_eff, alpha, tol)
     rule = rule or gauss_hermite()
     if snr_eff == 0.0:
         return DataOverlap(q_x=0.0, q_x_hat=0.0,
@@ -427,21 +553,28 @@ def solve_qx_onebit(snr_eff: float, alpha: float, rule: Optional[QuadratureRule]
     )
 
 
-def _entropy_term(alpha: float, snr_eff: float, rule: QuadratureRule) -> float:
-    # 4 alpha E_u[ Q(sqrt(snr_eff) u) ln Q(sqrt(snr_eff) u) ]
-    return 4.0 * alpha * float(rule.weights @ q_log_q(math.sqrt(snr_eff) * rule.nodes))
+def _entropy_term(alpha: float, snr_eff, rule: QuadratureRule):
+    # 4 alpha E_u[ Q(sqrt(snr_eff) u) ln Q(sqrt(snr_eff) u) ], vectorized in snr_eff
+    return 4.0 * alpha * _expect(q_log_q(np.multiply.outer(np.sqrt(snr_eff), rule.nodes)), rule)
+
+
+def linear_rates(alpha: float, snr_eff, rule: Optional[QuadratureRule] = None,
+                 tol: float = 1e-10) -> np.ndarray:
+    """:func:`reff_linear` at every effective SNR of an array; the data
+    overlaps are solved as one batch."""
+    rule = rule or gauss_hermite()
+    s = np.atleast_1d(np.asarray(snr_eff, dtype=float))
+    q = _solve_overlaps(alpha, s, rule, tol, "linear data overlap", "alpha")
+    rates = np.maximum(0.0, (_free_energy(q, q / (1.0 - q), alpha, s, rule)
+                             + _entropy_term(alpha, s, rule)) / LN2)
+    return np.where(s == 0.0, 0.0, rates)
 
 
 def reff_linear(params: SystemParams, overlap: ChannelOverlap,
                 rule: Optional[QuadratureRule] = None, tol: float = 1e-10) -> float:
     """Per-transmitter rate of the trained system with Gaussian data symbols,
     in bits per channel use."""
-    rule = rule or gauss_hermite()
-    s = overlap.snr_eff
-    if s == 0.0:
-        return 0.0
-    dov = solve_qx_linear(s, params.alpha, rule, tol)
-    return max(0.0, (dov.f2_value + _entropy_term(params.alpha, s, rule)) / LN2)
+    return float(linear_rates(params.alpha, overlap.snr_eff, rule, tol)[0])
 
 
 def reff_onebit(params: SystemParams, overlap: ChannelOverlap,
@@ -471,12 +604,7 @@ def csir_rate(alpha: float, rho: float, rule: Optional[QuadratureRule] = None,
     if not rho >= 0.0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
     rule = rule or gauss_hermite()
-    if rho == 0.0:
-        return 0.0
-    roots, brackets = overlap_fixed_points(alpha, rho, rule)
-    q = _select_root(roots, brackets, alpha, rho, rule, tol,
-                     lambda r: f2_linear(r, r / (1.0 - r), alpha, rho, rule),
-                     "known-channel data overlap")
+    q = float(_solve_overlaps(alpha, rho, rule, tol, "known-channel data overlap", "alpha")[0])
     q_hat = q / (1.0 - q)
     a_hat = math.sqrt(rho / (1.0 + rho * (1.0 - q)))
     tails = 4.0 * alpha * float(

@@ -1,5 +1,6 @@
 """Command-line contract: schemas, determinism, exit codes, config merging."""
 
+import hashlib
 import json
 
 import pytest
@@ -48,6 +49,16 @@ class TestBound:
         code, out, err = run_cli(["bound", "--beta", "8", "--rho", "1"], capsys)
         assert code == 1
         assert "alpha" in err
+
+    def test_snr_overflowing_in_db_exits_one(self, capsys):
+        code, _, err = run_cli(["bound", "--alpha", "1", "--beta", "2", "--rho-db", "4000"], capsys)
+        assert code == 1
+        assert "4000" in err and "out of range" in err
+
+    def test_infinite_snr_exits_one(self, capsys):
+        code, _, err = run_cli(["bound", "--alpha", "1", "--beta", "2", "--rho", "inf"], capsys)
+        assert code == 1
+        assert "finite" in err
 
     def test_missing_snr_exits_one(self, capsys):
         code, _, err = run_cli(["bound", "--alpha", "1", "--beta", "8"], capsys)
@@ -111,6 +122,14 @@ class TestCompare:
             capsys)
         assert code == 1
         assert "sweep" in err
+
+    def test_sweep_end_overflowing_in_db_exits_one(self, capsys):
+        code, _, err = run_cli(
+            ["compare", "--alpha", "1", "--beta", "5",
+             "--rho-db-min", "0", "--rho-db-max", "4000", "--rho-db-step", "1000"],
+            capsys)
+        assert code == 1
+        assert "out of range" in err
 
     def test_worker_count_does_not_change_bytes(self, capsys):
         base = ["compare", "--alpha", "1", "--beta", "10",
@@ -253,9 +272,33 @@ class TestConfigFile:
         assert code == 1
         assert "alhpa" in err
 
+    def test_workers_key_still_loads(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"alpha": 1.0, "beta": 2.0, "rho": 1.0, "workers": 4}))
+        code, _, _ = run_cli(["bound", "--config", str(cfg)], capsys)
+        assert code == 0
+
     def test_rho_and_rho_db_conflict(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"rho": 1.0, "rho_db": 0.0}))
         code, _, err = run_cli(["bound", "--config", str(cfg), "--alpha", "1",
                                 "--beta", "4"], capsys)
         assert code == 1
+
+
+class TestGoldenBytes:
+    """sha256 of three outputs as the per-point bisection solver printed them;
+    the batched root solve that replaced it must reproduce them byte for byte."""
+
+    @pytest.mark.parametrize("args, digest", [
+        ("compare --alpha 2 --beta 5",
+         "3f672db7385178f94e62a3dca3da85e1867b6ea44bfc4b6e315cfa0dc3346e0e"),
+        ("figure --which 3 --beta 8",
+         "cdd3566d17e6906f7d92f0b10f4b8995034fadc95c1a6e38447943767b0e42ec"),
+        ("bound --alpha 4 --beta 8 --rho 10 --tx onebit --refine",
+         "f2d8f70471a7202cb87f65abde2bfffe5a677176edea70784f527908995fa14a"),
+    ])
+    def test_output_bytes(self, args, digest, capsys):
+        code, out, _ = run_cli(args.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

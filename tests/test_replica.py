@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from onebit_bounds.numerics import LN2, gauss_hermite
+from onebit_bounds.numerics import LN2, QuadratureRule, gauss_hermite
 from onebit_bounds.replica import (
     SolverError,
     SystemParams,
@@ -27,9 +27,11 @@ from onebit_bounds.replica import (
     reff_onebit,
     single_pair_capacity,
     solve_qh,
+    solve_qh_grid,
     solve_qx_linear,
     solve_qx_onebit,
 )
+from onebit_bounds.replica import _fixed_points
 
 RULE = gauss_hermite(128)
 
@@ -54,31 +56,49 @@ def o_qlnq(x):
     return np.exp(lq) * lq
 
 
-def o_rhs(q, coef, snr):
+def o_rhs(q, coef, snr, nodes=O_NODES, weights=O_WEIGHTS):
     ksq = snr / (1.0 + snr * (1.0 - q))
-    return coef * ksq / math.pi * float(O_WEIGHTS @ o_exp_ratio(math.sqrt(ksq * q) * O_NODES))
+    return coef * ksq / math.pi * float(weights @ o_exp_ratio(math.sqrt(ksq * q) * nodes))
 
 
-def o_residual(q, coef, snr):
-    return q / (1.0 - q) - o_rhs(q, coef, snr)
+def o_residual(q, coef, snr, nodes=O_NODES, weights=O_WEIGHTS):
+    return q / (1.0 - q) - o_rhs(q, coef, snr, nodes, weights)
 
 
-def o_bisect_root(coef, snr, lo=1e-11, hi=1.0 - 1e-10, n_grid=4000):
-    """Dense-grid scan plus bisection to 1e-14; returns the smallest root."""
+def o_bisect_root(coef, snr, lo=1e-11, hi=1.0 - 1e-10, n_grid=4000, *,
+                  nodes=O_NODES, weights=O_WEIGHTS, width=1e-14, every=False):
+    """Dense-grid scan plus bisection to ``width`` (0: adjacent floats).
+
+    Returns the smallest root, or with ``every=True`` the list of all
+    bracketed roots in increasing order.
+    """
     grid = np.geomspace(lo, hi, n_grid)
-    vals = np.array([o_residual(float(g), coef, snr) for g in grid])
+    vals = np.array([o_residual(float(g), coef, snr, nodes, weights) for g in grid])
     idx = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    if every:
+        return [o_bisect(coef, snr, float(grid[i]), float(grid[i + 1]), nodes, weights, width)
+                for i in idx]
     assert idx.size >= 1, "oracle found no bracket"
-    a, b = float(grid[idx[0]]), float(grid[idx[0] + 1])
-    fa = o_residual(a, coef, snr)
-    while b - a > 1e-14 * max(1.0, abs(a)):
+    return o_bisect(coef, snr, float(grid[idx[0]]), float(grid[idx[0] + 1]), nodes, weights, width)
+
+
+def o_bisect(coef, snr, a, b, nodes, weights, width):
+    fa = o_residual(a, coef, snr, nodes, weights)
+    while b - a > width * max(1.0, abs(a)) and a < 0.5 * (a + b) < b:
         m = 0.5 * (a + b)
-        fm = o_residual(m, coef, snr)
+        fm = o_residual(m, coef, snr, nodes, weights)
         if fa * fm <= 0:
             b = m
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def o_f1(q, coef, snr, nodes, weights):
+    q_hat = q / (1.0 - q)
+    a = math.sqrt(snr * q / (1.0 + snr * (1.0 - q)))
+    return (-4.0 * coef * float(weights @ o_qlnq(a * nodes))
+            + q * q_hat + math.log1p(q_hat) - q_hat)
 
 
 # --- training-phase overlap ---------------------------------------------------
@@ -137,6 +157,57 @@ class TestSolveQh:
             solve_qh(-1.0, 1.0)
         with pytest.raises(ValueError):
             solve_qh(1.0, 1.0, tol=0.0)
+
+
+# Gauss-Hermite rules give one root at every point tried.  This rule has a
+# negative weight, which folds the right-hand side back, so at rho = 10 and
+# 100 part of the grid below has three roots.
+FOLD_RULE = QuadratureRule(nodes=np.array([-5.145, 3.111, -0.052]),
+                           weights=np.array([0.8398, -0.5911, 0.7513]), order=3)
+GRID_BETAS = np.array([0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 3.0, 5.0])
+
+
+class TestBatchedSolve:
+    """One batched solve over a training grid against per-point scalar oracles."""
+
+    @pytest.mark.parametrize("rule", [RULE, FOLD_RULE], ids=["gauss-hermite", "fold"])
+    @pytest.mark.parametrize("rho", [0.01, 1.0, 10.0, 100.0])
+    def test_grid_roots_match_scalar_oracle(self, rule, rho):
+        owner, roots, _, _ = _fixed_points(GRID_BETAS, np.full(GRID_BETAS.size, rho), rule)
+        for i, bt in enumerate(GRID_BETAS):
+            expected = o_bisect_root(bt, rho, nodes=rule.nodes, weights=rule.weights,
+                                     width=0.0, every=True)
+            assert np.count_nonzero(owner == i) == len(expected), f"beta_t={bt}"
+            np.testing.assert_allclose(roots[owner == i], expected, rtol=1e-12, atol=0.0)
+
+    def test_fold_rule_gives_several_roots(self):
+        for rho in (10.0, 100.0):
+            owner, _, _, _ = _fixed_points(GRID_BETAS, np.full(GRID_BETAS.size, rho), FOLD_RULE)
+            assert np.bincount(owner).max() == 3
+
+    @pytest.mark.parametrize("rho", [10.0, 100.0])
+    def test_grid_picks_least_free_energy(self, rho):
+        # at (10, 2.0) and (100, 1.5) the pick is the middle of three roots
+        for ov in solve_qh_grid(rho, GRID_BETAS, FOLD_RULE):
+            roots = o_bisect_root(ov.beta_t, rho, nodes=FOLD_RULE.nodes,
+                                  weights=FOLD_RULE.weights, width=0.0, every=True)
+            energy = [o_f1(q, ov.beta_t, rho, FOLD_RULE.nodes, FOLD_RULE.weights) for q in roots]
+            assert ov.q_h == pytest.approx(roots[int(np.argmin(energy))], rel=1e-12)
+
+    def test_grid_matches_pointwise_solves(self):
+        grid = solve_qh_grid(10.0, GRID_BETAS, RULE)
+        assert grid == [solve_qh(10.0, float(bt), RULE) for bt in GRID_BETAS]
+
+    @pytest.mark.xfail(strict=True, reason="the 64-point scan puts both roots of a close "
+                       "pair in one interval, so neither is bracketed")
+    def test_close_root_pair_is_bracketed(self):
+        roots, _ = overlap_fixed_points(1.75, 100.0, FOLD_RULE)
+        assert len(roots) == len(o_bisect_root(1.75, 100.0, nodes=FOLD_RULE.nodes,
+                                               weights=FOLD_RULE.weights, every=True))
+
+    def test_point_without_bracket_names_its_training_length(self):
+        with pytest.raises(SolverError, match=r"beta_t=1e-13\b"):
+            solve_qh_grid(1.0, [1.0, 1e-13, 2.0], RULE)
 
 
 class TestF1:
