@@ -8,18 +8,13 @@ forms against exact enumeration of small systems.
 """
 from .numerics import (
     LN2,
-    NonFiniteIntegrandError,
     QuadratureRule,
-    binary_entropy,
     exp_ratio,
-    expect_normal,
     gauss_hermite,
     log_q_function,
     q_function,
 )
-from .quantizer import IDENTITY, SIGN_OUTPUTS, SIGN_QUANTIZER, Nonlinearity
-from .quantizer import apply as apply_nonlinearity
-from .quantizer import likelihood, log_likelihood
+from .quantizer import SIGN_OUTPUTS, sign_log_likelihoods
 from .replica import (
     ChannelOverlap,
     DataOverlap,

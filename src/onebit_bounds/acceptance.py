@@ -20,7 +20,7 @@ from typing import Callable, List
 import numpy as np
 
 from .exact import ChannelIntegration, SmallSystem, mi_direct, reff_exact
-from .numerics import LN2, gauss_hermite, q_function
+from .numerics import LN2, exp_ratio, gauss_hermite, q_function
 from .optimizer import compare_sweep, replica_bound, sweep_onebit_alpha
 from .replica import (
     SystemParams,
@@ -33,11 +33,8 @@ from .replica import (
     solve_qh,
     solve_qx_linear,
     solve_qx_onebit,
-    _overlap_residual,
-    _tanh_moment,
-    _gaussian_rhs,
 )
-from . import quantizer
+from .quantizer import sign_log_likelihoods
 
 __all__ = ["CriterionResult", "run_all"]
 
@@ -262,32 +259,43 @@ def criterion_9() -> CriterionResult:
         if refl.max() > 1e-15:
             problems.append(f"Q reflection: max err={refl.max():.2e}")
 
-        # likelihood normalization over a z grid
-        for zre in (-3.0, -0.7, 0.0, 1.3):
-            for zim in (-2.1, 0.4, 2.8):
-                for s_sq in (0.25, 1.0, 4.0):
-                    tot = sum(quantizer.likelihood(quantizer.SIGN_QUANTIZER,
-                                                   complex(zre, zim), y, s_sq)
-                              for y in quantizer.SIGN_OUTPUTS)
-                    if abs(tot - 1.0) > 1e-12:
-                        problems.append(f"likelihood normalization at z=({zre},{zim}): {tot!r}")
+        # normalization of the likelihood table the exact pipelines use
+        z = np.array([complex(zre, zim) for zre in (-3.0, -0.7, 0.0, 1.3)
+                      for zim in (-2.1, 0.4, 2.8)])
+        for s_sq in (0.25, 1.0, 4.0):
+            tot = np.exp(sign_log_likelihoods(z, s_sq)).sum(axis=0)
+            for zk, t in zip(z, tot):
+                if abs(t - 1.0) > 1e-12:
+                    problems.append(f"likelihood normalization at z={zk}, s_sq={s_sq}: {t!r}")
 
-        # fixed-point residuals at returned solutions
+        # fixed-point residuals at returned solutions, recoded from the
+        # equations: q/(1-q) = (c K^2/pi) E[exp(-K^2 q u^2)/Q(K sqrt(q) u)],
+        # K^2 = snr/(1 + snr (1-q)), and for one-bit data q_x = the tanh
+        # moment at that right-hand side, minus 1
+        def rhs(q, c, snr):
+            ksq = snr / (1.0 + snr * (1.0 - q))
+            return c * ksq / math.pi * float(rule.weights @ exp_ratio(math.sqrt(ksq * q) * rule.nodes))
+
+        def residual(q, c, snr):
+            return q / (1.0 - q) - rhs(q, c, snr)
+
         for rho in (0.01, 1.0, 100.0):
             for beta_t in (0.1, 1.0, 10.0):
                 ov = solve_qh(rho, beta_t, rule)
-                res = abs(float(_overlap_residual(ov.q_h, beta_t, rho, rule)))
+                res = abs(residual(ov.q_h, beta_t, rho))
                 if res > 1e-10:
                     problems.append(f"q_h residual {res:.2e} at rho={rho}, beta_t={beta_t}")
+        u = rule.nodes
         for s in (0.05, 1.0, 10.0):
             for alpha in (0.5, 2.0):
                 dl = solve_qx_linear(s, alpha, rule)
-                res = abs(float(_overlap_residual(dl.q_x, alpha, s, rule)))
+                res = abs(residual(dl.q_x, alpha, s))
                 if res > 1e-10:
                     problems.append(f"q_x linear residual {res:.2e} at s={s}, alpha={alpha}")
                 do = solve_qx_onebit(s, alpha, rule)
-                res = abs(_tanh_moment(float(_gaussian_rhs(do.q_x, alpha, s, rule)), rule)
-                          - 1.0 - do.q_x)
+                qh = rhs(do.q_x, alpha, s)
+                moment = float(rule.weights @ (np.tanh(math.sqrt(qh) * u + qh) * (2.0 + u / math.sqrt(qh))))
+                res = abs(moment - 1.0 - do.q_x)
                 if res > 1e-10:
                     problems.append(f"q_x one-bit residual {res:.2e} at s={s}, alpha={alpha}")
 

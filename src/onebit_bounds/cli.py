@@ -66,9 +66,13 @@ class RunConfig:
     quad_nodes: int = 128
     tol: float = 1e-10
     seed: int = 0
-    workers: int = 1
     out: Optional[str] = None
     format: str = "csv"
+    m: Optional[int] = None
+    n: Optional[int] = None
+    t: Optional[int] = None
+    mc_samples: Optional[int] = None
+    channel_order: int = 24
 
     def resolved_rho(self) -> float:
         if (self.rho is None) == (self.rho_db is None):
@@ -83,7 +87,8 @@ class RunConfig:
 _CONFIG_FIELDS = {
     "alpha": float, "beta": float, "rho": float, "rho_db": float, "tx": str,
     "grid_step": float, "quad_nodes": int, "tol": float, "seed": int,
-    "workers": int, "out": str, "format": str,
+    "out": str, "format": str, "m": int, "n": int, "t": int, "mc_samples": int,
+    "channel_order": int,
 }
 
 
@@ -92,7 +97,7 @@ def _load_config_file(path: str) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(_CONFIG_FIELDS) - {"m", "n", "t", "mc_samples", "channel_order", "which"}
+    unknown = set(data) - set(_CONFIG_FIELDS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return data
@@ -102,17 +107,12 @@ def _merge_config(args) -> RunConfig:
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     cfg = RunConfig()
     for name, cast in _CONFIG_FIELDS.items():
-        setattr(cfg, name, _merged_value(args, file_cfg, name, cast, getattr(cfg, name)))
+        value = getattr(args, name, None)
+        if value is None:
+            value = file_cfg.get(name)
+        if value is not None:
+            setattr(cfg, name, cast(value))
     return cfg
-
-
-def _merged_value(args, file_cfg, name, cast, default=None):
-    cli_val = getattr(args, name, None)
-    if cli_val is not None:
-        return cast(cli_val)
-    if name in file_cfg and file_cfg[name] is not None:
-        return cast(file_cfg[name])
-    return default
 
 
 # --- output formatting ------------------------------------------------------
@@ -198,6 +198,8 @@ def _cmd_compare(args) -> int:
     if cfg.alpha is None or cfg.beta is None:
         raise ValueError("--alpha and --beta are required")
     lo, hi, step = args.rho_db_min, args.rho_db_max, args.rho_db_step
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"SNR sweep bounds must be finite: [{lo}, {hi}] step {step}")
     if step <= 0 or hi < lo:
         raise ValueError(f"empty SNR sweep: [{lo}, {hi}] step {step}")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -242,20 +244,17 @@ def _cmd_figure(args) -> int:
 
 def _cmd_exact(args) -> int:
     cfg = _merge_config(args)
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    m = _merged_value(args, file_cfg, "m", int)
-    n = _merged_value(args, file_cfg, "n", int)
-    t = _merged_value(args, file_cfg, "t", int)
+    m, n, t = cfg.m, cfg.n, cfg.t
     if m is None or n is None or t is None:
         raise ValueError("--m, --n and --t are required")
-    mc_samples = _merged_value(args, file_cfg, "mc_samples", int)
-    channel_order = _merged_value(args, file_cfg, "channel_order", int, 24)
     rho = cfg.resolved_rho()
-    if mc_samples:
-        integration = ChannelIntegration.monte_carlo(mc_samples, cfg.seed)
+    if cfg.mc_samples is not None:
+        integration = ChannelIntegration.monte_carlo(cfg.mc_samples, cfg.seed)
     else:
-        integration = ChannelIntegration.quadrature(channel_order)
+        integration = ChannelIntegration.quadrature(cfg.channel_order)
     system = SmallSystem(m=m, n=n, t_total=t, rho=rho, integration=integration)
+    if t < 2:
+        raise ValueError("exact needs --t >= 2 to split training and data")
     for t_t in range(1, t):  # fail fast on the budget before computing anything
         check_budget(system, t_t)
     rows = []
@@ -319,8 +318,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="Gauss-Hermite order for expectations (default 128)")
     sub.add_argument("--tol", type=float, default=None, help="fixed-point tolerance (default 1e-10)")
     sub.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (default 0)")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="accepted for old configs; has no effect, sweeps run in one thread")
     sub.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default csv)")
     sub.add_argument("--config", type=str, default=None,

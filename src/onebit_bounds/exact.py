@@ -41,8 +41,9 @@ from functools import lru_cache, reduce
 import numpy as np
 from scipy.special import logsumexp
 
-from .numerics import LN2, gauss_hermite, log_q_function, q_function
+from .numerics import LN2, gauss_hermite, q_function
 from .optimizer import BoundResult
+from .quantizer import SIGN_OUTPUTS, sign_log_likelihoods
 from .replica import SystemParams
 
 __all__ = [
@@ -68,7 +69,7 @@ __all__ = [
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 
 #: Sign-quantizer output alphabet in the same enumeration order.
-SIGN_OUT = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+SIGN_OUT = np.array(SIGN_OUTPUTS)
 
 #: Cap on 4^(M T_t) * 4^(N T_t), the number of training-block terms.
 ENUMERATION_BUDGET = 10 ** 8
@@ -191,17 +192,6 @@ def _strings(t_t: int) -> np.ndarray:
     return np.array(list(itertools.product(range(4), repeat=t_t)), dtype=int).reshape(4 ** t_t, t_t)
 
 
-def _log_g_columns(z: np.ndarray) -> np.ndarray:
-    """Per-node output log-likelihoods, LG[c, y, k] = ln P(sign(z[k, c] + v) = SIGN_OUT[y])."""
-    a = math.sqrt(2.0 / _SIGMA_SQ)
-    lr_p = log_q_function(-a * z.real)
-    lr_m = log_q_function(a * z.real)
-    li_p = log_q_function(-a * z.imag)
-    li_m = log_q_function(a * z.imag)
-    lg = np.stack([lr_p + li_p, lr_p + li_m, lr_m + li_p, lr_m + li_m], axis=0)
-    return np.ascontiguousarray(lg.transpose(2, 0, 1))  # (C, 4, nodes)
-
-
 class _Tables:
     """Per-(system, t_t) node tables shared by the d-pipeline operations."""
 
@@ -211,7 +201,8 @@ class _Tables:
         self.h, self.logw = _channel_nodes(sys_, t_t, stream)
         x_cols = _input_vectors(sys_.m)
         z = math.sqrt(sys_.rho / sys_.m) * (self.h @ x_cols.T)
-        self.log_g = _log_g_columns(z)                      # (C, 4, nodes)
+        # log_g[c, y, k] = ln P(sign(z[k, c] + v) = SIGN_OUT[y])
+        self.log_g = np.ascontiguousarray(sign_log_likelihoods(z, _SIGMA_SQ).transpose(2, 0, 1))
         self.g_lin = np.exp(self.log_g)                     # linear copy for the W contraction
         self.n_inputs = 4 ** sys_.m
         self.strings = _strings(t_t)                        # (S, t_t)

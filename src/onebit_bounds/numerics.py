@@ -15,30 +15,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy import special
 
 __all__ = [
     "LN2",
-    "NonFiniteIntegrandError",
     "QuadratureRule",
     "gauss_hermite",
     "q_function",
     "log_q_function",
     "exp_ratio",
     "q_log_q",
-    "expect_normal",
-    "binary_entropy",
 ]
 
 LN2 = float(np.log(2.0))
 _SQRT2 = float(np.sqrt(2.0))
-
-
-class NonFiniteIntegrandError(ValueError):
-    """An integrand returned a non-finite value at a quadrature node."""
 
 
 @dataclass(frozen=True)
@@ -109,33 +101,3 @@ def q_log_q(x):
     """Q(x) * ln Q(x) with the 0 * log(0) = 0 convention as x -> +inf."""
     lq = special.log_ndtr(-np.asarray(x, dtype=float))
     return np.exp(lq) * lq
-
-
-def expect_normal(f: Callable, rule: QuadratureRule) -> float:
-    """Quadrature approximation of E[f(u)], u ~ N(0, 1).
-
-    ``f`` may be vectorized over a node array or a plain scalar function.
-    Raises :class:`NonFiniteIntegrandError` naming the offending node if the
-    integrand is not finite there.
-    """
-    try:
-        vals = np.asarray(f(rule.nodes), dtype=float)
-        if vals.shape != rule.nodes.shape:
-            raise TypeError("not vectorized")
-    except (TypeError, ValueError):
-        vals = np.array([float(f(u)) for u in rule.nodes])
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise NonFiniteIntegrandError(
-            f"integrand returned {vals[i]} at node u = {rule.nodes[i]:.6g}"
-        )
-    return float(rule.weights @ vals)
-
-
-def binary_entropy(p: float) -> float:
-    """Binary entropy H_b(p) in bits, with H_b(0) = H_b(1) = 0."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"binary_entropy needs p in [0, 1], got {p}")
-    return float(-(special.xlogy(p, p) + special.xlogy(1.0 - p, 1.0 - p)) / LN2)

@@ -85,8 +85,8 @@ class BoundResult:
 
 def training_grid(beta: float, grid_step: float) -> np.ndarray:
     """Grid {step, 2 step, ..., beta - step}; raises on an empty grid."""
-    if not grid_step > 0.0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
+    if not 0.0 < grid_step < math.inf:
+        raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
     n = int(math.floor((beta - grid_step) / grid_step + 1e-9))
     if n < 1:
         raise ValueError(f"empty training grid: beta={beta} with grid_step={grid_step}")

@@ -1,6 +1,6 @@
-"""Elementwise transceiver nonlinearities and their output likelihoods.
+"""The complex sign quantizer and its output likelihood.
 
-The one hard nonlinearity modeled here is the complex sign quantizer
+The one hard nonlinearity of a one-bit transceiver is
 
     sign(z) = sign(Re z) + j sign(Im z),
 
@@ -12,115 +12,37 @@ factors into two Gaussian tails:
     P(sign(z + v) = y) = Q(-(sqrt(2)/sigma0) Re(z) Re(y))
                        * Q(-(sqrt(2)/sigma0) Im(z) Im(y)).
 
-An identity passthrough is included as the linear reference; its likelihood
-is the complex Gaussian density of y around z.  sign(0) maps to +1 in each
-component (a measure-zero tie, fixed for reproducibility).
+The exact d-pipeline takes its likelihood tables from here; ``mi_direct``
+keeps its own linear-domain coding as an independent cross-check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .numerics import log_q_function, q_function
+import numpy as np
 
-__all__ = [
-    "Nonlinearity",
-    "SIGN_QUANTIZER",
-    "IDENTITY",
-    "SIGN_OUTPUTS",
-    "apply",
-    "likelihood",
-    "log_likelihood",
-]
+from .numerics import log_q_function
+
+__all__ = ["SIGN_OUTPUTS", "sign_log_likelihoods"]
 
 #: Output alphabet of the sign quantizer, in canonical enumeration order.
 SIGN_OUTPUTS = (1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)
 
-_SQRT2 = math.sqrt(2.0)
 
+def sign_log_likelihoods(z, sigma0_sq: float = 1.0) -> np.ndarray:
+    """ln P(sign(z + v) = y) for v ~ CN(0, sigma0_sq) and every y in
+    :data:`SIGN_OUTPUTS`, as an array of shape ``(4,) + z.shape``.
 
-@dataclass(frozen=True)
-class Nonlinearity:
-    """An elementwise transceiver nonlinearity.
-
-    ``kind`` is ``"sign-quantizer"`` (discrete output on {+-1 +- j}) or
-    ``"identity"`` (continuous complex output).
+    Each output's value is the sum of two log-tails, so long products of
+    likelihood factors can be summed without underflow.  The four tails are
+    evaluated once per element of z and shared by the four outputs.
     """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("sign-quantizer", "identity"):
-            raise ValueError(f"unknown nonlinearity kind: {self.kind!r}")
-
-    @property
-    def output_alphabet(self):
-        """The discrete output alphabet, or None for continuous output."""
-        return SIGN_OUTPUTS if self.kind == "sign-quantizer" else None
-
-
-SIGN_QUANTIZER = Nonlinearity("sign-quantizer")
-IDENTITY = Nonlinearity("identity")
-
-
-def _check_complex(z: complex, name: str) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{name} must be finite, got {z}")
-    return z
-
-
-def _sign(v: float) -> float:
-    # ties at exactly 0 resolve to +1
-    return 1.0 if v >= 0.0 else -1.0
-
-
-def apply(nl: Nonlinearity, z: complex) -> complex:
-    """Apply the nonlinearity to one complex sample."""
-    z = _check_complex(z, "z")
-    if nl.kind == "sign-quantizer":
-        return complex(_sign(z.real), _sign(z.imag))
-    return z
-
-
-def _check_sign_output(y: complex) -> complex:
-    y = complex(y)
-    if abs(y.real) != 1.0 or abs(y.imag) != 1.0:
-        raise ValueError(f"y must lie in {{+-1 +- j}} for the sign quantizer, got {y}")
-    return y
-
-
-def likelihood(nl: Nonlinearity, z: complex, y: complex, sigma0_sq: float) -> float:
-    """P(f(z + v) = y) for v ~ CN(0, sigma0_sq).
-
-    For the sign quantizer this is a probability mass in (0, 1) summing to 1
-    over the four outputs; for the identity it is the complex Gaussian
-    density of y around z.
-    """
-    z = _check_complex(z, "z")
+    z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError(f"z must be finite, got {z[~np.isfinite(z)].flat[0]}")
     if not sigma0_sq > 0.0:
         raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
-    if nl.kind == "sign-quantizer":
-        y = _check_sign_output(y)
-        a = _SQRT2 / math.sqrt(sigma0_sq)
-        return float(q_function(-a * z.real * y.real) * q_function(-a * z.imag * y.imag))
-    y = _check_complex(y, "y")
-    d = y - z
-    return float(math.exp(-(d.real * d.real + d.imag * d.imag) / sigma0_sq) / (math.pi * sigma0_sq))
-
-
-def log_likelihood(nl: Nonlinearity, z: complex, y: complex, sigma0_sq: float) -> float:
-    """ln likelihood, assembled from log-tail evaluations so that long
-    products of likelihood factors can be summed without underflow."""
-    z = _check_complex(z, "z")
-    if not sigma0_sq > 0.0:
-        raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
-    if nl.kind == "sign-quantizer":
-        y = _check_sign_output(y)
-        a = _SQRT2 / math.sqrt(sigma0_sq)
-        return float(
-            log_q_function(-a * z.real * y.real) + log_q_function(-a * z.imag * y.imag)
-        )
-    y = _check_complex(y, "y")
-    d = y - z
-    return float(-math.log(math.pi * sigma0_sq) - (d.real * d.real + d.imag * d.imag) / sigma0_sq)
+    a = math.sqrt(2.0 / sigma0_sq)
+    re_p, re_m = log_q_function(-a * z.real), log_q_function(a * z.real)
+    im_p, im_m = log_q_function(-a * z.imag), log_q_function(a * z.imag)
+    return np.stack([re_p + im_p, re_p + im_m, re_m + im_p, re_m + im_m])

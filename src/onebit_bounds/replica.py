@@ -78,6 +78,10 @@ _SCAN_ROWS = 2
 _ROOT_ULPS = 4
 _MAX_STEPS = 200
 _WINDOW = 4
+# solve_qx_onebit: damping factor, iteration cap per start, start points.
+_DAMPING = 0.5
+_MAX_ITER = 10_000
+_STARTS = (0.01, 0.5, 0.99)
 
 
 class SolverError(RuntimeError):
@@ -108,10 +112,10 @@ class SystemParams:
     tx_type: str = "linear"
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         if not 0.0 <= self.rho < math.inf:
             raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
         if self.tx_type not in TX_TYPES:
@@ -499,15 +503,14 @@ def _tanh_moment(q_hat: float, rule: QuadratureRule) -> float:
 
 
 def solve_qx_onebit(snr_eff: float, alpha: float, rule: Optional[QuadratureRule] = None,
-                    tol: float = 1e-10, *, damping: float = 0.5, max_iter: int = 10_000,
-                    starts=(0.01, 0.5, 0.99)) -> DataOverlap:
+                    tol: float = 1e-10) -> DataOverlap:
     """Data-phase overlap for one-bit data symbols.
 
     Damped alternation on (q_x, q_x_hat): q_x_hat follows from q_x by the
     Gaussian-tail equation, then q_x is pulled toward the tanh moment.  Run
     from several starts; converged points are deduplicated and the F2_O
     minimizer wins.  Raises :class:`SolverError` with per-start residuals if
-    no start converges within ``max_iter``.
+    no start converges within ``_MAX_ITER`` steps.
     """
     _check_data_args(snr_eff, alpha, tol)
     rule = rule or gauss_hermite()
@@ -517,26 +520,26 @@ def solve_qx_onebit(snr_eff: float, alpha: float, rule: Optional[QuadratureRule]
 
     candidates = []
     diagnostics = {}
-    for q0 in starts:
+    for q0 in _STARTS:
         q = float(q0)
         converged = False
         step = math.inf
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             q_hat = float(_gaussian_rhs(q, alpha, snr_eff, rule))
             target = _tanh_moment(q_hat, rule) - 1.0
             step = target - q
             if abs(step) <= tol:
                 converged = True
                 break
-            q = min(max(q + damping * step, 0.0), 1.0)
+            q = min(max(q + _DAMPING * step, 0.0), 1.0)
         diagnostics[q0] = step
         if converged:
             candidates.append((q, q_hat))
 
     if not candidates:
         raise SolverError(
-            f"one-bit data overlap did not converge from starts {tuple(starts)} "
-            f"(snr_eff={snr_eff:g}, alpha={alpha:g}, max_iter={max_iter})",
+            f"one-bit data overlap did not converge from starts {_STARTS} "
+            f"(snr_eff={snr_eff:g}, alpha={alpha:g}, max_iter={_MAX_ITER})",
             diagnostics={"last_step_by_start": diagnostics},
         )
 

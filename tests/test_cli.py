@@ -60,6 +60,17 @@ class TestBound:
         assert code == 1
         assert "finite" in err
 
+    @pytest.mark.parametrize("args", [
+        "bound --alpha 1 --beta inf --rho 1",
+        "bound --alpha inf --beta 2 --rho 1",
+        "bound --alpha 1 --beta 2 --rho 1 --grid-step inf",
+        "compare --alpha 1 --beta 5 --rho-db-min 0 --rho-db-max inf",
+    ])
+    def test_non_finite_input_exits_one(self, args, capsys):
+        code, _, err = run_cli(args.split(), capsys)
+        assert code == 1
+        assert "finite" in err
+
     def test_missing_snr_exits_one(self, capsys):
         code, _, err = run_cli(["bound", "--alpha", "1", "--beta", "8"], capsys)
         assert code == 1
@@ -131,12 +142,11 @@ class TestCompare:
         assert code == 1
         assert "out of range" in err
 
-    def test_worker_count_does_not_change_bytes(self, capsys):
-        base = ["compare", "--alpha", "1", "--beta", "10",
-                "--rho-db-min", "0", "--rho-db-max", "4", "--rho-db-step", "2"]
-        _, out1, _ = run_cli(base + ["--workers", "1"], capsys)
-        _, out2, _ = run_cli(base + ["--workers", "3"], capsys)
-        assert out1 == out2
+    def test_workers_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--alpha", "1", "--beta", "10", "--workers", "2"])
+        assert exc.value.code == 1
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestFigure:
@@ -206,6 +216,18 @@ class TestExact:
         assert code == 1
         assert str(4 ** 8 * 4 ** 8) in err
 
+    def test_single_symbol_block_exits_one(self, capsys):
+        code, out, err = run_cli(["exact", "--m", "1", "--n", "1", "--t", "1",
+                                  "--rho", "1"], capsys)
+        assert code == 1 and out == ""
+        assert "--t >= 2" in err
+
+    def test_zero_monte_carlo_samples_exits_one(self, capsys):
+        code, out, err = run_cli(["exact", "--m", "1", "--n", "1", "--t", "2",
+                                  "--rho", "1", "--mc-samples", "0"], capsys)
+        assert code == 1 and out == ""
+        assert "samples must be positive" in err
+
     def test_monte_carlo_is_seeded(self, capsys):
         args = ["exact", "--m", "1", "--n", "1", "--t", "2", "--rho", "10",
                 "--mc-samples", "5000", "--seed", "7"]
@@ -272,11 +294,23 @@ class TestConfigFile:
         assert code == 1
         assert "alhpa" in err
 
-    def test_workers_key_still_loads(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["workers", "which"])
+    def test_retired_key_rejected(self, key, tmp_path, capsys):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"alpha": 1.0, "beta": 2.0, "rho": 1.0, "workers": 4}))
-        code, _, _ = run_cli(["bound", "--config", str(cfg)], capsys)
+        cfg.write_text(json.dumps({"alpha": 1.0, "beta": 2.0, "rho": 1.0, key: 2}))
+        code, _, err = run_cli(["bound", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert key in err
+
+    def test_exact_keys_match_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"m": 1, "n": 1, "t": 2, "rho": 10.0,
+                                   "mc_samples": 3000, "seed": 4}))
+        code, from_file, _ = run_cli(["exact", "--config", str(cfg)], capsys)
         assert code == 0
+        _, from_flags, _ = run_cli(["exact", "--m", "1", "--n", "1", "--t", "2", "--rho", "10",
+                                    "--mc-samples", "3000", "--seed", "4"], capsys)
+        assert from_file == from_flags
 
     def test_rho_and_rho_db_conflict(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -287,8 +321,9 @@ class TestConfigFile:
 
 
 class TestGoldenBytes:
-    """sha256 of three outputs as the per-point bisection solver printed them;
-    the batched root solve that replaced it must reproduce them byte for byte."""
+    """sha256 of outputs as earlier releases printed them: the replica rows
+    from the per-point bisection solver, the exact rows from the likelihood
+    table the d-pipeline coded for itself.  Both must stay byte for byte."""
 
     @pytest.mark.parametrize("args, digest", [
         ("compare --alpha 2 --beta 5",
@@ -297,6 +332,10 @@ class TestGoldenBytes:
          "cdd3566d17e6906f7d92f0b10f4b8995034fadc95c1a6e38447943767b0e42ec"),
         ("bound --alpha 4 --beta 8 --rho 10 --tx onebit --refine",
          "f2d8f70471a7202cb87f65abde2bfffe5a677176edea70784f527908995fa14a"),
+        ("exact --m 1 --n 1 --t 3 --rho 10",
+         "066627ee8146aef8544a3416e345123507b294b2c20cd96b8bf23cef03210a6b"),
+        ("exact --m 2 --n 2 --t 2 --rho 10 --mc-samples 2000 --seed 0",
+         "2e31e8b3cb3f062699200c77f168a2f84955e72daab7c0adbb20b15c462a10f0"),
     ])
     def test_output_bytes(self, args, digest, capsys):
         code, out, _ = run_cli(args.split(), capsys)

@@ -8,10 +8,7 @@ import pytest
 from scipy import integrate
 
 from onebit_bounds.numerics import (
-    NonFiniteIntegrandError,
-    binary_entropy,
     exp_ratio,
-    expect_normal,
     gauss_hermite,
     log_q_function,
     q_function,
@@ -114,16 +111,16 @@ class TestQuadratureRule:
 
     def test_constant_and_variance(self):
         rule = gauss_hermite(128)
-        assert expect_normal(lambda u: np.ones_like(u), rule) == pytest.approx(1.0, abs=1e-12)
-        assert expect_normal(lambda u: u * u, rule) == pytest.approx(1.0, abs=1e-10)
+        assert rule.weights @ np.ones_like(rule.nodes) == pytest.approx(1.0, abs=1e-12)
+        assert rule.weights @ rule.nodes ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_monomial_exactness(self):
         rule = gauss_hermite(32)
         exact = {0: 1.0, 2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
         for k, target in exact.items():
-            assert expect_normal(lambda u, k=k: u**k, rule) == pytest.approx(target, rel=1e-9)
+            assert rule.weights @ rule.nodes ** k == pytest.approx(target, rel=1e-9)
         for k in (1, 3, 5, 7):
-            assert abs(expect_normal(lambda u, k=k: u**k, rule)) < 1e-9
+            assert abs(rule.weights @ rule.nodes ** k) < 1e-9
 
     def test_low_order_rejected(self):
         with pytest.raises(ValueError):
@@ -139,39 +136,6 @@ class TestExpectNormal:
         )
         assert err < 1e-7
         rule = gauss_hermite(128)
-        assert expect_normal(lambda u: q_log_q(u), rule) == pytest.approx(oracle, abs=1e-8)
-        assert expect_normal(lambda u: q_log_q(u), rule) == pytest.approx(-0.25, abs=1e-10)
-
-    def test_scalar_function_fallback(self):
-        rule = gauss_hermite(32)
-        assert expect_normal(lambda u: float(u) ** 2, rule) == pytest.approx(1.0, abs=1e-10)
-
-    def test_non_finite_integrand_reported_with_node(self):
-        rule = gauss_hermite(16)
-        bad_node = rule.nodes[3]
-        with pytest.raises(NonFiniteIntegrandError) as exc:
-            expect_normal(lambda u: np.where(u == bad_node, np.nan, 1.0), rule)
-        assert f"{bad_node:.6g}" in str(exc.value)
-
-
-class TestBinaryEntropy:
-    def test_half_is_one_bit(self):
-        assert binary_entropy(0.5) == 1.0
-
-    def test_endpoints_use_zero_convention(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-
-    def test_near_half_bit_point(self):
-        # frozen from the mpmath oracle
-        assert binary_entropy(0.11) == pytest.approx(0.49991595816452800, rel=1e-12)
-
-    def test_symmetry(self):
-        for p in (0.01, 0.2, 0.37):
-            assert binary_entropy(p) == pytest.approx(binary_entropy(1 - p), rel=1e-14)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binary_entropy(-0.01)
-        with pytest.raises(ValueError):
-            binary_entropy(1.01)
+        got = rule.weights @ q_log_q(rule.nodes)
+        assert got == pytest.approx(oracle, abs=1e-8)
+        assert got == pytest.approx(-0.25, abs=1e-10)

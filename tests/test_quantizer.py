@@ -1,118 +1,91 @@
-"""Sign-quantizer model: outputs, likelihoods, and sampled-noise consistency."""
+"""Sign-quantizer likelihood table: values, normalization, sampled-noise consistency."""
 
 import math
 
 import numpy as np
 import pytest
 
-from onebit_bounds.quantizer import (
-    IDENTITY,
-    SIGN_OUTPUTS,
-    SIGN_QUANTIZER,
-    Nonlinearity,
-    apply,
-    likelihood,
-    log_likelihood,
-)
+from onebit_bounds.quantizer import SIGN_OUTPUTS, sign_log_likelihoods
 from onebit_bounds.numerics import log_q_function
 
 
+def likelihoods(z, s_sq=1.0):
+    return np.exp(sign_log_likelihoods(z, s_sq))
+
+
 class TestApply:
+    """The quantizing map itself, as the table encodes it."""
+
     def test_sign_of_components(self):
-        assert apply(SIGN_QUANTIZER, complex(0.3, -2.1)) == complex(1, -1)
-
-    def test_identity_passthrough(self):
-        assert apply(IDENTITY, complex(0.3, -2.1)) == complex(0.3, -2.1)
-
-    def test_tiny_magnitudes(self):
-        assert apply(SIGN_QUANTIZER, complex(-1e-300, 1e-300)) == complex(-1, 1)
-
-    def test_zero_ties_to_plus_one(self):
-        assert apply(SIGN_QUANTIZER, complex(0.0, -0.0)) == complex(1, 1)
-
-    def test_output_always_in_alphabet(self):
-        rng = np.random.default_rng(7)
-        for z in rng.standard_normal(50) + 1j * rng.standard_normal(50):
-            assert apply(SIGN_QUANTIZER, complex(z)) in SIGN_OUTPUTS
+        # with little noise the most likely output is the componentwise sign
+        probs = likelihoods(complex(0.3, -2.1), 0.01)
+        assert SIGN_OUTPUTS[int(np.argmax(probs))] == complex(1, -1)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            apply(SIGN_QUANTIZER, complex(np.nan, 0.0))
-
-    def test_unknown_kind_rejected(self):
+            sign_log_likelihoods(complex(np.nan, 0.0))
         with pytest.raises(ValueError):
-            Nonlinearity("three-bit")
+            sign_log_likelihoods(np.array([0j, complex(0.0, np.inf)]))
 
 
 class TestLikelihood:
     def test_zero_input_is_uniform(self):
-        for y in SIGN_OUTPUTS:
-            assert likelihood(SIGN_QUANTIZER, 0j, y, 1.0) == pytest.approx(0.25, rel=1e-15)
+        for p in likelihoods(0j):
+            assert p == pytest.approx(0.25, rel=1e-15)
 
     def test_noise_free_limit(self):
         t = 1e6
-        assert likelihood(SIGN_QUANTIZER, complex(t, t), complex(1, 1), 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert likelihoods(complex(t, t))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_sign_value(self):
         # frozen from the mpmath oracle: Q(-sqrt2) * Q(sqrt2)
-        got = likelihood(SIGN_QUANTIZER, complex(1, -1), complex(1, 1), 1.0)
+        got = likelihoods(complex(1, -1))[SIGN_OUTPUTS.index(1 + 1j)]
         assert got == pytest.approx(0.07246384339048045, rel=1e-12)
 
     def test_normalization_over_outputs(self):
-        for zre in (-3.0, -0.7, 0.0, 1.3, 4.2):
-            for zim in (-2.1, 0.4, 2.8):
-                for s_sq in (0.25, 1.0, 4.0):
-                    tot = sum(likelihood(SIGN_QUANTIZER, complex(zre, zim), y, s_sq)
-                              for y in SIGN_OUTPUTS)
-                    assert tot == pytest.approx(1.0, abs=1e-12)
+        z = np.array([[complex(zre, zim) for zim in (-2.1, 0.4, 2.8)]
+                      for zre in (-3.0, -0.7, 0.0, 1.3, 4.2)])
+        for s_sq in (0.25, 1.0, 4.0):
+            probs = likelihoods(z, s_sq)
+            assert probs.shape == (4,) + z.shape
+            np.testing.assert_allclose(probs.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
     def test_sign_flip_symmetry_is_exact(self):
+        # P(y | z) = P(-y | -z); SIGN_OUTPUTS reversed is SIGN_OUTPUTS negated
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            z = complex(*rng.standard_normal(2))
-            for y in SIGN_OUTPUTS:
-                assert likelihood(SIGN_QUANTIZER, z, y, 0.7) == likelihood(SIGN_QUANTIZER, -z, -y, 0.7)
-
-    def test_identity_density_integrates_to_one(self):
-        # Gaussian density around z: Riemann check on a wide grid
-        z = complex(0.4, -0.2)
-        g = np.linspace(-6, 6, 241)
-        dx = g[1] - g[0]
-        total = sum(likelihood(IDENTITY, z, complex(a, b), 1.0) for a in g for b in g) * dx * dx
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_invalid_output_symbol(self):
-        with pytest.raises(ValueError):
-            likelihood(SIGN_QUANTIZER, 1 + 1j, complex(0.5, 1.0), 1.0)
+        z = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        assert tuple(-y for y in SIGN_OUTPUTS) == SIGN_OUTPUTS[::-1]
+        np.testing.assert_array_equal(sign_log_likelihoods(z, 0.7),
+                                      sign_log_likelihoods(-z, 0.7)[::-1])
 
     def test_invalid_noise_variance(self):
         with pytest.raises(ValueError):
-            likelihood(SIGN_QUANTIZER, 1 + 1j, 1 + 1j, 0.0)
+            sign_log_likelihoods(1 + 1j, 0.0)
+        with pytest.raises(ValueError):
+            sign_log_likelihoods(1 + 1j, math.nan)
 
 
 class TestLogLikelihood:
     def test_zero_input(self):
-        assert log_likelihood(SIGN_QUANTIZER, 0j, 1 + 1j, 1.0) == pytest.approx(math.log(0.25), rel=1e-15)
+        for lp in sign_log_likelihoods(0j):
+            assert lp == pytest.approx(math.log(0.25), rel=1e-15)
 
     def test_matches_log_of_likelihood(self):
-        got = log_likelihood(SIGN_QUANTIZER, complex(1, -1), complex(1, 1), 1.0)
+        got = sign_log_likelihoods(complex(1, -1))[SIGN_OUTPUTS.index(1 + 1j)]
         assert got == pytest.approx(math.log(0.07246384339048045), rel=1e-12)
 
     def test_additivity_over_components(self):
-        z, y, s_sq = complex(0.8, -1.7), complex(-1, 1), 2.3
+        z, s_sq = complex(0.8, -1.7), 2.3
         a = math.sqrt(2.0 / s_sq)
-        expected = float(log_q_function(-a * z.real * y.real) + log_q_function(-a * z.imag * y.imag))
-        assert log_likelihood(SIGN_QUANTIZER, z, y, s_sq) == pytest.approx(expected, abs=1e-12)
-
-    def test_identity_matches_density(self):
-        z, y = complex(0.3, 0.1), complex(-0.2, 0.5)
-        assert log_likelihood(IDENTITY, z, y, 1.5) == pytest.approx(
-            math.log(likelihood(IDENTITY, z, y, 1.5)), rel=1e-12)
+        table = sign_log_likelihoods(z, s_sq)
+        for y, got in zip(SIGN_OUTPUTS, table):
+            expected = float(log_q_function(-a * z.real * y.real) + log_q_function(-a * z.imag * y.imag))
+            assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestSampledNoiseConsistency:
     def test_monte_carlo_frequencies_match_likelihood(self):
-        # 1e6 seeded draws of f(z + v); frequencies within 4 standard errors
+        # 1e6 seeded draws of sign(z + v); frequencies within 4 standard errors
         rng = np.random.default_rng(12345)
         n = 1_000_000
         z = complex(0.6, -0.35)
@@ -121,12 +94,7 @@ class TestSampledNoiseConsistency:
         w = z + noise
         out_re = np.where(w.real >= 0, 1.0, -1.0)
         out_im = np.where(w.imag >= 0, 1.0, -1.0)
-        # the vectorized sign matches apply() draw by draw (spot check)
-        for v in w[:200]:
-            got = apply(SIGN_QUANTIZER, complex(v))
-            assert got == complex(1.0 if v.real >= 0 else -1.0, 1.0 if v.imag >= 0 else -1.0)
-        for y in SIGN_OUTPUTS:
-            p = likelihood(SIGN_QUANTIZER, z, y, s_sq)
+        for y, p in zip(SIGN_OUTPUTS, likelihoods(z, s_sq)):
             freq = float(np.mean((out_re == y.real) & (out_im == y.imag)))
             se = math.sqrt(p * (1 - p) / n)
             assert abs(freq - p) < 4 * se

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from onebit_bounds import replica
 from onebit_bounds.numerics import LN2, QuadratureRule, gauss_hermite
 from onebit_bounds.replica import (
     SolverError,
@@ -333,9 +334,10 @@ class TestSolveQxOnebit:
             q_hat = o_rhs(d.q_x, alpha, s)
             assert q_hat == pytest.approx(d.q_x_hat, rel=1e-6)
 
-    def test_non_convergence_reports_every_start(self):
+    def test_non_convergence_reports_every_start(self, monkeypatch):
+        monkeypatch.setattr(replica, "_MAX_ITER", 1)
         with pytest.raises(SolverError) as exc:
-            solve_qx_onebit(10.0, 4.0, RULE, max_iter=1)
+            solve_qx_onebit(10.0, 4.0, RULE)
         residuals = exc.value.diagnostics["last_step_by_start"]
         assert set(residuals) == {0.01, 0.5, 0.99}
         assert all(abs(r) > 0 for r in residuals.values())
