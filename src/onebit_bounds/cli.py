@@ -304,24 +304,32 @@ def _cmd_selftest(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, help="receivers per transmitter")
-    sub.add_argument("--beta", type=float, help="coherence length per transmitter")
-    g = sub.add_mutually_exclusive_group()
-    g.add_argument("--rho", type=float, help="per-receiver SNR, linear")
-    g.add_argument("--rho-db", dest="rho_db", type=float, help="per-receiver SNR in dB (power)")
-    sub.add_argument("--tx", choices=("linear", "onebit"), default=None,
-                     help="transmitter type (default linear)")
-    sub.add_argument("--grid-step", dest="grid_step", type=float, default=None,
-                     help="training-length grid step (default 0.1)")
-    sub.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None,
-                     help="Gauss-Hermite order for expectations (default 128)")
-    sub.add_argument("--tol", type=float, default=None, help="fixed-point tolerance (default 1e-10)")
-    sub.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (default 0)")
-    sub.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default csv)")
-    sub.add_argument("--config", type=str, default=None,
-                     help="JSON config file; flags override its values")
+_FLAGS = {
+    "alpha": dict(type=float, help="receivers per transmitter"),
+    "beta": dict(type=float, help="coherence length per transmitter"),
+    "tx": dict(choices=("linear", "onebit"), help="transmitter type (default linear)"),
+    "grid_step": dict(type=float, help="training-length grid step (default 0.1)"),
+    "quad_nodes": dict(type=int, help="Gauss-Hermite order for expectations (default 128)"),
+    "tol": dict(type=float, help="fixed-point tolerance (default 1e-10)"),
+    "seed": dict(type=int, help="Monte Carlo seed (default 0)"),
+    "out": dict(type=str, help="output path (default stdout)"),
+    "format": dict(choices=("csv", "json"), help="output format (default csv)"),
+    "config": dict(type=str, help="JSON config file; flags override its values"),
+}
+_SOLVER = ("grid_step", "quad_nodes", "tol")
+_OUTPUT = ("out", "format", "config")
+
+
+def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named flags of ``_FLAGS``; "rho" adds the pair --rho / --rho-db."""
+    for name in names:
+        if name == "rho":
+            g = sub.add_mutually_exclusive_group()
+            g.add_argument("--rho", type=float, help="per-receiver SNR, linear")
+            g.add_argument("--rho-db", dest="rho_db", type=float,
+                           help="per-receiver SNR in dB (power)")
+        else:
+            sub.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
 
 
 def build_parser() -> _Parser:
@@ -329,25 +337,25 @@ def build_parser() -> _Parser:
                      description="Training-based achievable-rate bounds for one-bit transceivers")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("bound", parents=[], help="optimized training bound at one parameter point")
-    _add_common(p)
+    p = subs.add_parser("bound", help="optimized training bound at one parameter point")
+    _add_flags(p, "alpha", "beta", "rho", "tx", *_SOLVER, *_OUTPUT)
     p.add_argument("--refine", action="store_true", help="golden-section refinement of beta_t_opt")
     p.set_defaults(func=_cmd_bound)
 
     p = subs.add_parser("compare", help="replica vs Bussgang vs known-channel sweep")
-    _add_common(p)
+    _add_flags(p, "alpha", "beta", *_SOLVER, *_OUTPUT)
     p.add_argument("--rho-db-min", dest="rho_db_min", type=float, default=-10.0)
     p.add_argument("--rho-db-max", dest="rho_db_max", type=float, default=20.0)
     p.add_argument("--rho-db-step", dest="rho_db_step", type=float, default=1.0)
     p.set_defaults(func=_cmd_compare)
 
     p = subs.add_parser("figure", help="emit data behind the standard figures")
-    _add_common(p)
+    _add_flags(p, "beta", "rho", *_SOLVER, *_OUTPUT)
     p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
     p.set_defaults(func=_cmd_figure)
 
     p = subs.add_parser("exact", help="enumerable small-system rates, both pipelines")
-    _add_common(p)
+    _add_flags(p, "rho", "seed", *_OUTPUT)
     p.add_argument("--m", type=int, help="transmitters (<= 2)")
     p.add_argument("--n", type=int, help="receivers (<= 2)")
     p.add_argument("--t", type=int, help="coherence block length (<= 5)")
@@ -358,7 +366,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_exact)
 
     p = subs.add_parser("asymptotics", help="low-SNR closed forms")
-    _add_common(p)
+    _add_flags(p, "alpha", "beta", "rho", "tx", *_OUTPUT)
     p.set_defaults(func=_cmd_asymptotics)
 
     p = subs.add_parser("selftest", help="run the acceptance checks")

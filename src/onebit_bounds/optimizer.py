@@ -34,6 +34,7 @@ from .replica import (
     SystemParams,
     csir_rate,
     linear_rates,
+    onebit_rates,
     reff_linear,
     reff_onebit,
     single_pair_capacity,
@@ -141,23 +142,26 @@ def _grid_bounds(rho, beta, grid_step, rule, tol, jobs, refine=False):
     """Solve the training grid at ``rho`` once and optimize every
     ``(params, method)`` job on it; one ``(BoundResult, RateCurve)`` per job.
 
-    q_h comes from one batched solve over the grid and the linear data
-    overlaps from one more over its effective SNRs, so those rates are
-    arrays; the one-bit data solve and the refinement go point by point.
+    q_h comes from one batched solve over the grid, the linear data overlaps
+    from one more over its effective SNRs, and the one-bit data overlaps of
+    every one-bit job from one more over alpha x grid, so all rates are
+    arrays; only the refinement goes point by point.
     """
     rule = rule or gauss_hermite()
     overlaps = solve_qh_grid(rho, training_grid(beta, grid_step), rule, tol)
     snr_eff = np.array([ov.snr_eff for ov in overlaps])
+    alphas = [p.alpha for p, method in jobs if method == "replica-onebit"]
+    onebit = iter(onebit_rates(np.array(alphas)[:, None], snr_eff, rule, tol)
+                  .reshape(len(alphas), -1) if alphas else ())
     out = []
     for params, method in jobs:
         if method == "bussgang":  # never refined
             rates, point = np.array([bussgang_inner_rate(params.alpha, s) for s in snr_eff]), None
         else:
-            rate_fn = reff_linear if method == "replica-linear" else reff_onebit
             if method == "replica-linear":
-                rates = linear_rates(params.alpha, snr_eff, rule, tol)
+                rate_fn, rates = reff_linear, linear_rates(params.alpha, snr_eff, rule, tol)
             else:
-                rates = np.array([rate_fn(params, ov, rule, tol) for ov in overlaps])
+                rate_fn, rates = reff_onebit, next(onebit)
 
             def point(bt, _p=params, _f=rate_fn):
                 return _f(_p, solve_qh(rho, bt, rule, tol), rule, tol)

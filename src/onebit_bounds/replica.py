@@ -55,6 +55,7 @@ __all__ = [
     "f2_linear",
     "f2_onebit",
     "linear_rates",
+    "onebit_rates",
     "reff_linear",
     "reff_onebit",
     "csir_rate",
@@ -78,10 +79,13 @@ _SCAN_ROWS = 2
 _ROOT_ULPS = 4
 _MAX_STEPS = 200
 _WINDOW = 4
-# solve_qx_onebit: damping factor, iteration cap per start, start points.
+# One-bit data solve: damping factor, iteration cap per start, start points,
+# and (alpha, snr) pairs whose alternations run at once: 32 x 3 starts x 128
+# nodes keep the temporaries near 100 kB however many pairs there are.
 _DAMPING = 0.5
 _MAX_ITER = 10_000
 _STARTS = (0.01, 0.5, 0.99)
+_ONEBIT_PAIRS = 32
 
 
 class SolverError(RuntimeError):
@@ -442,6 +446,13 @@ def _ln_cosh(t: np.ndarray) -> np.ndarray:
     return at - LN2 + np.log1p(np.exp(-2.0 * at))
 
 
+def _f2_onebit(r, r_hat, alpha, snr_eff, rule: QuadratureRule):
+    # F2_O, vectorized; each expectation is one dot product per element
+    r_hat = np.asarray(r_hat, dtype=float)
+    cosh_term = _expect(_ln_cosh(r_hat[..., None] + np.sqrt(r_hat)[..., None] * rule.nodes), rule)
+    return _tail_term(alpha, snr_eff, r, rule) + r_hat - 2.0 * cosh_term + r * r_hat
+
+
 def f2_onebit(r: float, r_hat: float, alpha: float, snr_eff: float,
               rule: Optional[QuadratureRule] = None) -> float:
     """Data-phase free energy for one-bit (QPSK) data symbols:
@@ -454,9 +465,7 @@ def f2_onebit(r: float, r_hat: float, alpha: float, snr_eff: float,
         raise ValueError(f"r must lie in [0, 1], got {r}")
     if not r_hat >= 0.0:
         raise ValueError(f"r_hat must be nonnegative, got {r_hat}")
-    rule = rule or gauss_hermite()
-    cosh_term = float(rule.weights @ _ln_cosh(r_hat + math.sqrt(r_hat) * rule.nodes))
-    return float(_tail_term(alpha, snr_eff, r, rule)) + r_hat - 2.0 * cosh_term + r * r_hat
+    return float(_f2_onebit(r, r_hat, alpha, snr_eff, rule or gauss_hermite()))
 
 
 def _check_data_args(snr_eff: float, alpha: float, tol: float) -> None:
@@ -489,17 +498,84 @@ def solve_qx_linear(snr_eff: float, alpha: float, rule: Optional[QuadratureRule]
     )
 
 
-def _tanh_moment(q_hat: float, rule: QuadratureRule) -> float:
-    """E_u[ tanh(sqrt(q_hat) u + q_hat) (2 + u / sqrt(q_hat)) ].
+def _tanh_moment(q_hat, rule: QuadratureRule):
+    """E_u[ tanh(sqrt(q_hat) u + q_hat) (2 + u / sqrt(q_hat)) ] for each q_hat.
 
     Below q_hat = 1e-8 the 0 * inf ambiguity is removed by the series
     1 + q_hat - 3 q_hat^2 + O(q_hat^3).
     """
-    if q_hat < 1e-8:
-        return 1.0 + q_hat - 3.0 * q_hat * q_hat
-    s = math.sqrt(q_hat)
+    small = q_hat < 1e-8
+    s = np.sqrt(np.maximum(q_hat, 1e-8))[:, None]  # small rows take the series
     u = rule.nodes
-    return float(rule.weights @ (np.tanh(s * u + q_hat) * (2.0 + u / s)))
+    moment = _expect(np.tanh(s * u + q_hat[:, None]) * (2.0 + u / s), rule)
+    if np.count_nonzero(small):
+        moment = np.where(small, 1.0 + q_hat - 3.0 * q_hat * q_hat, moment)
+    return moment
+
+
+def _alternate(alpha, snr, rule: QuadratureRule, tol: float):
+    """The damped alternation from every start at every (alpha, snr) pair,
+    all rows in lockstep:
+
+        q_hat = rhs(q),   q <- clip(q + _DAMPING (moment(q_hat) - 1 - q), 0, 1).
+
+    A row retires once its step is within tol.  Returns ``(q, q_hat,
+    converged, step)``, each of shape ``(pairs, starts)``; ``step`` is the
+    last step of every row that did not converge.
+    """
+    shape = (alpha.size, len(_STARTS))
+    q, q_hat = np.zeros(shape), np.zeros(shape)
+    converged = np.zeros(shape, dtype=bool)
+    step = np.empty(shape)
+    rows = np.arange(q.size)
+    ql = np.tile(np.array(_STARTS, dtype=float), alpha.size)
+    al, sl = np.repeat(alpha, len(_STARTS)), np.repeat(snr, len(_STARTS))
+    st = np.full(q.size, math.inf)
+    for _ in range(_MAX_ITER):
+        qh = _gaussian_rhs(ql, al, sl, rule)
+        st = _tanh_moment(qh, rule) - 1.0 - ql
+        done = np.abs(st) <= tol
+        if np.count_nonzero(done):
+            k = rows[done]
+            q.flat[k], q_hat.flat[k], converged.flat[k] = ql[done], qh[done], True
+            live = ~done
+            rows, ql, st, al, sl = rows[live], ql[live], st[live], al[live], sl[live]
+            if rows.size == 0:
+                break
+        ql = np.minimum(np.maximum(ql + _DAMPING * st, 0.0), 1.0)
+    step.flat[rows] = st
+    return q, q_hat, converged, step
+
+
+def _onebit_overlaps(alpha, snr, rule: QuadratureRule, tol: float):
+    """q_x, q_x_hat and F2_O at every (alpha, snr) pair.
+
+    Pairs with snr == 0 give q_x = q_x_hat = 0.  Elsewhere a converged start
+    within 1e-8 of an earlier kept one is dropped and the least F2_O wins
+    (the earliest start on ties).
+    """
+    q, q_hat = np.zeros(alpha.shape), np.zeros(alpha.shape)
+    live = np.flatnonzero(snr != 0.0)
+    if live.size:
+        a, s = alpha[live], snr[live]
+        cq, cqh, kept, step = _alternate(a, s, rule, tol)
+        failed = np.flatnonzero(~kept.any(axis=1))
+        if failed.size:
+            j = int(failed[0])
+            raise SolverError(
+                f"one-bit data overlap did not converge from starts {_STARTS} "
+                f"(snr_eff={s[j]:g}, alpha={a[j]:g}, max_iter={_MAX_ITER})",
+                diagnostics={"last_step_by_start": dict(zip(_STARTS, step[j].tolist()))},
+            )
+        for j in range(1, len(_STARTS)):
+            for m in range(j):
+                kept[:, j] &= ~kept[:, m] | (np.abs(cq[:, j] - cq[:, m]) > 1e-8)
+        rows, cols = np.nonzero(kept)
+        energy = np.full(kept.shape, np.inf)
+        energy[rows, cols] = _f2_onebit(cq[rows, cols], cqh[rows, cols], a[rows], s[rows], rule)
+        pick, at = np.argmin(energy, axis=1), np.arange(live.size)
+        q[live], q_hat[live] = cq[at, pick], cqh[at, pick]
+    return q, q_hat, _f2_onebit(q, q_hat, alpha, snr, rule)
 
 
 def solve_qx_onebit(snr_eff: float, alpha: float, rule: Optional[QuadratureRule] = None,
@@ -513,51 +589,13 @@ def solve_qx_onebit(snr_eff: float, alpha: float, rule: Optional[QuadratureRule]
     no start converges within ``_MAX_ITER`` steps.
     """
     _check_data_args(snr_eff, alpha, tol)
-    rule = rule or gauss_hermite()
-    if snr_eff == 0.0:
-        return DataOverlap(q_x=0.0, q_x_hat=0.0,
-                           f2_value=f2_onebit(0.0, 0.0, alpha, 0.0, rule), a_coeff=0.0)
-
-    candidates = []
-    diagnostics = {}
-    for q0 in _STARTS:
-        q = float(q0)
-        converged = False
-        step = math.inf
-        for _ in range(_MAX_ITER):
-            q_hat = float(_gaussian_rhs(q, alpha, snr_eff, rule))
-            target = _tanh_moment(q_hat, rule) - 1.0
-            step = target - q
-            if abs(step) <= tol:
-                converged = True
-                break
-            q = min(max(q + _DAMPING * step, 0.0), 1.0)
-        diagnostics[q0] = step
-        if converged:
-            candidates.append((q, q_hat))
-
-    if not candidates:
-        raise SolverError(
-            f"one-bit data overlap did not converge from starts {_STARTS} "
-            f"(snr_eff={snr_eff:g}, alpha={alpha:g}, max_iter={_MAX_ITER})",
-            diagnostics={"last_step_by_start": diagnostics},
-        )
-
-    unique = []
-    for q, q_hat in candidates:
-        if all(abs(q - u[0]) > 1e-8 for u in unique):
-            unique.append((q, q_hat))
-    q, q_hat = min(unique, key=lambda c: f2_onebit(c[0], c[1], alpha, snr_eff, rule))
-    return DataOverlap(
-        q_x=q,
-        q_x_hat=q_hat,
-        f2_value=f2_onebit(q, q_hat, alpha, snr_eff, rule),
-        a_coeff=math.sqrt(_k_sq(snr_eff, q)),
-    )
+    q, q_hat, f2 = (float(v[0]) for v in _onebit_overlaps(
+        np.array([float(alpha)]), np.array([float(snr_eff)]), rule or gauss_hermite(), tol))
+    return DataOverlap(q_x=q, q_x_hat=q_hat, f2_value=f2, a_coeff=math.sqrt(_k_sq(snr_eff, q)))
 
 
-def _entropy_term(alpha: float, snr_eff, rule: QuadratureRule):
-    # 4 alpha E_u[ Q(sqrt(snr_eff) u) ln Q(sqrt(snr_eff) u) ], vectorized in snr_eff
+def _entropy_term(alpha, snr_eff, rule: QuadratureRule):
+    # 4 alpha E_u[ Q(sqrt(snr_eff) u) ln Q(sqrt(snr_eff) u) ], vectorized in both
     return 4.0 * alpha * _expect(q_log_q(np.multiply.outer(np.sqrt(snr_eff), rule.nodes)), rule)
 
 
@@ -580,17 +618,29 @@ def reff_linear(params: SystemParams, overlap: ChannelOverlap,
     return float(linear_rates(params.alpha, overlap.snr_eff, rule, tol)[0])
 
 
+def onebit_rates(alpha, snr_eff, rule: Optional[QuadratureRule] = None,
+                 tol: float = 1e-10) -> np.ndarray:
+    """:func:`reff_onebit` at every (alpha, snr_eff) pair of two broadcast
+    arrays, flattened; the data overlaps are solved as one batch,
+    ``_ONEBIT_PAIRS`` pairs at a time."""
+    rule = rule or gauss_hermite()
+    a, s = (v.ravel() for v in np.broadcast_arrays(
+        np.asarray(alpha, dtype=float), np.asarray(snr_eff, dtype=float)))
+    _check_data_args(float(s.min()), float(a.min()), tol)
+    rates = np.zeros(s.size)
+    for i in range(0, s.size, _ONEBIT_PAIRS):
+        k = slice(i, i + _ONEBIT_PAIRS)
+        _, _, f2 = _onebit_overlaps(a[k], s[k], rule, tol)
+        # the QPSK input alphabet caps the rate at 2 bits; trim float residue
+        rates[k] = np.clip((f2 + _entropy_term(a[k], s[k], rule)) / LN2, 0.0, 2.0)
+    return np.where(s == 0.0, 0.0, rates)
+
+
 def reff_onebit(params: SystemParams, overlap: ChannelOverlap,
                 rule: Optional[QuadratureRule] = None, tol: float = 1e-10) -> float:
     """Per-transmitter rate of the trained system with one-bit data symbols,
     in bits per channel use.  Capped at 2 bits by the QPSK input alphabet."""
-    rule = rule or gauss_hermite()
-    s = overlap.snr_eff
-    if s == 0.0:
-        return 0.0
-    dov = solve_qx_onebit(s, params.alpha, rule, tol)
-    # the QPSK input alphabet caps the rate at 2 bits; trim float residue
-    return float(np.clip((dov.f2_value + _entropy_term(params.alpha, s, rule)) / LN2, 0.0, 2.0))
+    return float(onebit_rates(params.alpha, overlap.snr_eff, rule, tol)[0])
 
 
 def csir_rate(alpha: float, rho: float, rule: Optional[QuadratureRule] = None,

@@ -1,11 +1,13 @@
 """Command-line contract: schemas, determinism, exit codes, config merging."""
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from onebit_bounds.cli import main
+from onebit_bounds.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -272,6 +274,59 @@ class TestSelftest:
         assert "FAIL" in out
 
 
+class TestFlagGroups:
+    """Each subcommand takes only the flags it reads; any other exits 1."""
+
+    @pytest.mark.parametrize("args", [
+        "exact --m 1 --n 1 --t 2 --rho 1 --alpha 5 --tx onebit --grid-step 0.3 "
+        "--quad-nodes 7 --tol 1",
+        "asymptotics --alpha 1 --beta 10 --rho 0.01 --quad-nodes 3 --seed 9 --grid-step 5",
+        "figure --which 1 --beta 5 --alpha 7 --tx onebit",
+    ])
+    def test_flags_that_did_nothing_exit_one(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args.split())
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    # a valid command line for each subcommand, and the flags it no longer takes
+    DROPPED = {
+        "exact --m 1 --n 1 --t 2 --rho 1":
+            ["--alpha", "--beta", "--tx", "--grid-step", "--quad-nodes", "--tol"],
+        "asymptotics --alpha 1 --beta 10 --rho 0.01": ["--grid-step", "--quad-nodes", "--tol", "--seed"],
+        "figure --which 2 --beta 4": ["--alpha", "--tx", "--seed"],
+        "compare --alpha 1 --beta 5": ["--tx", "--seed", "--rho", "--rho-db"],
+        "bound --alpha 1 --beta 4 --rho 1": ["--seed"],
+    }
+
+    @pytest.mark.parametrize("args, flag", [
+        (args, flag) for args, flags in DROPPED.items() for flag in flags
+    ])
+    def test_dropped_flag_exits_one(self, args, flag, capsys):
+        value = "linear" if flag == "--tx" else "1"
+        parser = build_parser()
+        parser.parse_args(args.split())
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(args.split() + [flag, value])
+        assert exc.value.code == 1
+        if args.startswith("compare") and flag.startswith("--rho"):
+            # prefixes of --rho-db-min, --rho-db-max and --rho-db-step
+            assert f"error: ambiguous option: {flag} could match" in capsys.readouterr().err
+        else:
+            assert f"error: unrecognized arguments: {flag} " in capsys.readouterr().err
+
+    def test_benchmark_jobs_parse(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        parser = build_parser()
+        for jobs, _ in workloads.WORKLOADS.values():
+            for small in (False, True):
+                for argv in jobs(0, 0, small):
+                    parser.parse_args(argv)
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -332,6 +387,10 @@ class TestGoldenBytes:
          "cdd3566d17e6906f7d92f0b10f4b8995034fadc95c1a6e38447943767b0e42ec"),
         ("bound --alpha 4 --beta 8 --rho 10 --tx onebit --refine",
          "f2d8f70471a7202cb87f65abde2bfffe5a677176edea70784f527908995fa14a"),
+        ("figure --which 2 --beta 4 --rho-db 0 --grid-step 0.05",
+         "af33a9b503ca776558de6e78fdb855f4cbeb843550987c84d82a2d488e491241"),
+        ("bound --alpha 256 --beta 8 --rho-db 0 --tx onebit --refine",
+         "73619cfa1ece53b172291536c86211488dce45538efd4e829ab45c9ef5ec3238"),
         ("exact --m 1 --n 1 --t 3 --rho 10",
          "066627ee8146aef8544a3416e345123507b294b2c20cd96b8bf23cef03210a6b"),
         ("exact --m 2 --n 2 --t 2 --rho 10 --mc-samples 2000 --seed 0",

@@ -22,6 +22,7 @@ from onebit_bounds.replica import (
     f1_value,
     f2_linear,
     f2_onebit,
+    onebit_rates,
     overlap_fixed_points,
     perfect_csi_overlap,
     reff_linear,
@@ -93,6 +94,30 @@ def o_bisect(coef, snr, a, b, nodes, weights, width):
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def o_damped(alpha, snr, rule, tol=1e-10, max_iter=10_000):
+    """The damped one-bit alternation coded as a scalar loop, one start at a
+    time, with the package rule's arithmetic so that it must agree to the
+    bit: ``(q, q_hat, converged, last step)`` for the starts 0.01, 0.5, 0.99."""
+    out = []
+    for q in (0.01, 0.5, 0.99):
+        q_hat, step, converged = 0.0, math.inf, False
+        for _ in range(max_iter):
+            q_hat = o_rhs(q, alpha, snr, rule.nodes, rule.weights)
+            if q_hat < 1e-8:
+                moment = 1.0 + q_hat - 3.0 * q_hat * q_hat
+            else:
+                r = math.sqrt(q_hat)
+                moment = float(rule.weights @ (np.tanh(r * rule.nodes + q_hat)
+                                               * (2.0 + rule.nodes / r)))
+            step = moment - 1.0 - q
+            if abs(step) <= tol:
+                converged = True
+                break
+            q = min(max(q + 0.5 * step, 0.0), 1.0)
+        out.append((q, q_hat, converged, step))
+    return out
 
 
 def o_f1(q, coef, snr, nodes, weights):
@@ -341,6 +366,62 @@ class TestSolveQxOnebit:
         residuals = exc.value.diagnostics["last_step_by_start"]
         assert set(residuals) == {0.01, 0.5, 0.99}
         assert all(abs(r) > 0 for r in residuals.values())
+
+
+ONEBIT_ALPHAS = (0.5, 1.0, 8.0, 256.0)
+ONEBIT_SNRS = (1e-9, 1e-4, 0.05, 1.0, 10.0, 1e3)
+
+
+class TestOnebitBatch:
+    """The lockstep one-bit data solve against the scalar damped loop."""
+
+    def test_rows_match_scalar_loop_bit_for_bit(self):
+        alpha = np.repeat(ONEBIT_ALPHAS, len(ONEBIT_SNRS))
+        snr = np.tile(ONEBIT_SNRS, len(ONEBIT_ALPHAS))
+        q, q_hat, converged, step = replica._alternate(alpha, snr, RULE, 1e-10)
+        series = 0
+        for i, (a, s) in enumerate(zip(alpha, snr)):
+            for j, (oq, oqh, ok, ostep) in enumerate(o_damped(a, s, RULE)):
+                where = f"alpha={a}, snr={s}, start {j}"
+                assert converged[i, j] == ok, where
+                if ok:
+                    assert (q[i, j], q_hat[i, j]) == (oq, oqh), where
+                    series += oqh < 1e-8
+                else:
+                    assert step[i, j] == ostep, where
+        assert series > 0  # the q_hat < 1e-8 branch was taken
+        assert not converged.all()  # snr 1e3 at alpha 8 and 256 does not converge
+
+    def test_zero_snr_pairs_give_zero_overlap(self):
+        alpha, snr = np.array([1.0, 4.0, 2.0, 8.0]), np.array([0.0, 1.0, 0.0, 10.0])
+        q, q_hat, f2 = replica._onebit_overlaps(alpha, snr, RULE, 1e-10)
+        assert q[0] == q[2] == q_hat[0] == q_hat[2] == 0.0
+        assert f2[2] == f2_onebit(0.0, 0.0, 2.0, 0.0, RULE)
+        assert q[1] > 0.0 and q[3] > 0.0
+        rates = onebit_rates(alpha, snr, RULE)
+        assert rates[0] == rates[2] == 0.0 and (rates[[1, 3]] > 0.0).all()
+
+    def test_batch_matches_pointwise_solves(self, monkeypatch):
+        monkeypatch.setattr(replica, "_ONEBIT_PAIRS", 5)  # several chunks, the last partial
+        overlaps = solve_qh_grid(10.0, GRID_BETAS, RULE)
+        alphas = (1.0, 8.0)
+        snr = np.array([ov.snr_eff for ov in overlaps])
+        q, q_hat, f2 = replica._onebit_overlaps(np.repeat(alphas, snr.size),
+                                                np.tile(snr, len(alphas)), RULE, 1e-10)
+        pointwise = [solve_qx_onebit(s, a, RULE) for a in alphas for s in snr]
+        assert q.tolist() == [d.q_x for d in pointwise]
+        assert q_hat.tolist() == [d.q_x_hat for d in pointwise]
+        assert f2.tolist() == [d.f2_value for d in pointwise]
+        rates = onebit_rates(np.array(alphas)[:, None], snr, RULE)
+        assert rates.tolist() == [reff_onebit(SystemParams(a, 8.0, 10.0, "onebit"), ov, RULE)
+                                  for a in alphas for ov in overlaps]
+
+    def test_failing_point_is_named(self, monkeypatch):
+        monkeypatch.setattr(replica, "_ONEBIT_PAIRS", 2)  # the failing point in chunk 2
+        with pytest.raises(SolverError, match=r"snr_eff=1000, alpha=8\b") as exc:
+            onebit_rates([1.0, 4.0, 8.0], [1.0, 10.0, 1e3], RULE)
+        expected = {q0: row[3] for q0, row in zip((0.01, 0.5, 0.99), o_damped(8.0, 1e3, RULE))}
+        assert exc.value.diagnostics["last_step_by_start"] == expected
 
 
 class TestF2:
