@@ -23,7 +23,6 @@ from .replica import (
     csir_rate,
     effective_snr,
     f1_value,
-    f2_linear,
     f2_onebit,
     perfect_csi_overlap,
     reff_linear,

@@ -26,7 +26,6 @@ from .replica import (
     SystemParams,
     csir_rate,
     f1_value,
-    f2_linear,
     f2_onebit,
     perfect_csi_overlap,
     reff_linear,
@@ -311,10 +310,10 @@ def criterion_9() -> CriterionResult:
                 problems.append(f"F1 gradient ({dq:.2e}, {dqh:.2e}) at rho={rho}, beta_t={beta_t}")
         for s, alpha in ((1.0, 1.0), (5.0, 4.0)):
             dl = solve_qx_linear(s, alpha, rule)
-            dq = (f2_linear(dl.q_x + h, dl.q_x_hat, alpha, s, rule)
-                  - f2_linear(dl.q_x - h, dl.q_x_hat, alpha, s, rule)) / (2 * h)
-            dqh = (f2_linear(dl.q_x, dl.q_x_hat + h, alpha, s, rule)
-                   - f2_linear(dl.q_x, dl.q_x_hat - h, alpha, s, rule)) / (2 * h)
+            dq = (f1_value(dl.q_x + h, dl.q_x_hat, s, alpha, rule)
+                  - f1_value(dl.q_x - h, dl.q_x_hat, s, alpha, rule)) / (2 * h)
+            dqh = (f1_value(dl.q_x, dl.q_x_hat + h, s, alpha, rule)
+                   - f1_value(dl.q_x, dl.q_x_hat - h, s, alpha, rule)) / (2 * h)
             if max(abs(dq), abs(dqh)) > 1e-6:
                 problems.append(f"F2L gradient ({dq:.2e}, {dqh:.2e}) at s={s}, alpha={alpha}")
             do = solve_qx_onebit(s, alpha, rule)

@@ -27,9 +27,8 @@ from .exact import (
     ChannelIntegration,
     EnumerationBudgetError,
     SmallSystem,
-    check_budget,
+    c_bound_exact,
     mi_direct,
-    reff_exact,
 )
 from .numerics import gauss_hermite
 from .optimizer import (
@@ -253,22 +252,15 @@ def _cmd_exact(args) -> int:
     else:
         integration = ChannelIntegration.quadrature(cfg.channel_order)
     system = SmallSystem(m=m, n=n, t_total=t, rho=rho, integration=integration)
-    if t < 2:
-        raise ValueError("exact needs --t >= 2 to split training and data")
-    for t_t in range(1, t):  # fail fast on the budget before computing anything
-        check_budget(system, t_t)
+    result, curve = c_bound_exact(system)
     rows = []
-    best = None
-    for t_t in range(1, t):
-        r = reff_exact(t_t, system)
+    for beta_t, r, obj in curve.rows():
+        t_t = round(beta_t * m)
         mi = mi_direct(t_t, system)
-        obj = (t - t_t) / t * r
         rows.append([t_t, r, mi, abs(r - mi), obj])
-        if best is None or obj > best[1]:
-            best = (t_t, obj)
     sections = [
         ("rates", ["t_t", "reff_exact", "mi_direct", "abs_diff", "objective"], rows),
-        ("result", ["t_t_opt", "c_bound"], [[best[0], best[1]]]),
+        ("result", ["t_t_opt", "c_bound"], [[round(result.beta_t_opt * m), result.c_bound]]),
     ]
     _emit_sections(sections, cfg)
     return 0

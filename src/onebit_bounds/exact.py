@@ -13,7 +13,9 @@ of T_t symbol vectors the pipeline evaluates
 and averages:
 
     reff_exact(T_t) = (1 / (M ln 2)) * sum_{X_t, Y_t} p(X_t) d2 d4   [bits/tx],
-    c_bound = max_{T_t in 1..T-1} ((T - T_t) / T) reff_exact(T_t).
+    c_bound = max_{T_t in 1..T-1} ((T - T_t) / T) reff_exact(T_t),
+
+the maximum taken by ``optimizer.optimize_training``.
 
 Channel coefficients are iid CN(0, 1); their expectation runs over a tensor
 Gauss-Hermite grid on the 2M real dimensions or over seeded Monte Carlo
@@ -42,7 +44,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .numerics import LN2, gauss_hermite, q_function
-from .optimizer import BoundResult
+from .optimizer import optimize_training
 from .quantizer import SIGN_OUTPUTS, sign_log_likelihoods
 from .replica import SystemParams
 
@@ -327,16 +329,24 @@ def _encode_strings(y_t: np.ndarray, n: int, t_t: int) -> tuple:
     return tuple(int(weights @ digits[k]) for k in range(n))
 
 
-def _log_d1_d2(x_d, y_d, x_t, y_t, t_t, sys_: SmallSystem):
+def _block(x_t, y_t, t_t: int, sys_: SmallSystem):
+    """Receiver tables of the training block (x_t, y_t) after the budget
+    check: ``(tab, s_idx, v_log, w_log)``, with ``s_idx`` the per-receiver
+    string indices of y_t (None when y_t is None)."""
     check_budget(sys_, t_t)
     tab = _Tables(sys_, t_t, stream=0)
     cols = _encode_columns(np.asarray(x_t, dtype=complex).reshape(sys_.m, t_t), sys_.m)
-    s_idx = _encode_strings(np.asarray(y_t, dtype=complex).reshape(sys_.n, t_t), sys_.n, t_t)
+    s_idx = None if y_t is None else _encode_strings(
+        np.asarray(y_t, dtype=complex).reshape(sys_.n, t_t), sys_.n, t_t)
+    return (tab, s_idx) + tab.receiver_tables(cols)
+
+
+def _log_d1_d2(x_d, y_d, x_t, y_t, t_t, sys_: SmallSystem):
+    _, s_idx, v_log, w_log = _block(x_t, y_t, t_t, sys_)
     x_idx = _symbol_indices(np.asarray(x_d, dtype=complex).reshape(sys_.m), QPSK, "x_d")
     weights = 4 ** np.arange(sys_.m - 1, -1, -1)
     x_col = int(weights @ x_idx)
     y_idx = _symbol_indices(np.asarray(y_d, dtype=complex).reshape(sys_.n), SIGN_OUT, "y_d")
-    v_log, w_log = tab.receiver_tables(cols)
     log_d2_ = float(sum(v_log[s] for s in s_idx))
     log_d1_ = float(sum(w_log[s, x_col, y] for s, y in zip(s_idx, y_idx)))
     return log_d1_, log_d2_
@@ -350,11 +360,7 @@ def d1(x_d, y_d, x_t, y_t, t_t: int, sys_: SmallSystem) -> float:
 
 def d2(x_t, y_t, t_t: int, sys_: SmallSystem) -> float:
     """Probability of the training outputs y_t given the training matrix x_t."""
-    check_budget(sys_, t_t)
-    tab = _Tables(sys_, t_t, stream=0)
-    cols = _encode_columns(np.asarray(x_t, dtype=complex).reshape(sys_.m, t_t), sys_.m)
-    s_idx = _encode_strings(np.asarray(y_t, dtype=complex).reshape(sys_.n, t_t), sys_.n, t_t)
-    v_log, _ = tab.receiver_tables(cols)
+    _, s_idx, v_log, _ = _block(x_t, y_t, t_t, sys_)
     return math.exp(float(sum(v_log[s] for s in s_idx)))
 
 
@@ -367,13 +373,8 @@ def d3(x_d, y_d, x_t, y_t, t_t: int, sys_: SmallSystem) -> float:
 def d4(x_t, y_t, t_t: int, sys_: SmallSystem) -> float:
     """Mutual information (nats) of the conditional data channel after the
     training block (x_t, y_t), with uniform QPSK data inputs."""
-    check_budget(sys_, t_t)
-    tab = _Tables(sys_, t_t, stream=0)
-    cols = _encode_columns(np.asarray(x_t, dtype=complex).reshape(sys_.m, t_t), sys_.m)
-    s_idx = _encode_strings(np.asarray(y_t, dtype=complex).reshape(sys_.n, t_t), sys_.n, t_t)
-    v_log, w_log = tab.receiver_tables(cols)
-    ld3 = _stack_receivers(v_log, w_log, s_idx, tab.n_inputs)
-    return _conditional_mi_nats(ld3)
+    tab, s_idx, v_log, w_log = _block(x_t, y_t, t_t, sys_)
+    return _conditional_mi_nats(_stack_receivers(v_log, w_log, s_idx, tab.n_inputs))
 
 
 @dataclass(frozen=True)
@@ -390,11 +391,8 @@ def training_outcomes(x_t, t_t: int, sys_: SmallSystem):
     """All training-output realizations for a fixed pilot matrix, with their
     probabilities.  Weights lie in (0, 1] and sum to 1 up to integration
     tolerance."""
-    check_budget(sys_, t_t)
+    tab, _, v_log, _ = _block(x_t, None, t_t, sys_)
     x_t = np.asarray(x_t, dtype=complex).reshape(sys_.m, t_t)
-    tab = _Tables(sys_, t_t, stream=0)
-    cols = _encode_columns(x_t, sys_.m)
-    v_log, _ = tab.receiver_tables(cols)
     s_count = tab.strings.shape[0]
     out = []
     for yt in itertools.product(range(s_count), repeat=sys_.n):
@@ -432,23 +430,22 @@ def reff_exact(t_t: int, sys_: SmallSystem, *, use_symmetry: bool = True) -> flo
     return max(0.0, total / (sys_.m * LN2))
 
 
-def c_bound_exact(sys_: SmallSystem, *, use_symmetry: bool = True) -> BoundResult:
+def c_bound_exact(sys_: SmallSystem):
     """Optimize the rate-versus-training tradeoff over integer training
-    lengths 1..T-1; ties break toward less training."""
+    lengths 1..T-1 with :func:`optimize_training`, on the grid
+    beta_t = T_t / m; ties break toward less training.
+
+    Returns ``(BoundResult, RateCurve)``.  Every training length is checked
+    against the enumeration budget before any rate is computed.
+    """
     if sys_.t_total < 2:
-        raise ValueError("c_bound_exact needs t_total >= 2 to split training and data")
+        raise ValueError("c_bound_exact needs t_total >= 2 (--t >= 2) to split training and data")
     for t_t in range(1, sys_.t_total):
         check_budget(sys_, t_t)
-    best_t, best_obj = None, -1.0
-    for t_t in range(1, sys_.t_total):
-        r = reff_exact(t_t, sys_, use_symmetry=use_symmetry)
-        obj = (sys_.t_total - t_t) / sys_.t_total * r
-        if obj > best_obj:
-            best_t, best_obj = t_t, obj
-    params = SystemParams(alpha=sys_.n / sys_.m, beta=sys_.t_total / sys_.m,
-                          rho=sys_.rho, tx_type="onebit")
-    return BoundResult(beta_t_opt=best_t / sys_.m, c_bound=max(0.0, best_obj),
-                       method="exact", params=params)
+    m = sys_.m
+    params = SystemParams(alpha=sys_.n / m, beta=sys_.t_total / m, rho=sys_.rho, tx_type="onebit")
+    return optimize_training(lambda bt: reff_exact(round(bt * m), sys_), params.beta, 1 / m,
+                             params=params, method="exact")
 
 
 # --- independent direct mutual-information pipeline ------------------------

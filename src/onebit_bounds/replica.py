@@ -52,7 +52,6 @@ __all__ = [
     "effective_snr",
     "solve_qx_linear",
     "solve_qx_onebit",
-    "f2_linear",
     "f2_onebit",
     "linear_rates",
     "onebit_rates",
@@ -378,7 +377,8 @@ def f1_value(q: float, q_hat: float, rho: float, beta_t: float,
         a = sqrt(rho q / (rho (1 - q) + 1)).
 
     Stationary in q_hat exactly at q_hat = q / (1 - q); jointly stationary
-    at the overlap fixed point.
+    at the overlap fixed point.  With (beta_t, rho) -> (alpha, snr_eff) it is
+    the data-phase free energy F2_L for Gaussian data symbols.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must lie in [0, 1), got {q}")
@@ -400,8 +400,8 @@ def solve_qh_grid(rho: float, beta_ts, rule: Optional[QuadratureRule] = None,
         raise ValueError(f"rho must be nonnegative, got {rho}")
     if not (bts >= 0.0).all():
         raise ValueError(f"beta_t must be nonnegative, got {bts[~(bts >= 0.0)][0]}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     q_h = _solve_overlaps(bts, rho, rule or gauss_hermite(), tol, "channel overlap", "beta_t")
     return [
         ChannelOverlap(beta_t=float(bt), q_h=q, q_h_hat=q / (1.0 - q), rho_eff=rho * q,
@@ -426,18 +426,6 @@ def perfect_csi_overlap(rho: float) -> ChannelOverlap:
         raise ValueError(f"rho must be nonnegative, got {rho}")
     return ChannelOverlap(beta_t=math.inf, q_h=1.0, q_h_hat=math.inf,
                           rho_eff=rho, sigma_eff_sq=1.0, snr_eff=rho)
-
-
-def f2_linear(r: float, r_hat: float, alpha: float, snr_eff: float,
-              rule: Optional[QuadratureRule] = None) -> float:
-    """Data-phase free energy for Gaussian data symbols, F1 with
-    (beta_t, rho) -> (alpha, snr_eff):
-
-        F2_L(r, r_hat) = -4 alpha E_u[ Q(A sqrt(r) u) ln Q(A sqrt(r) u) ]
-                         + ln(1 + r_hat) - r_hat + r r_hat,
-        A = sqrt(snr_eff / (snr_eff (1 - r) + 1)).
-    """
-    return f1_value(r, r_hat, snr_eff, alpha, rule)
 
 
 def _ln_cosh(t: np.ndarray) -> np.ndarray:
@@ -473,8 +461,8 @@ def _check_data_args(snr_eff: float, alpha: float, tol: float) -> None:
         raise ValueError(f"snr_eff must be nonnegative, got {snr_eff}")
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 def solve_qx_linear(snr_eff: float, alpha: float, rule: Optional[QuadratureRule] = None,
@@ -493,7 +481,7 @@ def solve_qx_linear(snr_eff: float, alpha: float, rule: Optional[QuadratureRule]
     return DataOverlap(
         q_x=q,
         q_x_hat=q_hat,
-        f2_value=f2_linear(q, q_hat, alpha, snr_eff, rule),
+        f2_value=f1_value(q, q_hat, snr_eff, alpha, rule),
         a_coeff=math.sqrt(_k_sq(snr_eff, q)),
     )
 
@@ -594,20 +582,17 @@ def solve_qx_onebit(snr_eff: float, alpha: float, rule: Optional[QuadratureRule]
     return DataOverlap(q_x=q, q_x_hat=q_hat, f2_value=f2, a_coeff=math.sqrt(_k_sq(snr_eff, q)))
 
 
-def _entropy_term(alpha, snr_eff, rule: QuadratureRule):
-    # 4 alpha E_u[ Q(sqrt(snr_eff) u) ln Q(sqrt(snr_eff) u) ], vectorized in both
-    return 4.0 * alpha * _expect(q_log_q(np.multiply.outer(np.sqrt(snr_eff), rule.nodes)), rule)
-
-
 def linear_rates(alpha: float, snr_eff, rule: Optional[QuadratureRule] = None,
                  tol: float = 1e-10) -> np.ndarray:
     """:func:`reff_linear` at every effective SNR of an array; the data
     overlaps are solved as one batch."""
     rule = rule or gauss_hermite()
     s = np.atleast_1d(np.asarray(snr_eff, dtype=float))
+    _check_data_args(float(s.min()), alpha, tol)
     q = _solve_overlaps(alpha, s, rule, tol, "linear data overlap", "alpha")
+    # the tail term at q = 1 is minus the output-entropy term 4 alpha E[Q ln Q]
     rates = np.maximum(0.0, (_free_energy(q, q / (1.0 - q), alpha, s, rule)
-                             + _entropy_term(alpha, s, rule)) / LN2)
+                             - _tail_term(alpha, s, 1.0, rule)) / LN2)
     return np.where(s == 0.0, 0.0, rates)
 
 
@@ -632,7 +617,7 @@ def onebit_rates(alpha, snr_eff, rule: Optional[QuadratureRule] = None,
         k = slice(i, i + _ONEBIT_PAIRS)
         _, _, f2 = _onebit_overlaps(a[k], s[k], rule, tol)
         # the QPSK input alphabet caps the rate at 2 bits; trim float residue
-        rates[k] = np.clip((f2 + _entropy_term(a[k], s[k], rule)) / LN2, 0.0, 2.0)
+        rates[k] = np.clip((f2 - _tail_term(a[k], s[k], 1.0, rule)) / LN2, 0.0, 2.0)
     return np.where(s == 0.0, 0.0, rates)
 
 

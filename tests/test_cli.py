@@ -66,6 +66,7 @@ class TestBound:
         "bound --alpha 1 --beta inf --rho 1",
         "bound --alpha inf --beta 2 --rho 1",
         "bound --alpha 1 --beta 2 --rho 1 --grid-step inf",
+        "bound --alpha 4 --beta 2 --rho 10 --tx onebit --grid-step 0.5 --tol inf",
         "compare --alpha 1 --beta 5 --rho-db-min 0 --rho-db-max inf",
     ])
     def test_non_finite_input_exits_one(self, args, capsys):
@@ -395,6 +396,10 @@ class TestGoldenBytes:
          "066627ee8146aef8544a3416e345123507b294b2c20cd96b8bf23cef03210a6b"),
         ("exact --m 2 --n 2 --t 2 --rho 10 --mc-samples 2000 --seed 0",
          "2e31e8b3cb3f062699200c77f168a2f84955e72daab7c0adbb20b15c462a10f0"),
+        ("exact --m 1 --n 1 --t 4 --rho 0 --format json",
+         "4b51bdd2e3180fe554395d00266f32d548c5f82bb3695d0b6688a7f95c7a5935"),
+        ("exact --m 2 --n 1 --t 3 --rho 5 --channel-order 8 --format json",
+         "82cf8db8eae4d51801bab1cae306dc3c29dd8fff6345f738c60dbb9736199621"),
     ])
     def test_output_bytes(self, args, digest, capsys):
         code, out, _ = run_cli(args.split(), capsys)

@@ -201,26 +201,28 @@ class TestD4AndRates:
 
 class TestCBoundExact:
     def test_zero_snr_ties_to_least_training(self):
-        res = c_bound_exact(sys11(t_total=3, rho=0.0))
+        res, _ = c_bound_exact(sys11(t_total=3, rho=0.0))
         assert res.beta_t_opt == 1.0
         assert res.c_bound == pytest.approx(0.0, abs=1e-9)
         assert res.method == "exact"
 
     def test_two_symbol_block_has_one_choice(self):
-        res = c_bound_exact(sys11(t_total=2))
+        res, _ = c_bound_exact(sys11(t_total=2))
         assert res.beta_t_opt == 1.0
 
     def test_matches_brute_force_over_both_pipelines(self):
         s = sys11(t_total=4, rho=10.0)
-        res = c_bound_exact(s)
+        res, curve = c_bound_exact(s)
+        assert curve.r_eff.tolist() == [reff_exact(t_t, s) for t_t in (1, 2, 3)]
         for pipeline in (reff_exact, mi_direct):
             objs = [(4 - t_t) / 4 * pipeline(t_t, s) for t_t in (1, 2, 3)]
             assert res.c_bound == pytest.approx(max(objs), abs=2e-6)
             assert res.beta_t_opt == 1.0 + int(np.argmax(objs))
 
     def test_params_describe_the_system(self):
-        res = c_bound_exact(SmallSystem(2, 2, 3, 10.0, ChannelIntegration.quadrature(8)))
+        res, curve = c_bound_exact(SmallSystem(2, 2, 3, 10.0, ChannelIntegration.quadrature(8)))
         assert res.params.alpha == 1.0 and res.params.beta == 1.5
+        assert curve.beta_t.tolist() == [0.5, 1.0]
 
 
 class TestMonteCarlo:

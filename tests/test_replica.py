@@ -20,8 +20,8 @@ from onebit_bounds.replica import (
     csir_rate,
     effective_snr,
     f1_value,
-    f2_linear,
     f2_onebit,
+    linear_rates,
     onebit_rates,
     overlap_fixed_points,
     perfect_csi_overlap,
@@ -183,6 +183,8 @@ class TestSolveQh:
             solve_qh(-1.0, 1.0)
         with pytest.raises(ValueError):
             solve_qh(1.0, 1.0, tol=0.0)
+        with pytest.raises(ValueError):
+            solve_qh(1.0, 1.0, tol=math.inf)
 
 
 # Gauss-Hermite rules give one root at every point tried.  This rule has a
@@ -427,7 +429,7 @@ class TestOnebitBatch:
 class TestF2:
     def test_origin_values(self):
         for alpha in (0.5, 1.0, 3.0):
-            assert f2_linear(0.0, 0.0, alpha, 1.0, RULE) == pytest.approx(2 * alpha * LN2, rel=1e-12)
+            assert f1_value(0.0, 0.0, 1.0, alpha, RULE) == pytest.approx(2 * alpha * LN2, rel=1e-12)
             assert f2_onebit(0.0, 0.0, alpha, 1.0, RULE) == pytest.approx(2 * alpha * LN2, rel=1e-12)
 
     def test_linear_against_refined_quadrature_oracle(self):
@@ -435,7 +437,7 @@ class TestF2:
         a = math.sqrt(s / (1 + s * (1 - r)))
         oracle = (-4.0 * alpha * float(O_WEIGHTS @ o_qlnq(a * math.sqrt(r) * O_NODES))
                   + math.log1p(r_hat) - r_hat + r * r_hat)
-        assert f2_linear(r, r_hat, alpha, s, RULE) == pytest.approx(oracle, abs=1e-9)
+        assert f1_value(r, r_hat, s, alpha, RULE) == pytest.approx(oracle, abs=1e-9)
 
     def test_onebit_against_refined_quadrature_oracle(self):
         r, r_hat, alpha, s = 0.6, 2.0, 2.0, 5.0
@@ -450,10 +452,10 @@ class TestF2:
         h = 1e-7
         for s, alpha in ((1.0, 1.0), (5.0, 4.0)):
             d = solve_qx_linear(s, alpha, RULE)
-            grad_q = (f2_linear(d.q_x + h, d.q_x_hat, alpha, s, RULE)
-                      - f2_linear(d.q_x - h, d.q_x_hat, alpha, s, RULE)) / (2 * h)
-            grad_qh = (f2_linear(d.q_x, d.q_x_hat + h, alpha, s, RULE)
-                       - f2_linear(d.q_x, d.q_x_hat - h, alpha, s, RULE)) / (2 * h)
+            grad_q = (f1_value(d.q_x + h, d.q_x_hat, s, alpha, RULE)
+                      - f1_value(d.q_x - h, d.q_x_hat, s, alpha, RULE)) / (2 * h)
+            grad_qh = (f1_value(d.q_x, d.q_x_hat + h, s, alpha, RULE)
+                       - f1_value(d.q_x, d.q_x_hat - h, s, alpha, RULE)) / (2 * h)
             assert abs(grad_q) < 1e-6 and abs(grad_qh) < 1e-6
             o = solve_qx_onebit(s, alpha, RULE)
             hi = min(o.q_x + h, 1.0)
@@ -536,6 +538,17 @@ class TestRates:
         rates = [reff_linear(p, solve_qh(10.0, bt, RULE), RULE)
                  for bt in (0.1, 0.5, 1.0, 2.0, 5.0)]
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("rates", [linear_rates, onebit_rates])
+    @pytest.mark.parametrize("alpha, snr_eff, tol", [
+        (1.0, [-0.5, 1.0], 1e-10),
+        (-1.0, [0.5], 1e-10),
+        (1.0, [0.5], 0.0),
+        (1.0, [0.5], math.inf),
+    ])
+    def test_data_arguments_checked(self, rates, alpha, snr_eff, tol):
+        with pytest.raises(ValueError):
+            rates(alpha, snr_eff, RULE, tol)
 
 
 class TestCsirRate:
