@@ -48,8 +48,6 @@ from .exact import (
     ChannelIntegration,
     EnumerationBudgetError,
     SmallSystem,
-    TrainingOutcome,
-    training_outcomes,
     c_bound_exact,
     d1,
     d2,

@@ -32,6 +32,9 @@ fully enumerated joint law with linear-domain probabilities, generic entropy
 sums, and no symmetry reduction.  It shares no intermediate tables with the
 d-pipeline and serves as its cross-check oracle; under Monte Carlo
 integration the two pipelines draw independent channel samples.
+
+Both pipelines make one array pass per training matrix (or symmetry class)
+over all training outputs Y_t, summing in the order of a loop over Y_t.
 """
 from __future__ import annotations
 
@@ -56,8 +59,6 @@ __all__ = [
     "check_budget",
     "ChannelIntegration",
     "SmallSystem",
-    "TrainingOutcome",
-    "training_outcomes",
     "d1",
     "d2",
     "d3",
@@ -236,15 +237,15 @@ class _Tables:
         return v_log, w_log
 
 
-def _conditional_mi_nats(ld3: np.ndarray) -> float:
-    """Mutual information (nats) of a channel given as ld3[x, y] = ln p(y | x),
-    with uniform inputs."""
-    n_inputs = ld3.shape[0]
-    lpy = logsumexp(ld3, axis=0) - math.log(n_inputs)
+def _conditional_mi_nats(ld3: np.ndarray) -> np.ndarray:
+    """Mutual information (nats) of each channel of a batch given as
+    ld3[b, x, y] = ln p(y | x), with uniform inputs."""
+    n_inputs = ld3.shape[1]
+    lpy = logsumexp(ld3, axis=1, keepdims=True) - math.log(n_inputs)
     p = np.exp(ld3)
     with np.errstate(invalid="ignore"):
         terms = np.where(p > 0.0, p * (ld3 - lpy), 0.0)
-    return float(terms.sum()) / n_inputs
+    return terms.reshape(ld3.shape[0], -1).sum(axis=1) / n_inputs
 
 
 # --- training-matrix symmetry classes -------------------------------------
@@ -332,12 +333,11 @@ def _encode_strings(y_t: np.ndarray, n: int, t_t: int) -> tuple:
 def _block(x_t, y_t, t_t: int, sys_: SmallSystem):
     """Receiver tables of the training block (x_t, y_t) after the budget
     check: ``(tab, s_idx, v_log, w_log)``, with ``s_idx`` the per-receiver
-    string indices of y_t (None when y_t is None)."""
+    string indices of y_t."""
     check_budget(sys_, t_t)
     tab = _Tables(sys_, t_t, stream=0)
     cols = _encode_columns(np.asarray(x_t, dtype=complex).reshape(sys_.m, t_t), sys_.m)
-    s_idx = None if y_t is None else _encode_strings(
-        np.asarray(y_t, dtype=complex).reshape(sys_.n, t_t), sys_.n, t_t)
+    s_idx = _encode_strings(np.asarray(y_t, dtype=complex).reshape(sys_.n, t_t), sys_.n, t_t)
     return (tab, s_idx) + tab.receiver_tables(cols)
 
 
@@ -373,42 +373,21 @@ def d3(x_d, y_d, x_t, y_t, t_t: int, sys_: SmallSystem) -> float:
 def d4(x_t, y_t, t_t: int, sys_: SmallSystem) -> float:
     """Mutual information (nats) of the conditional data channel after the
     training block (x_t, y_t), with uniform QPSK data inputs."""
-    tab, s_idx, v_log, w_log = _block(x_t, y_t, t_t, sys_)
-    return _conditional_mi_nats(_stack_receivers(v_log, w_log, s_idx, tab.n_inputs))
+    _, s_idx, v_log, w_log = _block(x_t, y_t, t_t, sys_)
+    _, ld3 = _stack_receivers(v_log, w_log, tuple([s] for s in s_idx))
+    return float(_conditional_mi_nats(ld3)[0])
 
 
-@dataclass(frozen=True)
-class TrainingOutcome:
-    """One realized training block: pilots sent, signs received, and the
-    probability of that reception (the d2 value)."""
-
-    x_t: np.ndarray
-    y_t: np.ndarray
-    weight: float
-
-
-def training_outcomes(x_t, t_t: int, sys_: SmallSystem):
-    """All training-output realizations for a fixed pilot matrix, with their
-    probabilities.  Weights lie in (0, 1] and sum to 1 up to integration
-    tolerance."""
-    tab, _, v_log, _ = _block(x_t, None, t_t, sys_)
-    x_t = np.asarray(x_t, dtype=complex).reshape(sys_.m, t_t)
-    s_count = tab.strings.shape[0]
-    out = []
-    for yt in itertools.product(range(s_count), repeat=sys_.n):
-        y_t = SIGN_OUT[np.stack([tab.strings[s] for s in yt])]
-        weight = math.exp(float(sum(v_log[s] for s in yt)))
-        out.append(TrainingOutcome(x_t=x_t, y_t=y_t, weight=weight))
-    return out
-
-
-def _stack_receivers(v_log, w_log, s_idx, n_inputs) -> np.ndarray:
-    """Combine per-receiver conditionals into ld3[x, y-vector] = ln p(y_d | x)."""
+def _stack_receivers(v_log, w_log, s_idx):
+    """ld2[b] = ln p(Y_t) and ld3[b, x, y-vector] = ln p(y_d | x, Y_t) for a
+    batch of training outputs, given as one string-index array per receiver."""
     if len(s_idx) == 1:
-        return w_log[s_idx[0]] - v_log[s_idx[0]]
+        ld2 = v_log[s_idx[0]]
+        return ld2, w_log[s_idx[0]] - ld2[:, None, None]
     s1, s2 = s_idx
-    ld = (w_log[s1][:, :, None] + w_log[s2][:, None, :]) - (v_log[s1] + v_log[s2])
-    return ld.reshape(n_inputs, 16)
+    ld2 = v_log[s1] + v_log[s2]
+    ld3 = (w_log[s1][:, :, :, None] + w_log[s2][:, :, None, :]) - ld2[:, None, None, None]
+    return ld2, ld3.reshape(len(ld2), -1, 16)
 
 
 def reff_exact(t_t: int, sys_: SmallSystem, *, use_symmetry: bool = True) -> float:
@@ -417,14 +396,16 @@ def reff_exact(t_t: int, sys_: SmallSystem, *, use_symmetry: bool = True) -> flo
     check_budget(sys_, t_t)
     tab = _Tables(sys_, t_t, stream=0)
     s_count = tab.strings.shape[0]
+    # every Y_t, one string index per receiver, first receiver slowest
+    outputs = np.unravel_index(np.arange(s_count ** sys_.n), (s_count,) * sys_.n)
     total = 0.0
     for cols, count in _training_classes(sys_.m, t_t, use_symmetry):
         v_log, w_log = tab.receiver_tables(cols)
-        contrib = 0.0
-        for yt in itertools.product(range(s_count), repeat=sys_.n):
-            ld2 = float(sum(v_log[s] for s in yt))
-            ld3 = _stack_receivers(v_log, w_log, yt, tab.n_inputs)
-            contrib += math.exp(ld2) * _conditional_mi_nats(ld3)
+        ld2, ld3 = _stack_receivers(v_log, w_log, outputs)
+        # libm's exp, which differs from np.exp in the last bit on some inputs
+        p_yt = np.fromiter(map(math.exp, ld2.tolist()), float, ld2.size)
+        # a running sum adds the outputs one by one, in enumeration order
+        contrib = float(np.cumsum(p_yt * _conditional_mi_nats(ld3))[-1])
         total += count * contrib
     total /= 4 ** (sys_.m * t_t)
     return max(0.0, total / (sys_.m * LN2))
@@ -480,26 +461,48 @@ def mi_direct(t_t: int, sys_: SmallSystem) -> float:
 
     strings = _strings(t_t)
     s_count = strings.shape[0]
+    n_out = s_count ** sys_.n
     nats = 0.0
     for cols in itertools.product(range(n_inputs), repeat=t_t):
         gg = np.tile(w, (s_count, 1))
         for p, c in enumerate(cols):
             gg *= g[c, strings[:, p], :]
-        # pr[x, s, y] = E_h[ g_data(x, y) prod_p g_p(s_p) ] for one receiver
-        pr = np.einsum("sk,xyk->xsy", gg, g, optimize=True)
-        for yt in itertools.product(range(s_count), repeat=sys_.n):
-            if sys_.n == 1:
-                cond = pr[:, yt[0], :]
-            else:
-                cond = (pr[:, yt[0], :, None] * pr[:, yt[1], None, :]).reshape(n_inputs, 16)
-            joint = cond / n_inputs          # p(x, y_d, Y_t | X_t)
-            p_yt = joint.sum()
-            if p_yt <= 0.0:
-                continue
-            px = joint.sum(axis=1)
-            py = joint.sum(axis=0)
-            mask = joint > 0.0
-            ratio = joint[mask] * p_yt / np.outer(px, py)[mask]
-            nats += float(joint[mask] @ np.log(ratio))
+        # pr[s, x, y] = E_h[ g_data(x, y) prod_p g_p(s_p) ] for one receiver
+        pr = np.einsum("sk,xyk->xsy", gg, g, optimize=True).transpose(1, 0, 2)
+        if sys_.n == 2:  # pr[s1, s2, x, 4 y1 + y2] = pr[s1, x, y1] pr[s2, x, y2]
+            pr = np.repeat(pr, 4, axis=2)[:, None] * np.tile(pr, 4)[None, :]
+        # joint[b, x, y_d] = p(x, y_d, Y_t | X_t), one row per Y_t
+        joint = np.ascontiguousarray(pr).reshape(n_out, n_inputs, -1)
+        joint /= n_inputs
+        rows = _joint_mi_nats(joint)
+        # a running sum adds the outputs one by one, in enumeration order
+        nats = float(np.cumsum(np.concatenate(([nats], rows)))[-1])
+    if not math.isfinite(nats):
+        raise FloatingPointError(f"mi_direct: information sum is not finite: {nats}")
     nats /= 4 ** (sys_.m * t_t)
     return max(0.0, nats / (sys_.m * LN2))
+
+
+def _joint_mi_nats(joint: np.ndarray) -> np.ndarray:
+    """sum_{x, y} joint ln(joint p_yt / (px py)) over the nonzero entries of
+    each row of a contiguous batch joint[b, x, y] = p(x, y_d, Y_t = b | X_t),
+    with p_yt, px and py its row, x and y marginals."""
+    flat = joint.reshape(len(joint), -1)
+    p_yt = flat.sum(axis=1)
+    px = joint.sum(axis=2)
+    py = joint.sum(axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_ratio = flat * p_yt[:, None]
+        log_ratio /= (px[:, :, None] * py[:, None, :]).reshape(flat.shape)
+        np.log(log_ratio, out=log_ratio)
+        # (1, K) @ (K, 1) per row is the 1-D dot product, bit for bit
+        out = np.matmul(flat[:, None, :], log_ratio[:, :, None])[:, 0, 0]
+        # a row is not finite where joint has a zero or a product under- or
+        # overflowed: sum its nonzero entries only, with the log taken as a
+        # sum of logs where needed (finite, since px and py are >= joint)
+        for b in np.flatnonzero(~np.isfinite(out)):
+            row, keep = log_ratio[b], flat[b] > 0.0
+            by_parts = np.log(joint[b]) + np.log(p_yt[b]) - np.log(px[b])[:, None] - np.log(py[b])
+            np.copyto(row, by_parts.reshape(-1), where=~np.isfinite(row))
+            out[b] = flat[b, keep] @ row[keep]
+    return out

@@ -639,8 +639,7 @@ def csir_rate(alpha: float, rho: float, rule: Optional[QuadratureRule] = None,
     with (q_x, q_x_hat, A) the Gaussian data fixed point at snr_eff = rho.
     Upper reference for every training-based linear-transmitter bound.
     """
-    if not rho >= 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
+    _check_data_args(rho, alpha, tol)
     rule = rule or gauss_hermite()
     q = float(_solve_overlaps(alpha, rho, rule, tol, "known-channel data overlap", "alpha")[0])
     q_hat = q / (1.0 - q)

@@ -400,6 +400,10 @@ class TestGoldenBytes:
          "4b51bdd2e3180fe554395d00266f32d548c5f82bb3695d0b6688a7f95c7a5935"),
         ("exact --m 2 --n 1 --t 3 --rho 5 --channel-order 8 --format json",
          "82cf8db8eae4d51801bab1cae306dc3c29dd8fff6345f738c60dbb9736199621"),
+        ("exact --m 2 --n 2 --t 3 --rho 10 --mc-samples 2000 --seed 0",
+         "423bdece9504a67adfb2a4ce2e8eca4f06b673221b82091ad2187b2f2da924a5"),
+        ("exact --m 1 --n 2 --t 4 --rho 5",
+         "1956b4753b25c8c7db7f243b7aad225761f56ad05867dbdca7fe997495cf6713"),
     ])
     def test_output_bytes(self, args, digest, capsys):
         code, out, _ = run_cli(args.split(), capsys)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from onebit_bounds import exact
 from onebit_bounds.exact import (
     QPSK,
     SIGN_OUT,
@@ -20,8 +21,16 @@ from onebit_bounds.exact import (
     d4,
     mi_direct,
     reff_exact,
-    training_outcomes,
 )
+from onebit_bounds.exact import (
+    _channel_nodes,
+    _input_vectors,
+    _stack_receivers,
+    _strings,
+    _Tables,
+    _training_classes,
+)
+from onebit_bounds.numerics import q_function
 
 QUAD24 = ChannelIntegration.quadrature(24)
 
@@ -105,15 +114,20 @@ class TestD2D3:
             assert d3(QPSK[[xi]], SIGN_OUT[[yi]], x_t, y_t, 1, s) == pytest.approx(0.25, rel=1e-12)
 
     def test_training_outcomes_form_a_distribution(self):
-        s = sys11()
-        x_t = QPSK[[0, 2]].reshape(1, 2)
-        outcomes = training_outcomes(x_t, 2, s)
-        assert len(outcomes) == 16
-        assert all(0.0 < o.weight <= 1.0 for o in outcomes)
-        assert sum(o.weight for o in outcomes) == pytest.approx(1.0, abs=1e-8)
-        for o in outcomes:
-            assert o.y_t.shape == (1, 2)
-            assert o.weight == pytest.approx(d2(o.x_t, o.y_t, 2, s), rel=1e-12)
+        # d2 over the 16 training outputs of one pilot matrix, for one
+        # receiver with t_t = 2 and for two receivers with t_t = 1; each
+        # value is p(Y_t) as the batched rate pipeline computes it
+        for s, t_t in ((sys11(), 2), (SmallSystem(1, 2, 2, 10.0, QUAD24), 1)):
+            x_t = QPSK[[0, 2][:t_t]].reshape(1, t_t)
+            outputs = list(itertools.product(range(4), repeat=s.n * t_t))
+            vals = [d2(x_t, SIGN_OUT[list(ys)].reshape(s.n, t_t), t_t, s) for ys in outputs]
+            assert len(vals) == 16
+            assert all(0.0 < v <= 1.0 for v in vals)
+            assert sum(vals) == pytest.approx(1.0, abs=1e-8)
+            v_log, w_log = _Tables(s, t_t).receiver_tables((0, 2)[:t_t])
+            batch = np.unravel_index(np.arange(16), (4 ** t_t,) * s.n)
+            ld2, _ = _stack_receivers(v_log, w_log, batch)
+            assert vals == [math.exp(v) for v in ld2]
 
     def test_d3_equals_d1_over_d2(self):
         s = sys11()
@@ -188,6 +202,19 @@ class TestD4AndRates:
         assert v <= 2.0
         assert v >= mi_direct(1, sys11(t_total=2, rho=1.0))
 
+    def test_direct_pipeline_survives_underflow_at_high_snr(self):
+        # at rho = 1e4 the products p(x) p(y) of some outputs underflow;
+        # mi_direct once summed an infinite log and clamped the result to 0
+        s = SmallSystem(2, 2, 3, 1e4, ChannelIntegration.monte_carlo(2_000, seed=0))
+        direct = mi_direct(2, s)
+        assert direct > 0.0
+        assert abs(direct - reff_exact(2, s)) < 0.02
+
+    def test_non_finite_information_sum_raises(self, monkeypatch):
+        monkeypatch.setattr(exact, "_joint_mi_nats", lambda joint: np.full(len(joint), np.nan))
+        with pytest.raises(FloatingPointError):
+            mi_direct(1, sys11(t_total=2))
+
     def test_symmetry_reduction_matches_full_enumeration(self):
         s = sys11(t_total=3, rho=10.0)
         for t_t in (1, 2):
@@ -197,6 +224,85 @@ class TestD4AndRates:
         s2 = SmallSystem(2, 2, 2, 5.0, ChannelIntegration.quadrature(8))
         assert reff_exact(1, s2, use_symmetry=True) == pytest.approx(
             reff_exact(1, s2, use_symmetry=False), abs=1e-12)
+
+
+def loop_reff_exact(t_t, s):
+    """reff_exact with one Python iteration per (class, Y_t): the reference
+    the batched d-pipeline must match bit for bit."""
+    tab = _Tables(s, t_t)
+    n_inputs = 4 ** s.m
+    total = 0.0
+    for cols, count in _training_classes(s.m, t_t, True):
+        v_log, w_log = tab.receiver_tables(cols)
+        contrib = 0.0
+        for yt in itertools.product(range(4 ** t_t), repeat=s.n):
+            ld2 = float(sum(v_log[k] for k in yt))
+            if s.n == 1:
+                ld3 = w_log[yt[0]] - v_log[yt[0]]
+            else:
+                ld3 = ((w_log[yt[0]][:, :, None] + w_log[yt[1]][:, None, :])
+                       - (v_log[yt[0]] + v_log[yt[1]])).reshape(n_inputs, 16)
+            lpy = special.logsumexp(ld3, axis=0) - math.log(n_inputs)
+            p = np.exp(ld3)
+            with np.errstate(invalid="ignore"):
+                terms = np.where(p > 0.0, p * (ld3 - lpy), 0.0)
+            contrib += math.exp(ld2) * (float(terms.sum()) / n_inputs)
+        total += count * contrib
+    total /= 4 ** (s.m * t_t)
+    return max(0.0, total / (s.m * math.log(2.0)))
+
+
+def loop_mi_direct(t_t, s):
+    """mi_direct with one Python iteration per (training matrix, Y_t): the
+    reference the batched direct pipeline must match bit for bit."""
+    h, logw = _channel_nodes(s, t_t, stream=1)
+    w = np.exp(logw)
+    x_cols = _input_vectors(s.m)
+    n_inputs = x_cols.shape[0]
+    z = math.sqrt(s.rho / s.m) * (h @ x_cols.T)
+    qr_p, qi_p = q_function(-math.sqrt(2.0) * z.real), q_function(-math.sqrt(2.0) * z.imag)
+    qr_m, qi_m = 1.0 - qr_p, 1.0 - qi_p
+    g = np.ascontiguousarray(
+        np.stack([qr_p * qi_p, qr_p * qi_m, qr_m * qi_p, qr_m * qi_m], axis=0).transpose(2, 0, 1))
+    strings = _strings(t_t)
+    nats = 0.0
+    for cols in itertools.product(range(n_inputs), repeat=t_t):
+        gg = np.tile(w, (len(strings), 1))
+        for p, c in enumerate(cols):
+            gg *= g[c, strings[:, p], :]
+        pr = np.einsum("sk,xyk->xsy", gg, g, optimize=True)
+        for yt in itertools.product(range(len(strings)), repeat=s.n):
+            if s.n == 1:
+                cond = pr[:, yt[0], :]
+            else:
+                cond = (pr[:, yt[0], :, None] * pr[:, yt[1], None, :]).reshape(n_inputs, 16)
+            joint = cond / n_inputs
+            p_yt = joint.sum()
+            if p_yt <= 0.0:
+                continue
+            px, py = joint.sum(axis=1), joint.sum(axis=0)
+            mask = joint > 0.0
+            ratio = joint[mask] * p_yt / np.outer(px, py)[mask]
+            nats += float(joint[mask] @ np.log(ratio))
+    nats /= 4 ** (s.m * t_t)
+    return max(0.0, nats / (s.m * math.log(2.0)))
+
+
+class TestBatchedPipelines:
+    # M=2, N=1 at 25 dB with order 8 has training outputs with zeros in the
+    # joint law, which the direct pipeline sums over the nonzero entries; the
+    # last case changes its last bit if p(Y_t) is taken with np.exp
+    @pytest.mark.parametrize("s, t_t", [
+        (SmallSystem(1, 1, 4, 10.0, QUAD24), 1),
+        (SmallSystem(1, 1, 4, 10.0, QUAD24), 3),
+        (SmallSystem(1, 2, 3, 5.0, QUAD24), 2),
+        (SmallSystem(2, 1, 3, 10 ** 2.5, ChannelIntegration.quadrature(8)), 2),
+        (SmallSystem(2, 2, 2, 10.0, ChannelIntegration.monte_carlo(2_000, seed=7)), 1),
+        (SmallSystem(2, 2, 3, 10 ** 2.5, ChannelIntegration.monte_carlo(20_000, seed=0)), 1),
+    ], ids=["m1n1-t1", "m1n1-t3", "m1n2-t2", "m2n1-25dB-t2", "m2n2-mc-t1", "m2n2-mc-25dB-t1"])
+    def test_rates_equal_the_per_output_loop(self, s, t_t):
+        assert reff_exact(t_t, s) == loop_reff_exact(t_t, s)
+        assert mi_direct(t_t, s) == loop_mi_direct(t_t, s)
 
 
 class TestCBoundExact:

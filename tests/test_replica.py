@@ -507,6 +507,12 @@ def o_reff_chain(alpha, rho, beta_t, tx):
     return (f2 + ent) / LN2
 
 
+def _csir_at_each(alpha, snr_eff, rule, tol):
+    """csir_rate at each rho of snr_eff, for the shared argument checks."""
+    for rho in snr_eff:
+        csir_rate(alpha, rho, rule, tol)
+
+
 class TestRates:
     def test_no_estimate_means_no_rate(self):
         ov = solve_qh(10.0, 0.0, RULE)
@@ -539,7 +545,8 @@ class TestRates:
                  for bt in (0.1, 0.5, 1.0, 2.0, 5.0)]
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
-    @pytest.mark.parametrize("rates", [linear_rates, onebit_rates])
+    @pytest.mark.parametrize("rates", [
+        linear_rates, onebit_rates, pytest.param(_csir_at_each, id="csir_rate")])
     @pytest.mark.parametrize("alpha, snr_eff, tol", [
         (1.0, [-0.5, 1.0], 1e-10),
         (-1.0, [0.5], 1e-10),
