@@ -111,6 +111,9 @@ def _merge_config(args) -> RunConfig:
             value = file_cfg.get(name)
         if value is not None:
             setattr(cfg, name, cast(value))
+    for name, spec in _FLAGS.items():  # a config file bypasses argparse's choices
+        if "choices" in spec and getattr(cfg, name) not in spec["choices"]:
+            raise ValueError(f"{name} must be one of {spec['choices']}, got {getattr(cfg, name)!r}")
     return cfg
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .numerics import LN2, QuadratureRule, gauss_hermite
 from .replica import (
@@ -123,6 +122,7 @@ def optimize_training(
         lo = float(bts[i - 1]) if i > 0 else float(bts[0])
         hi = float(bts[i + 1]) if i + 1 < len(bts) else float(bts[-1])
         if hi > lo:
+            from scipy import optimize  # here, so that commands without refinement skip its import
             res = optimize.minimize_scalar(
                 lambda bt: -(beta - bt) / beta * float(reff(bt)),
                 bounds=(lo, hi),

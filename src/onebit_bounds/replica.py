@@ -19,7 +19,11 @@ input-output overlap q_x solves the same kind of equation with
 receiver-to-transmitter ratio, together with q_x = q_x_hat / (1 + q_x_hat).
 With one-bit (QPSK) data symbols the second relation becomes a tanh moment:
 
-    q_x + 1 = E_u[ tanh(sqrt(q_x_hat) u + q_x_hat) (2 + u / sqrt(q_x_hat)) ].
+    q_x + 1 = E_u[ tanh(sqrt(q_x_hat) u + q_x_hat) (2 + u / sqrt(q_x_hat)) ],
+
+and putting q_x_hat equal to the Gaussian-tail right-hand side leaves one
+scalar root in [0, 1].  Every overlap equation is solved the same way: one
+residual scan for a whole batch, then Illinois steps on every bracket.
 
 Fixed points may be non-unique; the admissible solution minimizes the free
 energies F1 (training) / F2 (data), whose stationary points the equations
@@ -70,20 +74,19 @@ _GRID_LO = 1e-12
 _GRID_HI = 1.0 - 1e-9
 _GRID_N = 64
 _SCAN_Q = np.geomspace(_GRID_LO, _GRID_HI, _GRID_N)
-# Distinct SNRs whose residual scan is evaluated at once: 2 x 64 x 128
-# elements keep the temporaries under 1 MB however long the grid is.
+# The one-bit residual has no pole and is >= 0 at q = 0, <= 0 at q = 1: its
+# scan takes both ends, so every pair has a bracket (q = 1: saturated root).
+_ONEBIT_Q = np.concatenate([[0.0], _SCAN_Q, [1.0]])
+# Rows of a scan evaluated at once: 2 x 66 x 128 elements keep the
+# temporaries under 1 MB however long the grid is.
 _SCAN_ROWS = 2
 # Refined brackets close at _ROOT_ULPS ulp (or after _MAX_STEPS); the
 # bisection replay evaluates the residual up to _WINDOW ulp outside them.
 _ROOT_ULPS = 4
 _MAX_STEPS = 200
 _WINDOW = 4
-# One-bit data solve: damping factor, iteration cap per start, start points,
-# and (alpha, snr) pairs whose alternations run at once: 32 x 3 starts x 128
-# nodes keep the temporaries near 100 kB however many pairs there are.
-_DAMPING = 0.5
-_MAX_ITER = 10_000
-_STARTS = (0.01, 0.5, 0.99)
+# One-bit brackets refined, and F2_O and tail terms taken, at once: 32 x 128
+# nodes keep the temporaries small however many pairs there are.
 _ONEBIT_PAIRS = 32
 
 
@@ -91,8 +94,8 @@ class SolverError(RuntimeError):
     """A fixed-point solver failed to converge.
 
     ``brackets`` holds every sign-change bracket found while sampling the
-    residual; ``diagnostics`` carries per-start residual information for
-    iterative solves.
+    residual; ``diagnostics`` carries the roots found and the residual at
+    the chosen one.
     """
 
     def __init__(self, message: str, *, brackets=None, diagnostics=None):
@@ -184,20 +187,18 @@ def _overlap_residual(q, coef, snr, rule: QuadratureRule):
     return q / (1.0 - q) - _gaussian_rhs(q, coef, snr, rule)
 
 
-def _refine(lo, hi, flo, fhi, coef, snr, rule: QuadratureRule) -> np.ndarray:
-    """Roots inside the sign-change brackets [lo, hi], all refined together.
+def _illinois(lo, hi, flo, fhi, residual):
+    """Shrink every sign-change bracket [lo, hi] onto its root, all together.
 
     Each step takes the regula falsi point of every open bracket, kept
     strictly inside it, and halves the residual kept at an end that stayed
     twice in a row (Illinois).  A point that is not finite, or three steps
-    that fail to halve a bracket, give way to bisection.  Brackets close at
-    ``_ROOT_ULPS`` ulp; :func:`_replay_bisection` then picks each root.
+    that fail to halve a bracket, give way to bisection.  ``residual(x, k)``
+    is the residual at points x of brackets k.  Brackets close at
+    ``_ROOT_ULPS`` ulp, or stay open once ``_MAX_STEPS`` run out.
     """
-    start = lo, hi, flo
-    # (1 - q) times the residual has its signs but no pole at q = 1, where
-    # the residual's steepness stalls regula falsi
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    flo, fhi = flo * (1.0 - lo), fhi * (1.0 - hi)
+    flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)
     moved = np.zeros(lo.shape)  # end replaced by the last step: +1 hi, -1 lo
     widths = np.full((3,) + lo.shape, np.inf)  # bracket widths 1, 2, 3 steps back
     for step in range(_MAX_STEPS):
@@ -209,15 +210,14 @@ def _refine(lo, hi, flo, fhi, coef, snr, rule: QuadratureRule) -> np.ndarray:
         x = np.clip(l - fl * (w / (fh - fl)), np.nextafter(l, h), np.nextafter(h, l))
         bisect = ~np.isfinite(x) | (w > 0.5 * widths[step % 3, k])
         x[bisect] = 0.5 * (l + h)[bisect]
-        fx = _overlap_residual(x, coef[k], snr[k], rule) * (1.0 - x)
+        fx = residual(x, k)
         to_hi = np.sign(fx) == np.sign(fh)
         side = np.where(to_hi, 1.0, -1.0)
         again = moved[k] == side
         hi[k], fhi[k] = np.where(to_hi, x, h), np.where(to_hi, fx, np.where(again, 0.5 * fh, fh))
         lo[k], flo[k] = np.where(to_hi, l, x), np.where(to_hi, np.where(again, 0.5 * fl, fl), fx)
         moved[k], widths[step % 3, k] = side, w
-    return _replay_bisection(*start, lo - _WINDOW * np.spacing(lo),
-                             hi + _WINDOW * np.spacing(hi), coef, snr, rule)
+    return lo, hi
 
 
 def _replay_bisection(lo, hi, flo, near_lo, near_hi, coef, snr, rule: QuadratureRule):
@@ -256,34 +256,51 @@ def _replay_bisection(lo, hi, flo, near_lo, near_hi, coef, snr, rule: Quadrature
     return out
 
 
-def _fixed_points(coef: np.ndarray, snr: np.ndarray, rule: QuadratureRule):
-    """Every root in (0, 1) of the overlap equation at each (coef, snr) pair.
-
-    The residual is sampled at ``_GRID_N`` log-spaced points.  Its Gaussian
-    expectation does not depend on coef, so it is computed once per
-    distinct snr, ``_SCAN_ROWS`` of them at a time.  Returns ``(owner,
-    roots, lo, hi)``: root k belongs to pair ``owner[k]`` and was refined in
-    the bracket [lo[k], hi[k]] (lo == hi where a sample is an exact zero);
-    a pair's roots come in increasing order.
-    """
-    qs = _SCAN_Q
+def _scan(coef, snr, qs, residual, rule: QuadratureRule, rows: int):
+    """Sample ``residual(q, rhs(q))`` at every q of qs for each (coef, snr)
+    pair, ``rows`` pairs at a time.  The expectation in rhs does not depend
+    on coef, so it is taken once per distinct snr, ``_SCAN_ROWS`` at a time.
+    Returns ``(res, owner, j_lo, j_hi)``: the samples, and the row and the
+    columns either side of each sign change or zero (j_lo == j_hi), by row,
+    then column."""
     usnr, inv = np.unique(snr, return_inverse=True)
     ksq = _k_sq(usnr[:, None], qs)
     mean = np.empty_like(ksq)
     for i in range(0, len(usnr), _SCAN_ROWS):
         arg = np.sqrt(ksq[i:i + _SCAN_ROWS] * qs)[..., None] * rule.nodes
         mean[i:i + _SCAN_ROWS] = _expect(exp_ratio(arg), rule)
-    res = qs / (1.0 - qs) - coef[:, None] * ksq[inv] / np.pi * mean[inv]
+    res = np.empty((coef.size, qs.size))
+    for i in range(0, coef.size, rows):
+        u = inv[i:i + rows]
+        res[i:i + rows] = residual(qs, coef[i:i + rows, None] * ksq[u] / np.pi * mean[u])
     sign = np.sign(res)
     z_own, z_j = np.nonzero(sign == 0.0)
     b_own, b_j = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
     owner, j_lo = np.concatenate([b_own, z_own]), np.concatenate([b_j, z_j])
     j_hi = np.concatenate([b_j + 1, z_j])
     order = np.lexsort((j_lo, owner))
-    owner, j_lo, j_hi = owner[order], j_lo[order], j_hi[order]
-    roots = _refine(qs[j_lo], qs[j_hi], res[owner, j_lo], res[owner, j_hi],
-                    coef[owner], snr[owner], rule)
-    return owner, roots, qs[j_lo], qs[j_hi]
+    return res, owner[order], j_lo[order], j_hi[order]
+
+
+def _fixed_points(coef: np.ndarray, snr: np.ndarray, rule: QuadratureRule):
+    """Every root in (0, 1) of the overlap equation at each (coef, snr) pair.
+
+    The residual is sampled at ``_GRID_N`` log-spaced points; :func:`_illinois`
+    closes every bracket, :func:`_replay_bisection` then picks each root.
+    Returns ``(owner, roots, lo, hi)``: root k belongs to pair ``owner[k]``
+    and was refined in the bracket [lo[k], hi[k]] (lo == hi where a sample
+    is an exact zero); a pair's roots come in increasing order.
+    """
+    qs = _SCAN_Q
+    res, owner, j_lo, j_hi = _scan(coef, snr, qs, lambda q, q_hat: q / (1.0 - q) - q_hat, rule,
+                                   coef.size)
+    lo, hi, flo, c, s = qs[j_lo], qs[j_hi], res[owner, j_lo], coef[owner], snr[owner]
+    # (1 - q) times the residual has its signs but no pole at q = 1, where
+    # the residual's steepness stalls regula falsi
+    l, h = _illinois(lo, hi, flo * (1.0 - lo), res[owner, j_hi] * (1.0 - hi),
+                     lambda x, k: _overlap_residual(x, c[k], s[k], rule) * (1.0 - x))
+    return owner, _replay_bisection(lo, hi, flo, l - _WINDOW * np.spacing(l),
+                                    h + _WINDOW * np.spacing(h), c, s, rule), lo, hi
 
 
 def overlap_fixed_points(coef: float, snr: float, rule: QuadratureRule):
@@ -298,13 +315,41 @@ def overlap_fixed_points(coef: float, snr: float, rule: QuadratureRule):
     return [float(r) for r in roots], [(float(a), float(b)) for a, b in zip(lo, hi) if a < b]
 
 
+def _choose(found, pairs: int, energy, resid, allowed, what: str, label) -> np.ndarray:
+    """Index into the roots of ``found = (owner, roots, lo, hi)`` of each
+    pair's admissible root: its only one, or the one of least ``energy(k)``
+    (the first on ties), which must have ``resid <= allowed``.  Raises
+    :class:`SolverError` naming pair i by ``label(i)``."""
+    owner, roots, lo, hi = found
+    count = np.bincount(owner, minlength=pairs)
+    if not count.all():
+        raise SolverError(f"no {what} fixed point bracketed ({label(int(np.argmin(count)))})")
+    pick = np.cumsum(count) - count
+    multi = np.flatnonzero(count[owner] > 1)
+    if multi.size:
+        order = multi[np.lexsort((energy(multi), owner[multi]))]
+        owners, first = np.unique(owner[order], return_index=True)
+        pick[owners] = order[first]
+    bad = np.flatnonzero(~(resid[pick] <= allowed[pick]))
+    if bad.size:
+        i = int(bad[0])
+        k, mine = pick[i], owner == i
+        raise SolverError(
+            f"{what} fixed point residual {resid[k]:.3e} exceeds {allowed[k]:.3e} at "
+            f"q={float(roots[k])!r} ({label(i)})",
+            brackets=[(float(a), float(b)) for a, b in zip(lo[mine], hi[mine]) if a < b],
+            diagnostics={"roots": [float(r) for r in roots[mine]], "residual": float(resid[k])},
+        )
+    return pick
+
+
 def _solve_overlaps(coef, snr, rule: QuadratureRule, tol: float, what: str,
                     coef_name: str) -> np.ndarray:
     """The admissible overlap at every (coef, snr) pair, solved as one batch.
 
     Pairs with coef * snr == 0 give q = 0.  Where a pair has several roots
-    the one of least free energy wins (the first on ties); every chosen
-    root must meet the residual tolerance.
+    the one of least free energy wins; every chosen root must meet the
+    residual tolerance.
     """
     coef, snr = np.broadcast_arrays(np.atleast_1d(np.asarray(coef, dtype=float)),
                                     np.asarray(snr, dtype=float))
@@ -313,34 +358,14 @@ def _solve_overlaps(coef, snr, rule: QuadratureRule, tol: float, what: str,
     if live.size == 0:
         return q
     c, s = coef[live], snr[live]
-    owner, roots, lo, hi = _fixed_points(c, s, rule)
-    count = np.bincount(owner, minlength=live.size)
-    if not count.all():
-        i = int(np.argmin(count))
-        raise SolverError(
-            f"no {what} fixed point bracketed ({coef_name}={c[i]:g}, snr={s[i]:g}); "
-            f"residual sampled at {_GRID_N} log-spaced points in ({_GRID_LO:g}, {_GRID_HI:g})")
-    pick = np.cumsum(count) - count
-    multi = np.flatnonzero(count[owner] > 1)
-    if multi.size:
-        r, o = roots[multi], owner[multi]
-        energy = _free_energy(r, r / (1.0 - r), c[o], s[o], rule)
-        order = multi[np.lexsort((energy, o))]
-        owners, first = np.unique(owner[order], return_index=True)
-        pick[owners] = order[first]
-    chosen = roots[pick]
-    resid = np.abs(_overlap_residual(chosen, c, s, rule))
-    bad = np.flatnonzero(~(resid <= tol * np.maximum(1.0, chosen / (1.0 - chosen))))
-    if bad.size:
-        i = int(bad[0])
-        mine = owner == i
-        raise SolverError(
-            f"{what} fixed point residual {resid[i]:.3e} exceeds tol {tol:.3e} at "
-            f"q={float(chosen[i])!r} ({coef_name}={c[i]:g}, snr={s[i]:g})",
-            brackets=[(float(a), float(b)) for a, b in zip(lo[mine], hi[mine]) if a < b],
-            diagnostics={"roots": [float(r) for r in roots[mine]], "residual": float(resid[i])},
-        )
-    q[live] = chosen
+    found = owner, roots, _, _ = _fixed_points(c, s, rule)
+    c_o, s_o = c[owner], s[owner]
+    q[live] = roots[_choose(
+        found, live.size,
+        lambda k: _free_energy(roots[k], roots[k] / (1.0 - roots[k]), c_o[k], s_o[k], rule),
+        np.abs(_overlap_residual(roots, c_o, s_o, rule)),
+        tol * np.maximum(1.0, roots / (1.0 - roots)), what,
+        lambda i: f"{coef_name}={c[i]:g}, snr={s[i]:g}")]
     return q
 
 
@@ -490,91 +515,65 @@ def _tanh_moment(q_hat, rule: QuadratureRule):
     """E_u[ tanh(sqrt(q_hat) u + q_hat) (2 + u / sqrt(q_hat)) ] for each q_hat.
 
     Below q_hat = 1e-8 the 0 * inf ambiguity is removed by the series
-    1 + q_hat - 3 q_hat^2 + O(q_hat^3).
+    1 + q_hat - 3 q_hat^2 + O(q_hat^3).  The moment equals
+    1 + E_u[ tanh(sqrt(q_hat) u + q_hat) ] < 2, so a sum that rounds above
+    2 near saturation is capped there: g(1) <= 0 then holds in floats too.
     """
     small = q_hat < 1e-8
-    s = np.sqrt(np.maximum(q_hat, 1e-8))[:, None]  # small rows take the series
+    s = np.sqrt(np.maximum(q_hat, 1e-8))[..., None]  # small entries take the series
     u = rule.nodes
-    moment = _expect(np.tanh(s * u + q_hat[:, None]) * (2.0 + u / s), rule)
+    moment = _expect(np.tanh(s * u + q_hat[..., None]) * (2.0 + u / s), rule)
     if np.count_nonzero(small):
         moment = np.where(small, 1.0 + q_hat - 3.0 * q_hat * q_hat, moment)
-    return moment
+    return np.minimum(moment, 2.0)
 
 
-def _alternate(alpha, snr, rule: QuadratureRule, tol: float):
-    """The damped alternation from every start at every (alpha, snr) pair,
-    all rows in lockstep:
+def _by_pairs(fn, *arrays):
+    """fn over ``_ONEBIT_PAIRS`` entries of the arrays at a time, its
+    outputs joined along the last axis."""
+    return np.concatenate([fn(*(v[i:i + _ONEBIT_PAIRS] for v in arrays))
+                           for i in range(0, arrays[0].size, _ONEBIT_PAIRS)], axis=-1)
 
-        q_hat = rhs(q),   q <- clip(q + _DAMPING (moment(q_hat) - 1 - q), 0, 1).
 
-    A row retires once its step is within tol.  Returns ``(q, q_hat,
-    converged, step)``, each of shape ``(pairs, starts)``; ``step`` is the
-    last step of every row that did not converge.
-    """
-    shape = (alpha.size, len(_STARTS))
-    q, q_hat = np.zeros(shape), np.zeros(shape)
-    converged = np.zeros(shape, dtype=bool)
-    step = np.empty(shape)
-    rows = np.arange(q.size)
-    ql = np.tile(np.array(_STARTS, dtype=float), alpha.size)
-    al, sl = np.repeat(alpha, len(_STARTS)), np.repeat(snr, len(_STARTS))
-    st = np.full(q.size, math.inf)
-    for _ in range(_MAX_ITER):
-        qh = _gaussian_rhs(ql, al, sl, rule)
-        st = _tanh_moment(qh, rule) - 1.0 - ql
-        done = np.abs(st) <= tol
-        if np.count_nonzero(done):
-            k = rows[done]
-            q.flat[k], q_hat.flat[k], converged.flat[k] = ql[done], qh[done], True
-            live = ~done
-            rows, ql, st, al, sl = rows[live], ql[live], st[live], al[live], sl[live]
-            if rows.size == 0:
-                break
-        ql = np.minimum(np.maximum(ql + _DAMPING * st, 0.0), 1.0)
-    step.flat[rows] = st
-    return q, q_hat, converged, step
+def _onebit_residual(q, alpha, snr, rule: QuadratureRule):
+    # (q_hat, g): q_hat = rhs(q) and g(q) = tanh_moment(q_hat) - 1 - q
+    q_hat = _gaussian_rhs(q, alpha, snr, rule)
+    return np.array([q_hat, _tanh_moment(q_hat, rule) - 1.0 - q])
 
 
 def _onebit_overlaps(alpha, snr, rule: QuadratureRule, tol: float):
     """q_x, q_x_hat and F2_O at every (alpha, snr) pair.
 
-    Pairs with snr == 0 give q_x = q_x_hat = 0.  Elsewhere a converged start
-    within 1e-8 of an earlier kept one is dropped and the least F2_O wins
-    (the earliest start on ties).
+    q_x is a root of g(q) = tanh_moment(rhs(q)) - 1 - q, sampled at
+    ``_ONEBIT_Q`` (snr == 0 gives the root q_x = 0), with every bracket
+    closed by :func:`_illinois`.  Where a pair has several roots the least
+    F2_O wins; every chosen root must meet |g| <= tol, or
+    :class:`SolverError` carries its brackets and roots.
     """
-    q, q_hat = np.zeros(alpha.shape), np.zeros(alpha.shape)
-    live = np.flatnonzero(snr != 0.0)
-    if live.size:
-        a, s = alpha[live], snr[live]
-        cq, cqh, kept, step = _alternate(a, s, rule, tol)
-        failed = np.flatnonzero(~kept.any(axis=1))
-        if failed.size:
-            j = int(failed[0])
-            raise SolverError(
-                f"one-bit data overlap did not converge from starts {_STARTS} "
-                f"(snr_eff={s[j]:g}, alpha={a[j]:g}, max_iter={_MAX_ITER})",
-                diagnostics={"last_step_by_start": dict(zip(_STARTS, step[j].tolist()))},
-            )
-        for j in range(1, len(_STARTS)):
-            for m in range(j):
-                kept[:, j] &= ~kept[:, m] | (np.abs(cq[:, j] - cq[:, m]) > 1e-8)
-        rows, cols = np.nonzero(kept)
-        energy = np.full(kept.shape, np.inf)
-        energy[rows, cols] = _f2_onebit(cq[rows, cols], cqh[rows, cols], a[rows], s[rows], rule)
-        pick, at = np.argmin(energy, axis=1), np.arange(live.size)
-        q[live], q_hat[live] = cq[at, pick], cqh[at, pick]
-    return q, q_hat, _f2_onebit(q, q_hat, alpha, snr, rule)
+    qs = _ONEBIT_Q
+    res, owner, j_lo, j_hi = _scan(alpha, snr, qs, lambda q, q_hat: _tanh_moment(q_hat, rule)
+                                   - 1.0 - q, rule, _SCAN_ROWS)
+    a, s = alpha[owner], snr[owner]
+    lo, hi = _illinois(qs[j_lo], qs[j_hi], res[owner, j_lo], res[owner, j_hi],
+                       lambda x, k: _by_pairs(lambda *v: _onebit_residual(*v, rule)[1],
+                                              x, a[k], s[k]))
+    roots = 0.5 * (lo + hi)
+    q_hat, g = _by_pairs(lambda *v: _onebit_residual(*v, rule), roots, a, s)
+    f2 = _by_pairs(lambda *v: _f2_onebit(*v, rule), roots, q_hat, a, s)
+    pick = _choose((owner, roots, qs[j_lo], qs[j_hi]), alpha.size, lambda k: f2[k], np.abs(g),
+                   np.full(g.size, tol), "one-bit data overlap",
+                   lambda i: f"snr_eff={snr[i]:g}, alpha={alpha[i]:g}")
+    return roots[pick], q_hat[pick], f2[pick]
 
 
 def solve_qx_onebit(snr_eff: float, alpha: float, rule: Optional[QuadratureRule] = None,
                     tol: float = 1e-10) -> DataOverlap:
     """Data-phase overlap for one-bit data symbols.
 
-    Damped alternation on (q_x, q_x_hat): q_x_hat follows from q_x by the
-    Gaussian-tail equation, then q_x is pulled toward the tanh moment.  Run
-    from several starts; converged points are deduplicated and the F2_O
-    minimizer wins.  Raises :class:`SolverError` with per-start residuals if
-    no start converges within ``_MAX_ITER`` steps.
+    Substituting q_x_hat = rhs(q_x), the Gaussian-tail right-hand side,
+    leaves one scalar equation g(q) = tanh_moment(rhs(q)) - 1 - q = 0 on
+    [0, 1], solved by :func:`_onebit_overlaps`; q_x = 1 is the saturated
+    root.  Among multiple roots the F2_O minimizer is returned.
     """
     _check_data_args(snr_eff, alpha, tol)
     q, q_hat, f2 = (float(v[0]) for v in _onebit_overlaps(
@@ -606,18 +605,15 @@ def reff_linear(params: SystemParams, overlap: ChannelOverlap,
 def onebit_rates(alpha, snr_eff, rule: Optional[QuadratureRule] = None,
                  tol: float = 1e-10) -> np.ndarray:
     """:func:`reff_onebit` at every (alpha, snr_eff) pair of two broadcast
-    arrays, flattened; the data overlaps are solved as one batch,
-    ``_ONEBIT_PAIRS`` pairs at a time."""
+    arrays, flattened; the data overlaps are solved as one batch."""
     rule = rule or gauss_hermite()
     a, s = (v.ravel() for v in np.broadcast_arrays(
         np.asarray(alpha, dtype=float), np.asarray(snr_eff, dtype=float)))
     _check_data_args(float(s.min()), float(a.min()), tol)
-    rates = np.zeros(s.size)
-    for i in range(0, s.size, _ONEBIT_PAIRS):
-        k = slice(i, i + _ONEBIT_PAIRS)
-        _, _, f2 = _onebit_overlaps(a[k], s[k], rule, tol)
-        # the QPSK input alphabet caps the rate at 2 bits; trim float residue
-        rates[k] = np.clip((f2 - _tail_term(a[k], s[k], 1.0, rule)) / LN2, 0.0, 2.0)
+    _, _, f2 = _onebit_overlaps(a, s, rule, tol)
+    # the QPSK input alphabet caps the rate at 2 bits; trim float residue
+    rates = _by_pairs(lambda a, s, f2: np.clip((f2 - _tail_term(a, s, 1.0, rule)) / LN2, 0.0, 2.0),
+                      a, s, f2)
     return np.where(s == 0.0, 0.0, rates)
 
 

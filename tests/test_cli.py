@@ -3,17 +3,31 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from onebit_bounds import replica
 from onebit_bounds.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestBound:
@@ -317,10 +331,7 @@ class TestFlagGroups:
             assert f"error: unrecognized arguments: {flag} " in capsys.readouterr().err
 
     def test_benchmark_jobs_parse(self):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = load_perfbench("workloads")
         parser = build_parser()
         for jobs, _ in workloads.WORKLOADS.values():
             for small in (False, True):
@@ -368,6 +379,15 @@ class TestConfigFile:
                                     "--mc-samples", "3000", "--seed", "4"], capsys)
         assert from_file == from_flags
 
+    @pytest.mark.parametrize("key, value", [("tx", "one-bit"), ("format", "xml")])
+    def test_config_value_outside_choices_rejected(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(["bound", "--config", str(cfg), "--alpha", "4", "--beta", "8",
+                                  "--rho", "10"], capsys)
+        assert code == 1 and out == ""
+        assert key in err and repr(value) in err
+
     def test_rho_and_rho_db_conflict(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"rho": 1.0, "rho_db": 0.0}))
@@ -376,10 +396,33 @@ class TestConfigFile:
         assert code == 1
 
 
+class TestStartup:
+    def test_import_skips_scipy_optimize(self):
+        # only --refine uses scipy.optimize, so no other command pays its import
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        probe = "import sys, onebit_bounds.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "False"
+
+    def test_benchmark_tracer_finds_its_names(self):
+        # perfbench/tracing.py wraps package functions by name: a renamed or
+        # removed one fails here, not only in a traced benchmark run
+        tracing = load_perfbench("tracing")
+        before = replica.solve_qx_onebit
+        with tracing.Tracer().installed():
+            assert replica.solve_qx_onebit is not before
+        assert replica.solve_qx_onebit is before
+
+
 class TestGoldenBytes:
     """sha256 of outputs as earlier releases printed them: the replica rows
     from the per-point bisection solver, the exact rows from the likelihood
-    table the d-pipeline coded for itself.  Both must stay byte for byte."""
+    table the d-pipeline coded for itself.  Both must stay byte for byte.
+    The one-bit rows with a refined beta_t_opt are from the bracketed
+    one-bit data solve, whose more accurate q_x moves that optimum by
+    about 1e-9 relative, far inside the refinement's own tolerance."""
 
     @pytest.mark.parametrize("args, digest", [
         ("compare --alpha 2 --beta 5",
@@ -387,11 +430,11 @@ class TestGoldenBytes:
         ("figure --which 3 --beta 8",
          "cdd3566d17e6906f7d92f0b10f4b8995034fadc95c1a6e38447943767b0e42ec"),
         ("bound --alpha 4 --beta 8 --rho 10 --tx onebit --refine",
-         "f2d8f70471a7202cb87f65abde2bfffe5a677176edea70784f527908995fa14a"),
+         "d31220efef9aac71d211395f1abb455661d6e0a07b8f947b8b50c8689fbba5c0"),
         ("figure --which 2 --beta 4 --rho-db 0 --grid-step 0.05",
-         "af33a9b503ca776558de6e78fdb855f4cbeb843550987c84d82a2d488e491241"),
+         "32163d56b387a244d7d7a40cb9d38792153d043323280fb6bb76f5b5449b1a7e"),
         ("bound --alpha 256 --beta 8 --rho-db 0 --tx onebit --refine",
-         "73619cfa1ece53b172291536c86211488dce45538efd4e829ab45c9ef5ec3238"),
+         "d949c7f9028cde4c4488e3be62325e0b2ea7198304e91c9ee28758201c835cd5"),
         ("exact --m 1 --n 1 --t 3 --rho 10",
          "066627ee8146aef8544a3416e345123507b294b2c20cd96b8bf23cef03210a6b"),
         ("exact --m 2 --n 2 --t 2 --rho 10 --mc-samples 2000 --seed 0",

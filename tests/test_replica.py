@@ -96,28 +96,39 @@ def o_bisect(coef, snr, a, b, nodes, weights, width):
     return 0.5 * (a + b)
 
 
-def o_damped(alpha, snr, rule, tol=1e-10, max_iter=10_000):
-    """The damped one-bit alternation coded as a scalar loop, one start at a
-    time, with the package rule's arithmetic so that it must agree to the
-    bit: ``(q, q_hat, converged, last step)`` for the starts 0.01, 0.5, 0.99."""
-    out = []
-    for q in (0.01, 0.5, 0.99):
-        q_hat, step, converged = 0.0, math.inf, False
-        for _ in range(max_iter):
-            q_hat = o_rhs(q, alpha, snr, rule.nodes, rule.weights)
-            if q_hat < 1e-8:
-                moment = 1.0 + q_hat - 3.0 * q_hat * q_hat
-            else:
-                r = math.sqrt(q_hat)
-                moment = float(rule.weights @ (np.tanh(r * rule.nodes + q_hat)
-                                               * (2.0 + rule.nodes / r)))
-            step = moment - 1.0 - q
-            if abs(step) <= tol:
-                converged = True
-                break
-            q = min(max(q + 0.5 * step, 0.0), 1.0)
-        out.append((q, q_hat, converged, step))
-    return out
+def o_onebit_g(q, alpha, snr, rule):
+    """The one-bit data-phase residual g(q) = moment(q_hat(q)) - 1 - q,
+    coded as a scalar at the package rule's nodes, with the series
+    1 + q_hat - 3 q_hat^2 below q_hat = 1e-8."""
+    q_hat = o_rhs(q, alpha, snr, rule.nodes, rule.weights)
+    if q_hat < 1e-8:
+        moment = 1.0 + q_hat - 3.0 * q_hat * q_hat
+    else:
+        r = math.sqrt(q_hat)
+        moment = float(rule.weights @ (np.tanh(r * rule.nodes + q_hat) * (2.0 + rule.nodes / r)))
+    return moment - 1.0 - q
+
+
+def o_onebit_roots(alpha, snr, rule, n_grid=400):
+    """Every root in [0, 1] of :func:`o_onebit_g`: a scan at 0 and at
+    log-spaced points up to 1, then bisection of each sign change down to
+    adjacent floats."""
+    grid = np.concatenate([[0.0], np.geomspace(1e-14, 1.0, n_grid)]).tolist()
+    vals = [o_onebit_g(q, alpha, snr, rule) for q in grid]
+    roots = [q for q, v in zip(grid, vals) if v == 0.0]
+    for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
+        if fa * fb < 0.0:
+            while a < 0.5 * (a + b) < b:
+                m = 0.5 * (a + b)
+                fm = o_onebit_g(m, alpha, snr, rule)
+                if fm == 0.0:
+                    a = b = m
+                elif (fm > 0.0) == (fa > 0.0):
+                    a, fa = m, fm
+                else:
+                    b = m
+            roots.append(a)
+    return sorted(roots)
 
 
 def o_f1(q, coef, snr, nodes, weights):
@@ -361,38 +372,36 @@ class TestSolveQxOnebit:
             q_hat = o_rhs(d.q_x, alpha, s)
             assert q_hat == pytest.approx(d.q_x_hat, rel=1e-6)
 
-    def test_non_convergence_reports_every_start(self, monkeypatch):
-        monkeypatch.setattr(replica, "_MAX_ITER", 1)
-        with pytest.raises(SolverError) as exc:
-            solve_qx_onebit(10.0, 4.0, RULE)
-        residuals = exc.value.diagnostics["last_step_by_start"]
-        assert set(residuals) == {0.01, 0.5, 0.99}
-        assert all(abs(r) > 0 for r in residuals.values())
-
 
 ONEBIT_ALPHAS = (0.5, 1.0, 8.0, 256.0)
 ONEBIT_SNRS = (1e-9, 1e-4, 0.05, 1.0, 10.0, 1e3)
 
 
 class TestOnebitBatch:
-    """The lockstep one-bit data solve against the scalar damped loop."""
+    """The batched one-bit data solve against a scalar bisection oracle."""
 
-    def test_rows_match_scalar_loop_bit_for_bit(self):
+    def test_roots_match_bisection_oracle(self):
         alpha = np.repeat(ONEBIT_ALPHAS, len(ONEBIT_SNRS))
         snr = np.tile(ONEBIT_SNRS, len(ONEBIT_ALPHAS))
-        q, q_hat, converged, step = replica._alternate(alpha, snr, RULE, 1e-10)
-        series = 0
+        q, _, _ = replica._onebit_overlaps(alpha, snr, RULE, 1e-10)
         for i, (a, s) in enumerate(zip(alpha, snr)):
-            for j, (oq, oqh, ok, ostep) in enumerate(o_damped(a, s, RULE)):
-                where = f"alpha={a}, snr={s}, start {j}"
-                assert converged[i, j] == ok, where
-                if ok:
-                    assert (q[i, j], q_hat[i, j]) == (oq, oqh), where
-                    series += oqh < 1e-8
-                else:
-                    assert step[i, j] == ostep, where
-        assert series > 0  # the q_hat < 1e-8 branch was taken
-        assert not converged.all()  # snr 1e3 at alpha 8 and 256 does not converge
+            roots = o_onebit_roots(a, s, RULE)
+            assert len(roots) == 1, f"alpha={a}, snr={s}"
+            assert q[i] == pytest.approx(roots[0], rel=1e-12, abs=0.0), f"alpha={a}, snr={s}"
+
+    def test_saturated_pairs_give_unit_overlap(self):
+        alpha = np.array([64.0, 64.0, 256.0, 256.0, 64.0])
+        snr = np.array([10.0, 100.0, 1.0, 10.0, 1.0])
+        q, _, _ = replica._onebit_overlaps(alpha, snr, RULE, 1e-10)
+        assert q[:4].tolist() == [1.0] * 4
+        assert all(o_onebit_roots(a, s, RULE) == [1.0] for a, s in zip(alpha[:4], snr[:4]))
+        assert 0.0 < q[4] < 1.0  # alpha 64 at snr 1 is short of saturation
+
+    def test_moment_rounded_above_two_still_saturates(self):
+        # here the 128-node tanh moment at q = 1 sums to 2 + 4.4e-16, above
+        # its exact bound 2, which left g > 0 on all of [0, 1] and no bracket
+        d = solve_qx_onebit(5.284161765473836, 256.0, RULE)
+        assert d.q_x == 1.0
 
     def test_zero_snr_pairs_give_zero_overlap(self):
         alpha, snr = np.array([1.0, 4.0, 2.0, 8.0]), np.array([0.0, 1.0, 0.0, 10.0])
@@ -418,12 +427,31 @@ class TestOnebitBatch:
         assert rates.tolist() == [reff_onebit(SystemParams(a, 8.0, 10.0, "onebit"), ov, RULE)
                                   for a in alphas for ov in overlaps]
 
-    def test_failing_point_is_named(self, monkeypatch):
-        monkeypatch.setattr(replica, "_ONEBIT_PAIRS", 2)  # the failing point in chunk 2
-        with pytest.raises(SolverError, match=r"snr_eff=1000, alpha=8\b") as exc:
-            onebit_rates([1.0, 4.0, 8.0], [1.0, 10.0, 1e3], RULE)
-        expected = {q0: row[3] for q0, row in zip((0.01, 0.5, 0.99), o_damped(8.0, 1e3, RULE))}
-        assert exc.value.diagnostics["last_step_by_start"] == expected
+    @pytest.fixture
+    def unrefined(self, monkeypatch):
+        """The SolverError of a batch whose brackets stay as the scan left
+        them; the saturated pairs' roots are scan samples and pass."""
+        monkeypatch.setattr(replica, "_MAX_STEPS", 0)
+        monkeypatch.setattr(replica, "_ONEBIT_PAIRS", 2)  # the failing pair in chunk 2
+        with pytest.raises(SolverError) as exc:
+            onebit_rates([256.0, 256.0, 8.0], [1.0, 10.0, 1e3], RULE)
+        return exc.value
+
+    def test_failing_point_is_named(self, unrefined):
+        assert "(snr_eff=1000, alpha=8)" in str(unrefined)
+
+    def test_error_carries_the_scan_bracket(self, unrefined):
+        (lo, hi), = unrefined.brackets
+        j = replica._ONEBIT_Q.tolist().index(lo)
+        assert replica._ONEBIT_Q[j + 1] == hi
+        assert o_onebit_g(lo, 8.0, 1e3, RULE) > 0.0 > o_onebit_g(hi, 8.0, 1e3, RULE)
+
+    def test_error_carries_the_roots(self, unrefined):
+        (lo, hi), = unrefined.brackets
+        assert unrefined.diagnostics["roots"] == [0.5 * (lo + hi)]
+        residual = unrefined.diagnostics["residual"]
+        assert residual > 1e-10
+        assert residual == pytest.approx(abs(o_onebit_g(0.5 * (lo + hi), 8.0, 1e3, RULE)), rel=1e-9)
 
 
 class TestF2:
