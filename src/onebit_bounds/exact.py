@@ -35,6 +35,12 @@ integration the two pipelines draw independent channel samples.
 
 Both pipelines make one array pass per training matrix (or symmetry class)
 over all training outputs Y_t, summing in the order of a loop over Y_t.
+``mi_direct`` visits the training matrices in ``itertools.product`` order
+and forms each training prefix's likelihood product once, extending it by
+one symbol for every matrix that shares the prefix.  Each product multiplies
+its factors in the same order as a from-scratch product, and the node
+contraction is one matrix product per training matrix, so the rate has the
+bits of a per-matrix computation.
 """
 from __future__ import annotations
 
@@ -138,8 +144,8 @@ class SmallSystem:
             raise ValueError(f"n must be 1 or 2, got {self.n}")
         if not 1 <= self.t_total <= 5:
             raise ValueError(f"t_total must lie in 1..5, got {self.t_total}")
-        if not self.rho >= 0.0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
         if self.integration.kind == "quadrature" and self.integration.order ** (2 * self.m) > 5_000_000:
             raise ValueError(
                 f"tensor quadrature with order {self.integration.order} over {2 * self.m} "
@@ -443,32 +449,15 @@ def mi_direct(t_t: int, sys_: SmallSystem) -> float:
     cross-check.
     """
     check_budget(sys_, t_t)
-    h, logw = _channel_nodes(sys_, t_t, stream=1)
-    w = np.exp(logw)
-    x_cols = _input_vectors(sys_.m)
-    n_inputs = x_cols.shape[0]
-    z = math.sqrt(sys_.rho / sys_.m) * (h @ x_cols.T)   # (nodes, C)
-
-    a = math.sqrt(2.0 / _SIGMA_SQ)
-    qr_p = q_function(-a * z.real)
-    qi_p = q_function(-a * z.imag)
-    qr_m = 1.0 - qr_p
-    qi_m = 1.0 - qi_p
-    # g[c, y, k]: single-receiver output likelihood per node, linear domain
-    g = np.ascontiguousarray(
-        np.stack([qr_p * qi_p, qr_p * qi_m, qr_m * qi_p, qr_m * qi_m], axis=0).transpose(2, 0, 1)
-    )
-
-    strings = _strings(t_t)
-    s_count = strings.shape[0]
+    w, g = _direct_likelihoods(sys_, t_t)
+    n_inputs, _, n_nodes = g.shape
+    g_flat = g.reshape(n_inputs * 4, n_nodes)
+    s_count = 4 ** t_t
     n_out = s_count ** sys_.n
     nats = 0.0
-    for cols in itertools.product(range(n_inputs), repeat=t_t):
-        gg = np.tile(w, (s_count, 1))
-        for p, c in enumerate(cols):
-            gg *= g[c, strings[:, p], :]
+    for gg in _training_products(w[None, :], g, t_t):
         # pr[s, x, y] = E_h[ g_data(x, y) prod_p g_p(s_p) ] for one receiver
-        pr = np.einsum("sk,xyk->xsy", gg, g, optimize=True).transpose(1, 0, 2)
+        pr = (gg @ g_flat.T).reshape(s_count, n_inputs, 4)
         if sys_.n == 2:  # pr[s1, s2, x, 4 y1 + y2] = pr[s1, x, y1] pr[s2, x, y2]
             pr = np.repeat(pr, 4, axis=2)[:, None] * np.tile(pr, 4)[None, :]
         # joint[b, x, y_d] = p(x, y_d, Y_t | X_t), one row per Y_t
@@ -481,6 +470,34 @@ def mi_direct(t_t: int, sys_: SmallSystem) -> float:
         raise FloatingPointError(f"mi_direct: information sum is not finite: {nats}")
     nats /= 4 ** (sys_.m * t_t)
     return max(0.0, nats / (sys_.m * LN2))
+
+
+def _direct_likelihoods(sys_: SmallSystem, t_t: int):
+    """mi_direct's node weights w (count,) and single-receiver output
+    likelihoods g[c, y, k] per node, linear domain, on Monte Carlo stream 1."""
+    h, logw = _channel_nodes(sys_, t_t, stream=1)
+    z = math.sqrt(sys_.rho / sys_.m) * (h @ _input_vectors(sys_.m).T)   # (nodes, C)
+    a = math.sqrt(2.0 / _SIGMA_SQ)
+    qr_p = q_function(-a * z.real)
+    qi_p = q_function(-a * z.imag)
+    qr_m = 1.0 - qr_p
+    qi_m = 1.0 - qi_p
+    g = np.stack([qr_p * qi_p, qr_p * qi_m, qr_m * qi_p, qr_m * qi_m], axis=0).transpose(2, 0, 1)
+    return np.exp(logw), np.ascontiguousarray(g)
+
+
+def _training_products(prefix: np.ndarray, g: np.ndarray, depth: int):
+    """Yield gg[(r, s), k] = prefix[r, k] prod_p g[c_p, s_p, k] for every
+    training matrix (c_1, ..., c_depth) in itertools.product order, with r
+    and then the first symbol slowest.  Each prefix product is formed once
+    and shared by every matrix that extends it; the factors multiply in the
+    same order as a from-scratch product, so the bits are the same."""
+    if depth == 0:
+        yield prefix
+        return
+    for g_c in g:
+        yield from _training_products((prefix[:, None, :] * g_c[None]).reshape(-1, prefix.shape[1]),
+                                      g, depth - 1)
 
 
 def _joint_mi_nats(joint: np.ndarray) -> np.ndarray:

@@ -512,20 +512,22 @@ def solve_qx_linear(snr_eff: float, alpha: float, rule: Optional[QuadratureRule]
 
 
 def _tanh_moment(q_hat, rule: QuadratureRule):
-    """E_u[ tanh(sqrt(q_hat) u + q_hat) (2 + u / sqrt(q_hat)) ] for each q_hat.
+    """E_u[ tanh(sqrt(q_hat) u + q_hat) (2 + u / sqrt(q_hat)) ] - 1 for each q_hat.
 
-    Below q_hat = 1e-8 the 0 * inf ambiguity is removed by the series
-    1 + q_hat - 3 q_hat^2 + O(q_hat^3).  The moment equals
-    1 + E_u[ tanh(sqrt(q_hat) u + q_hat) ] < 2, so a sum that rounds above
-    2 near saturation is capped there: g(1) <= 0 then holds in floats too.
+    The moment equals 1 + E_u[ tanh(sqrt(q_hat) u + q_hat) ], in [1, 2), so
+    subtracting 1 from its quadrature value is exact (Sterbenz).  Below
+    q_hat = 1e-8 the 0 * inf ambiguity is removed by the series
+    q_hat - 3 q_hat^2 + O(q_hat^3), taken directly so that q_x keeps its
+    relative accuracy.  A sum that rounds above 1 near saturation is capped
+    there: g(1) <= 0 then holds in floats too.
     """
     small = q_hat < 1e-8
     s = np.sqrt(np.maximum(q_hat, 1e-8))[..., None]  # small entries take the series
     u = rule.nodes
-    moment = _expect(np.tanh(s * u + q_hat[..., None]) * (2.0 + u / s), rule)
+    m = _expect(np.tanh(s * u + q_hat[..., None]) * (2.0 + u / s), rule) - 1.0
     if np.count_nonzero(small):
-        moment = np.where(small, 1.0 + q_hat - 3.0 * q_hat * q_hat, moment)
-    return np.minimum(moment, 2.0)
+        m = np.where(small, q_hat - 3.0 * q_hat * q_hat, m)
+    return np.minimum(m, 1.0)
 
 
 def _by_pairs(fn, *arrays):
@@ -536,9 +538,10 @@ def _by_pairs(fn, *arrays):
 
 
 def _onebit_residual(q, alpha, snr, rule: QuadratureRule):
-    # (q_hat, g): q_hat = rhs(q) and g(q) = tanh_moment(q_hat) - 1 - q
+    # (q_hat, g): q_hat = rhs(q) and g(q) = tanh_moment(q_hat) - 1 - q, the
+    # "- 1" already taken inside _tanh_moment
     q_hat = _gaussian_rhs(q, alpha, snr, rule)
-    return np.array([q_hat, _tanh_moment(q_hat, rule) - 1.0 - q])
+    return np.array([q_hat, _tanh_moment(q_hat, rule) - q])
 
 
 def _onebit_overlaps(alpha, snr, rule: QuadratureRule, tol: float):
@@ -552,7 +555,7 @@ def _onebit_overlaps(alpha, snr, rule: QuadratureRule, tol: float):
     """
     qs = _ONEBIT_Q
     res, owner, j_lo, j_hi = _scan(alpha, snr, qs, lambda q, q_hat: _tanh_moment(q_hat, rule)
-                                   - 1.0 - q, rule, _SCAN_ROWS)
+                                   - q, rule, _SCAN_ROWS)
     a, s = alpha[owner], snr[owner]
     lo, hi = _illinois(qs[j_lo], qs[j_hi], res[owner, j_lo], res[owner, j_hi],
                        lambda x, k: _by_pairs(lambda *v: _onebit_residual(*v, rule)[1],

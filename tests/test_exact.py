@@ -29,6 +29,7 @@ from onebit_bounds.exact import (
     _strings,
     _Tables,
     _training_classes,
+    _training_products,
 )
 from onebit_bounds.numerics import q_function
 
@@ -299,10 +300,27 @@ class TestBatchedPipelines:
         (SmallSystem(2, 1, 3, 10 ** 2.5, ChannelIntegration.quadrature(8)), 2),
         (SmallSystem(2, 2, 2, 10.0, ChannelIntegration.monte_carlo(2_000, seed=7)), 1),
         (SmallSystem(2, 2, 3, 10 ** 2.5, ChannelIntegration.monte_carlo(20_000, seed=0)), 1),
-    ], ids=["m1n1-t1", "m1n1-t3", "m1n2-t2", "m2n1-25dB-t2", "m2n2-mc-t1", "m2n2-mc-25dB-t1"])
+        (SmallSystem(2, 2, 3, 10.0, ChannelIntegration.monte_carlo(500, seed=5)), 2),
+        (SmallSystem(2, 2, 2, 10 ** 2.5, ChannelIntegration.quadrature(6)), 1),
+    ], ids=["m1n1-t1", "m1n1-t3", "m1n2-t2", "m2n1-25dB-t2", "m2n2-mc-t1", "m2n2-mc-25dB-t1",
+            "m2n2-mc-t2", "m2n2-o6-25dB-t1"])
     def test_rates_equal_the_per_output_loop(self, s, t_t):
         assert reff_exact(t_t, s) == loop_reff_exact(t_t, s)
         assert mi_direct(t_t, s) == loop_mi_direct(t_t, s)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("t_t", [0, 1, 2, 3])
+    def test_training_products_equal_the_per_matrix_gather(self, m, t_t):
+        rng = np.random.default_rng(11)
+        w, g = rng.random(5), rng.random((4 ** m, 4, 5))
+        strings = _strings(t_t)
+        products = _training_products(w[None, :], g, t_t)
+        for cols in itertools.product(range(4 ** m), repeat=t_t):
+            gg = np.tile(w, (len(strings), 1))
+            for p, c in enumerate(cols):
+                gg *= g[c, strings[:, p], :]
+            assert np.array_equal(next(products), gg)
+        assert next(products, None) is None
 
 
 class TestCBoundExact:
@@ -359,6 +377,11 @@ class TestValidationAndBudget:
             SmallSystem(3, 1, 3, 1.0)
         with pytest.raises(ValueError):
             SmallSystem(1, 3, 3, 1.0)
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, -1.0])
+    def test_snr_must_be_finite_and_nonnegative(self, rho):
+        with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+            SmallSystem(1, 1, 2, rho)
 
     def test_block_length_capped(self):
         with pytest.raises(ValueError):

@@ -99,14 +99,15 @@ def o_bisect(coef, snr, a, b, nodes, weights, width):
 def o_onebit_g(q, alpha, snr, rule):
     """The one-bit data-phase residual g(q) = moment(q_hat(q)) - 1 - q,
     coded as a scalar at the package rule's nodes, with the series
-    1 + q_hat - 3 q_hat^2 below q_hat = 1e-8."""
+    q_hat - 3 q_hat^2 for moment - 1 below q_hat = 1e-8 (taken directly:
+    1 + series - 1 would keep q only to ~1e-16 absolute)."""
     q_hat = o_rhs(q, alpha, snr, rule.nodes, rule.weights)
     if q_hat < 1e-8:
-        moment = 1.0 + q_hat - 3.0 * q_hat * q_hat
+        m = q_hat - 3.0 * q_hat * q_hat
     else:
         r = math.sqrt(q_hat)
-        moment = float(rule.weights @ (np.tanh(r * rule.nodes + q_hat) * (2.0 + rule.nodes / r)))
-    return moment - 1.0 - q
+        m = float(rule.weights @ (np.tanh(r * rule.nodes + q_hat) * (2.0 + rule.nodes / r))) - 1.0
+    return m - q
 
 
 def o_onebit_roots(alpha, snr, rule, n_grid=400):
@@ -365,6 +366,15 @@ class TestSolveQxOnebit:
         d = solve_qx_onebit(s, alpha, RULE)
         assert d.q_x == pytest.approx(0.5 * (a + b), abs=1e-6)
         assert 0.0 <= d.q_x <= 1.0
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-10, 1e-12])
+    def test_series_branch_keeps_relative_accuracy(self, s):
+        # below q_hat = 1e-8 the root of the series q_hat - 3 q_hat^2 - q is
+        # exact to rounding; forming 1 + series and subtracting 1 again
+        # left q_x 1.5e-7 relative off at snr_eff = 1e-9
+        d = solve_qx_onebit(s, 1.0, RULE)
+        assert d.q_x_hat < 1e-8
+        assert d.q_x == pytest.approx(d.q_x_hat - 3.0 * d.q_x_hat ** 2, rel=1e-12, abs=0.0)
 
     def test_residuals_below_tolerance(self):
         for s, alpha in ((0.05, 0.5), (1.0, 1.0), (10.0, 4.0)):
