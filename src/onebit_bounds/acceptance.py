@@ -203,7 +203,7 @@ def criterion_7() -> CriterionResult:
 
 
 def criterion_8() -> CriterionResult:
-    """The enumeration pipeline and the direct joint-law pipeline agree:
+    """The enumeration pipeline and the receiver-factored direct pipeline agree:
     deterministically under quadrature, statistically under Monte Carlo."""
 
     def body():

@@ -27,20 +27,16 @@ transmitter relabeling, or training-symbol reordering give identical rate
 contributions (the channel law absorbs the transformation), so the average
 over X_t runs over canonical representatives with multiplicities.
 
-``mi_direct`` recomputes the same conditional mutual information from the
-fully enumerated joint law with linear-domain probabilities, generic entropy
-sums, and no symmetry reduction.  It shares no intermediate tables with the
-d-pipeline and serves as its cross-check oracle; under Monte Carlo
-integration the two pipelines draw independent channel samples.
-
-Both pipelines make one array pass per training matrix (or symmetry class)
-over all training outputs Y_t, summing in the order of a loop over Y_t.
-``mi_direct`` visits the training matrices in ``itertools.product`` order
-and forms each training prefix's likelihood product once, extending it by
-one symbol for every matrix that shares the prefix.  Each product multiplies
-its factors in the same order as a from-scratch product, and the node
-contraction is one matrix product per training matrix, so the rate has the
-bits of a per-matrix computation.
+``mi_direct`` recomputes the same conditional mutual information in the
+linear domain, with no symmetry reduction, no tables shared with the
+d-pipeline and, under Monte Carlo, independent channel samples, so it
+cross-checks the d-pipeline.  It also differs in method: the d-pipeline sums
+the full joint law of (x, y_d, Y_t) per training outcome in a loop-order
+pass per symmetry class; ``mi_direct`` factors the information over the
+receivers, independent given the training matrix, and never forms that law.
+It forms each training prefix's likelihood product once, shared by every matrix
+that extends it, contracts it over the channel nodes with one matrix
+product per training matrix, and adds the matrices' terms with ``math.fsum``.
 """
 from __future__ import annotations
 
@@ -441,35 +437,64 @@ def mi_direct(t_t: int, sys_: SmallSystem) -> float:
     """Conditional mutual information between one data vector and its output
     given the training block, per transmitter, in bits.
 
-    Recomputed from first principles: the joint law of (data input, data
-    output, training outputs) is enumerated per training matrix in linear
-    probability space and fed through generic entropy sums.  No symmetry
-    reduction, no shared tables with the d-pipeline, and an independent
-    Monte Carlo stream, so agreement between the two pipelines is a real
-    cross-check.
+    Recomputed from first principles in the linear domain on its own Monte
+    Carlo stream, one training matrix at a time and factored over the
+    receivers (:func:`_information`); the d-pipeline sums the full joint law.
     """
     check_budget(sys_, t_t)
     w, g = _direct_likelihoods(sys_, t_t)
-    n_inputs, _, n_nodes = g.shape
-    g_flat = g.reshape(n_inputs * 4, n_nodes)
-    s_count = 4 ** t_t
-    n_out = s_count ** sys_.n
-    nats = 0.0
-    for gg in _training_products(w[None, :], g, t_t):
-        # pr[s, x, y] = E_h[ g_data(x, y) prod_p g_p(s_p) ] for one receiver
-        pr = (gg @ g_flat.T).reshape(s_count, n_inputs, 4)
-        if sys_.n == 2:  # pr[s1, s2, x, 4 y1 + y2] = pr[s1, x, y1] pr[s2, x, y2]
-            pr = np.repeat(pr, 4, axis=2)[:, None] * np.tile(pr, 4)[None, :]
-        # joint[b, x, y_d] = p(x, y_d, Y_t | X_t), one row per Y_t
-        joint = np.ascontiguousarray(pr).reshape(n_out, n_inputs, -1)
-        joint /= n_inputs
-        rows = _joint_mi_nats(joint)
-        # a running sum adds the outputs one by one, in enumeration order
-        nats = float(np.cumsum(np.concatenate(([nats], rows)))[-1])
+    g_flat = g.reshape(-1, g.shape[2]).T
+    # pr[s, x, y] = E_h[ g_data(x, y) prod_p g_p(s_p) ] for one receiver
+    nats = math.fsum(_information((gg @ g_flat).reshape(4 ** t_t, len(g), 4), sys_.n)
+                     for gg in _training_products(w[None, :], g, t_t)) / len(g)
     if not math.isfinite(nats):
         raise FloatingPointError(f"mi_direct: information sum is not finite: {nats}")
     nats /= 4 ** (sys_.m * t_t)
     return max(0.0, nats / (sys_.m * LN2))
+
+
+def _information(pr: np.ndarray, n: int) -> float:
+    """C I(x; y_d | Y_t) in nats for one training matrix X_t, n receivers and
+    C inputs x, from one receiver's law pr[s, x, y] = p(s, y | x, X_t) of its
+    training string s and data output y.
+
+    The receivers are independent given X_t, so this is n times one
+    receiver's I(x; y | s), weighted by the other's total law, less
+    I(y_1; y_2 | Y_t) for n = 2.  Both are divergences from the law
+    pr0 = p(s | x) p(y | s) in which y is independent of x given s:
+
+        n sum_x (sum_s v[s, x])^(n - 1) sum_{s, y} pr ln(pr / pr0)
+            - sum P ln(P / P0),   v = sum_y pr,
+
+    with P[(s1, y1), (s2, y2)] = sum_x pr[s1, x, y1] pr[s2, x, y2], one
+    matrix product, and P0 the same over pr0.  Both terms are small; no
+    entropies cancel.
+    """
+    v = pr.sum(axis=2)
+    a, b = v.sum(axis=1)[:, None], pr.sum(axis=1)
+    pr0 = v[:, :, None] * np.divide(b, a, out=np.zeros_like(b), where=a > 0.0)[:, None, :]
+    info = n * float(v.sum(axis=0) ** (n - 1) @ _kl_terms(pr, pr0).sum(axis=(0, 2)))
+    if n == 2:
+        info -= float(_kl_terms(_pair_law(pr), _pair_law(pr0)).sum())
+    return info
+
+
+def _pair_law(t: np.ndarray) -> np.ndarray:
+    """sum_x t[s1, x, y1] t[s2, x, y2], rows (s1, y1) and columns (s2, y2)."""
+    c = t.shape[1]
+    return t.transpose(0, 2, 1).reshape(-1, c) @ t.transpose(1, 0, 2).reshape(c, -1)
+
+
+def _kl_terms(p: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """p ln(p / p0) - p + p0 elementwise, 0 ln 0 = 0, NaN kept.  p and p0 have
+    equal totals; p0 - p cancels the rounding of p0's sums to first order."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = p / p0
+        np.log(out, out=out)
+        out *= p
+    out[p == 0.0] = 0.0
+    out += p0 - p
+    return out
 
 
 def _direct_likelihoods(sys_: SmallSystem, t_t: int):
@@ -498,28 +523,3 @@ def _training_products(prefix: np.ndarray, g: np.ndarray, depth: int):
     for g_c in g:
         yield from _training_products((prefix[:, None, :] * g_c[None]).reshape(-1, prefix.shape[1]),
                                       g, depth - 1)
-
-
-def _joint_mi_nats(joint: np.ndarray) -> np.ndarray:
-    """sum_{x, y} joint ln(joint p_yt / (px py)) over the nonzero entries of
-    each row of a contiguous batch joint[b, x, y] = p(x, y_d, Y_t = b | X_t),
-    with p_yt, px and py its row, x and y marginals."""
-    flat = joint.reshape(len(joint), -1)
-    p_yt = flat.sum(axis=1)
-    px = joint.sum(axis=2)
-    py = joint.sum(axis=1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_ratio = flat * p_yt[:, None]
-        log_ratio /= (px[:, :, None] * py[:, None, :]).reshape(flat.shape)
-        np.log(log_ratio, out=log_ratio)
-        # (1, K) @ (K, 1) per row is the 1-D dot product, bit for bit
-        out = np.matmul(flat[:, None, :], log_ratio[:, :, None])[:, 0, 0]
-        # a row is not finite where joint has a zero or a product under- or
-        # overflowed: sum its nonzero entries only, with the log taken as a
-        # sum of logs where needed (finite, since px and py are >= joint)
-        for b in np.flatnonzero(~np.isfinite(out)):
-            row, keep = log_ratio[b], flat[b] > 0.0
-            by_parts = np.log(joint[b]) + np.log(p_yt[b]) - np.log(px[b])[:, None] - np.log(py[b])
-            np.copyto(row, by_parts.reshape(-1), where=~np.isfinite(row))
-            out[b] = flat[b, keep] @ row[keep]
-    return out

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,7 +213,14 @@ class TestD4AndRates:
         assert abs(direct - reff_exact(2, s)) < 0.02
 
     def test_non_finite_information_sum_raises(self, monkeypatch):
-        monkeypatch.setattr(exact, "_joint_mi_nats", lambda joint: np.full(len(joint), np.nan))
+        direct_likelihoods = exact._direct_likelihoods
+
+        def with_nan(sys_, t_t):
+            w, g = direct_likelihoods(sys_, t_t)
+            g[0, 0, 0] = np.nan
+            return w, g
+
+        monkeypatch.setattr(exact, "_direct_likelihoods", with_nan)
         with pytest.raises(FloatingPointError):
             mi_direct(1, sys11(t_total=2))
 
@@ -254,8 +262,9 @@ def loop_reff_exact(t_t, s):
 
 
 def loop_mi_direct(t_t, s):
-    """mi_direct with one Python iteration per (training matrix, Y_t): the
-    reference the batched direct pipeline must match bit for bit."""
+    """mi_direct with one Python iteration per (training matrix, Y_t), summing
+    the full joint law of (x, y_d, Y_t) in np.longdouble from the same
+    float64 likelihood tables: the oracle the direct pipeline must match."""
     h, logw = _channel_nodes(s, t_t, stream=1)
     w = np.exp(logw)
     x_cols = _input_vectors(s.m)
@@ -266,12 +275,12 @@ def loop_mi_direct(t_t, s):
     g = np.ascontiguousarray(
         np.stack([qr_p * qi_p, qr_p * qi_m, qr_m * qi_p, qr_m * qi_m], axis=0).transpose(2, 0, 1))
     strings = _strings(t_t)
-    nats = 0.0
+    nats = np.longdouble(0.0)
     for cols in itertools.product(range(n_inputs), repeat=t_t):
         gg = np.tile(w, (len(strings), 1))
         for p, c in enumerate(cols):
             gg *= g[c, strings[:, p], :]
-        pr = np.einsum("sk,xyk->xsy", gg, g, optimize=True)
+        pr = np.einsum("sk,xyk->xsy", gg, g, optimize=True).astype(np.longdouble)
         for yt in itertools.product(range(len(strings)), repeat=s.n):
             if s.n == 1:
                 cond = pr[:, yt[0], :]
@@ -284,15 +293,15 @@ def loop_mi_direct(t_t, s):
             px, py = joint.sum(axis=1), joint.sum(axis=0)
             mask = joint > 0.0
             ratio = joint[mask] * p_yt / np.outer(px, py)[mask]
-            nats += float(joint[mask] @ np.log(ratio))
+            nats += joint[mask] @ np.log(ratio)
     nats /= 4 ** (s.m * t_t)
-    return max(0.0, nats / (s.m * math.log(2.0)))
+    return max(np.longdouble(0.0), nats / (s.m * np.log(np.longdouble(2.0))))
 
 
 class TestBatchedPipelines:
     # M=2, N=1 at 25 dB with order 8 has training outputs with zeros in the
-    # joint law, which the direct pipeline sums over the nonzero entries; the
-    # last case changes its last bit if p(Y_t) is taken with np.exp
+    # joint law, which both pipelines sum as 0 ln 0 = 0; the last case changes
+    # reff_exact's last bit if p(Y_t) is taken with np.exp
     @pytest.mark.parametrize("s, t_t", [
         (SmallSystem(1, 1, 4, 10.0, QUAD24), 1),
         (SmallSystem(1, 1, 4, 10.0, QUAD24), 3),
@@ -306,7 +315,21 @@ class TestBatchedPipelines:
             "m2n2-mc-t2", "m2n2-o6-25dB-t1"])
     def test_rates_equal_the_per_output_loop(self, s, t_t):
         assert reff_exact(t_t, s) == loop_reff_exact(t_t, s)
-        assert mi_direct(t_t, s) == loop_mi_direct(t_t, s)
+        assert abs(np.longdouble(mi_direct(t_t, s)) - loop_mi_direct(t_t, s)) <= 4e-15
+
+    def test_direct_pipeline_never_builds_the_joint_law(self):
+        # the law of (x, y_d, Y_t) at M=1, N=2, T_t=3 has 4^3 * 4^3 * 4 * 16
+        # entries, 4x the law of (y_d, Y_t); a pass over it peaked at 3.6
+        # times its size, the receiver factorization at 1.2
+        s = SmallSystem(1, 2, 4, 5.0, QUAD24)
+        mi_direct(3, s)  # fill the caches first
+        tracemalloc.start()
+        try:
+            mi_direct(3, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (4 ** 3 * 4 ** 3 * 4 * 16) * 8
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("t_t", [0, 1, 2, 3])

@@ -17,7 +17,7 @@ from onebit_bounds.optimizer import (
     sweep_onebit_alpha,
     training_grid,
 )
-from onebit_bounds.replica import SystemParams, reff_onebit, solve_qh
+from onebit_bounds.replica import SystemParams, onebit_rates, reff_onebit, solve_qh, solve_qh_grid
 
 RULE = gauss_hermite(128)
 
@@ -68,20 +68,14 @@ class TestOptimizeTraining:
         assert abs(fine.beta_t_opt - coarse.beta_t_opt) <= 0.1 + 1e-12
 
     def test_onebit_bound_against_fine_grid_oracle(self):
-        # exhaustive fine grid (step 0.001) sharing nothing with the coarse run
+        # exhaustive fine grid (step 0.001) as one batched solve, which
+        # TestBatchedSolve checks point by point against solve_qh and
+        # reff_onebit; the coarse run's step-0.1 grid is a separate batch
         params = SystemParams(8.0, 8.0, 10.0, "onebit")
         res, _ = replica_bound(params, 0.1, RULE)
-        cache = {}
-
-        def rate(bt):
-            ov = cache.get(bt)
-            if ov is None:
-                ov = solve_qh(10.0, bt, RULE)
-                cache[bt] = ov
-            return reff_onebit(params, ov, RULE)
-
         fine_grid = training_grid(8.0, 0.001)
-        objective = [(8.0 - bt) / 8.0 * rate(float(bt)) for bt in fine_grid]
+        snr_eff = [ov.snr_eff for ov in solve_qh_grid(10.0, fine_grid, RULE)]
+        objective = (8.0 - fine_grid) / 8.0 * onebit_rates(params.alpha, snr_eff, RULE)
         bt_fine = float(fine_grid[int(np.argmax(objective))])
         assert abs(res.beta_t_opt - bt_fine) <= 0.1 + 1e-9
 
