@@ -27,7 +27,6 @@ from .replica import (
     perfect_csi_overlap,
     reff_linear,
     reff_onebit,
-    single_pair_capacity,
     solve_qh,
     solve_qx_linear,
     solve_qx_onebit,
@@ -35,12 +34,10 @@ from .replica import (
 from .optimizer import (
     BoundResult,
     RateCurve,
-    bussgang_bound,
     compare_sweep,
     low_snr_asymptotics,
     optimize_training,
     replica_bound,
-    small_alpha_rate,
     sweep_onebit_alpha,
     training_grid,
 )

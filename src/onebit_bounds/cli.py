@@ -20,8 +20,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .exact import (
     ChannelIntegration,
@@ -37,7 +35,7 @@ from .optimizer import (
     replica_bound,
     sweep_onebit_alpha,
 )
-from .replica import SolverError, SystemParams, snr_from_db
+from .replica import TX_TYPES, SolverError, SystemParams, snr_from_db
 
 _FIGURE_ALPHAS = [float(2 ** k) for k in range(9)]
 _FIGURE1_BETAS = (5.0, 10.0, 20.0)
@@ -52,43 +50,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunConfig:
-    """Merged defaults < config file < command-line flags."""
-
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    rho: Optional[float] = None
-    rho_db: Optional[float] = None
-    tx: str = "linear"
-    grid_step: float = 0.1
-    quad_nodes: int = 128
-    tol: float = 1e-10
-    seed: int = 0
-    out: Optional[str] = None
-    format: str = "csv"
-    m: Optional[int] = None
-    n: Optional[int] = None
-    t: Optional[int] = None
-    mc_samples: Optional[int] = None
-    channel_order: int = 24
-
-    def resolved_rho(self) -> float:
-        if (self.rho is None) == (self.rho_db is None):
-            raise ValueError("exactly one of --rho / --rho-db must be provided")
-        if self.rho is None:
-            return snr_from_db(self.rho_db)
-        if not math.isfinite(self.rho):
-            raise ValueError(f"rho must be finite, got {self.rho}")
-        return float(self.rho)
-
-
-_CONFIG_FIELDS = {
-    "alpha": float, "beta": float, "rho": float, "rho_db": float, "tx": str,
-    "grid_step": float, "quad_nodes": int, "tol": float, "seed": int,
-    "out": str, "format": str, "m": int, "n": int, "t": int, "mc_samples": int,
-    "channel_order": int,
-}
+def _resolved_rho(cfg: argparse.Namespace) -> float:
+    if (cfg.rho is None) == (cfg.rho_db is None):
+        raise ValueError("exactly one of --rho / --rho-db must be provided")
+    if cfg.rho is None:
+        return snr_from_db(cfg.rho_db)
+    if not math.isfinite(cfg.rho):
+        raise ValueError(f"rho must be finite, got {cfg.rho}")
+    return float(cfg.rho)
 
 
 def _load_config_file(path: str) -> dict:
@@ -96,24 +65,32 @@ def _load_config_file(path: str) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(_CONFIG_FIELDS)
+    unknown = set(data) - (_FLAGS.keys() - {"config"})
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
-def _merge_config(args) -> RunConfig:
+def _merge_config(args) -> argparse.Namespace:
+    """Every entry of ``_FLAGS``: its flag, else the config file, else the
+    table default.  A file value goes through the flag's own type as text,
+    so it is read exactly as the typed flag would be."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg = RunConfig()
-    for name, cast in _CONFIG_FIELDS.items():
+    cfg = argparse.Namespace()
+    for name, spec in _FLAGS.items():
         value = getattr(args, name, None)
+        if value is None and file_cfg.get(name) is not None:
+            text = str(file_cfg[name])
+            try:
+                value = spec["type"](text)
+            except ValueError:
+                raise ValueError(f"config key {name}: invalid {spec['type'].__name__} "
+                                 f"value {text!r}") from None
         if value is None:
-            value = file_cfg.get(name)
-        if value is not None:
-            setattr(cfg, name, cast(value))
-    for name, spec in _FLAGS.items():  # a config file bypasses argparse's choices
-        if "choices" in spec and getattr(cfg, name) not in spec["choices"]:
-            raise ValueError(f"{name} must be one of {spec['choices']}, got {getattr(cfg, name)!r}")
+            value = spec.get("default")
+        if "choices" in spec and value not in spec["choices"]:  # a file bypasses argparse's
+            raise ValueError(f"{name} must be one of {spec['choices']}, got {value!r}")
+        setattr(cfg, name, value)
     return cfg
 
 
@@ -135,7 +112,7 @@ def _round12(obj):
     return obj
 
 
-def _emit_sections(sections, cfg: RunConfig) -> None:
+def _emit_sections(sections, cfg: argparse.Namespace) -> None:
     """sections: list of (name, header, rows).  CSV stacks the tables with a
     blank line between; JSON maps section name -> list of row objects."""
     if cfg.format == "json":
@@ -160,11 +137,10 @@ def _emit_sections(sections, cfg: RunConfig) -> None:
 
 # --- subcommands -------------------------------------------------------------
 
-def _system_params(cfg: RunConfig) -> SystemParams:
+def _system_params(cfg: argparse.Namespace) -> SystemParams:
     if cfg.alpha is None or cfg.beta is None:
         raise ValueError("--alpha and --beta are required")
-    return SystemParams(alpha=cfg.alpha, beta=cfg.beta, rho=cfg.resolved_rho(),
-                        tx_type="onebit" if cfg.tx == "onebit" else "linear")
+    return SystemParams(alpha=cfg.alpha, beta=cfg.beta, rho=_resolved_rho(cfg), tx_type=cfg.tx)
 
 
 def _cmd_bound(args) -> int:
@@ -189,7 +165,7 @@ def _cmd_bound(args) -> int:
 _COMPARE_HEADER = ["rho_db", "alpha", "beta", "c_bound_replica", "c_bound_bussgang", "r_csir"]
 
 
-def _compare_table(cfg: RunConfig, alphas, betas, rho_dbs, rule):
+def _compare_table(cfg: argparse.Namespace, alphas, betas, rho_dbs, rule):
     return [[r.rho_db, r.alpha, r.beta, r.c_bound_replica, r.c_bound_bussgang, r.r_csir]
             for b in betas for a in alphas
             for r in compare_sweep(a, b, rho_dbs, cfg.grid_step, rule, cfg.tol)]
@@ -230,7 +206,7 @@ def _cmd_figure(args) -> int:
     # figures 2 and 3 share the one-bit receiver-ratio sweep at SNR 10
     rho = 10.0
     if cfg.rho is not None or cfg.rho_db is not None:
-        rho = cfg.resolved_rho()
+        rho = _resolved_rho(cfg)
     betas = (cfg.beta,) if cfg.beta is not None else _FIGURE2_BETAS
     table = []
     for beta in betas:
@@ -249,7 +225,7 @@ def _cmd_exact(args) -> int:
     m, n, t = cfg.m, cfg.n, cfg.t
     if m is None or n is None or t is None:
         raise ValueError("--m, --n and --t are required")
-    rho = cfg.resolved_rho()
+    rho = _resolved_rho(cfg)
     if cfg.mc_samples is not None:
         integration = ChannelIntegration.monte_carlo(cfg.mc_samples, cfg.seed)
     else:
@@ -299,16 +275,27 @@ def _cmd_selftest(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+# One entry per setting: every config key, plus the config file itself.  A
+# default here is applied by _merge_config, never by argparse, so that an
+# absent flag leaves the config file's value in force.
 _FLAGS = {
     "alpha": dict(type=float, help="receivers per transmitter"),
     "beta": dict(type=float, help="coherence length per transmitter"),
-    "tx": dict(choices=("linear", "onebit"), help="transmitter type (default linear)"),
-    "grid_step": dict(type=float, help="training-length grid step (default 0.1)"),
-    "quad_nodes": dict(type=int, help="Gauss-Hermite order for expectations (default 128)"),
-    "tol": dict(type=float, help="fixed-point tolerance (default 1e-10)"),
-    "seed": dict(type=int, help="Monte Carlo seed (default 0)"),
+    "rho": dict(type=float, help="per-receiver SNR, linear"),
+    "rho_db": dict(type=float, help="per-receiver SNR in dB (power)"),
+    "tx": dict(type=str, default="linear", choices=TX_TYPES, help="transmitter type"),
+    "grid_step": dict(type=float, default=0.1, help="training-length grid step"),
+    "quad_nodes": dict(type=int, default=128, help="Gauss-Hermite order for expectations"),
+    "tol": dict(type=float, default=1e-10, help="fixed-point tolerance"),
+    "seed": dict(type=int, default=0, help="Monte Carlo seed"),
     "out": dict(type=str, help="output path (default stdout)"),
-    "format": dict(choices=("csv", "json"), help="output format (default csv)"),
+    "format": dict(type=str, default="csv", choices=("csv", "json"), help="output format"),
+    "m": dict(type=int, help="transmitters (<= 2)"),
+    "n": dict(type=int, help="receivers (<= 2)"),
+    "t": dict(type=int, help="coherence block length (<= 5)"),
+    "mc_samples": dict(type=int, help="Monte Carlo channel samples (default: tensor quadrature)"),
+    "channel_order": dict(type=int, default=24,
+                          help="tensor quadrature order per real dimension"),
     "config": dict(type=str, help="JSON config file; flags override its values"),
 }
 _SOLVER = ("grid_step", "quad_nodes", "tol")
@@ -316,15 +303,15 @@ _OUTPUT = ("out", "format", "config")
 
 
 def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
-    """Add the named flags of ``_FLAGS``; "rho" adds the pair --rho / --rho-db."""
+    """Add the named flags of ``_FLAGS``; "rho" adds the exclusive pair
+    --rho / --rho-db."""
     for name in names:
-        if name == "rho":
-            g = sub.add_mutually_exclusive_group()
-            g.add_argument("--rho", type=float, help="per-receiver SNR, linear")
-            g.add_argument("--rho-db", dest="rho_db", type=float,
-                           help="per-receiver SNR in dB (power)")
-        else:
-            sub.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
+        group = sub.add_mutually_exclusive_group() if name == "rho" else sub
+        for flag in ("rho", "rho_db") if name == "rho" else (name,):
+            spec = dict(_FLAGS[flag])
+            if "default" in spec:
+                spec["help"] += f" (default {spec.pop('default')})"
+            group.add_argument("--" + flag.replace("_", "-"), dest=flag, **spec)
 
 
 def build_parser() -> _Parser:
@@ -350,14 +337,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_figure)
 
     p = subs.add_parser("exact", help="enumerable small-system rates, both pipelines")
-    _add_flags(p, "rho", "seed", *_OUTPUT)
-    p.add_argument("--m", type=int, help="transmitters (<= 2)")
-    p.add_argument("--n", type=int, help="receivers (<= 2)")
-    p.add_argument("--t", type=int, help="coherence block length (<= 5)")
-    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None,
-                   help="Monte Carlo channel samples (default: tensor quadrature)")
-    p.add_argument("--channel-order", dest="channel_order", type=int, default=None,
-                   help="tensor quadrature order per real dimension (default 24)")
+    _add_flags(p, "m", "n", "t", "rho", "mc_samples", "channel_order", "seed", *_OUTPUT)
     p.set_defaults(func=_cmd_exact)
 
     p = subs.add_parser("asymptotics", help="low-SNR closed forms")

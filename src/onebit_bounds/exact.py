@@ -201,8 +201,6 @@ class _Tables:
     """Per-(system, t_t) node tables shared by the d-pipeline operations."""
 
     def __init__(self, sys_: SmallSystem, t_t: int, stream: int = 0):
-        self.sys = sys_
-        self.t_t = t_t
         self.h, self.logw = _channel_nodes(sys_, t_t, stream)
         x_cols = _input_vectors(sys_.m)
         z = math.sqrt(sys_.rho / sys_.m) * (self.h @ x_cols.T)
@@ -313,11 +311,12 @@ def _symbol_indices(values: np.ndarray, alphabet: np.ndarray, name: str) -> np.n
 
 
 def _encode_columns(x_t: np.ndarray, m: int) -> tuple:
-    """Map an m x t_t training matrix to per-column alphabet indices."""
+    """Map an m x t_t training matrix (or an m x 1 data column) to
+    per-column input indices."""
     x_t = np.asarray(x_t, dtype=complex)
     if x_t.ndim != 2 or x_t.shape[0] != m:
         raise ValueError(f"x_t must have shape ({m}, t_t), got {x_t.shape}")
-    digits = _symbol_indices(x_t, QPSK, "x_t")  # (m, t_t)
+    digits = _symbol_indices(x_t, QPSK, "QPSK input")  # (m, t_t)
     weights = 4 ** np.arange(m - 1, -1, -1)
     return tuple(int(weights @ digits[:, p]) for p in range(x_t.shape[1]))
 
@@ -345,9 +344,7 @@ def _block(x_t, y_t, t_t: int, sys_: SmallSystem):
 
 def _log_d1_d2(x_d, y_d, x_t, y_t, t_t, sys_: SmallSystem):
     _, s_idx, v_log, w_log = _block(x_t, y_t, t_t, sys_)
-    x_idx = _symbol_indices(np.asarray(x_d, dtype=complex).reshape(sys_.m), QPSK, "x_d")
-    weights = 4 ** np.arange(sys_.m - 1, -1, -1)
-    x_col = int(weights @ x_idx)
+    (x_col,) = _encode_columns(np.asarray(x_d, dtype=complex).reshape(sys_.m, 1), sys_.m)
     y_idx = _symbol_indices(np.asarray(y_d, dtype=complex).reshape(sys_.n), SIGN_OUT, "y_d")
     log_d2_ = float(sum(v_log[s] for s in s_idx))
     log_d1_ = float(sum(w_log[s, x_col, y] for s, y in zip(s_idx, y_idx)))

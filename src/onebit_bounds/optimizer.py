@@ -17,8 +17,8 @@ Also here: the Bussgang-linearization comparison bound for Gaussian inputs,
     c = max_{beta_t} ((beta - beta_t)/beta) log2(1 + 2 alpha snr_eff
                                                  / (pi (1 + snr_eff))),
 
-the quadratic low-SNR closed forms, and the small-alpha rate approximation
-through the single-pair capacity.
+which ``compare_sweep`` optimizes on the replica bound's own training grid,
+and the quadratic low-SNR closed forms.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ from .replica import (
     onebit_rates,
     reff_linear,
     reff_onebit,
-    single_pair_capacity,
     snr_from_db,
     solve_qh,
     solve_qh_grid,
@@ -48,9 +47,7 @@ __all__ = [
     "training_grid",
     "optimize_training",
     "replica_bound",
-    "bussgang_bound",
     "low_snr_asymptotics",
-    "small_alpha_rate",
     "sweep_onebit_alpha",
     "CompareRow",
     "compare_sweep",
@@ -194,23 +191,6 @@ def bussgang_inner_rate(alpha: float, snr_eff: float) -> float:
     return math.log1p(2.0 * alpha * snr_eff / (math.pi * (1.0 + snr_eff))) / LN2
 
 
-def bussgang_bound(
-    params: SystemParams,
-    grid_step: float = 0.1,
-    rule: Optional[QuadratureRule] = None,
-    tol: float = 1e-10,
-) -> BoundResult:
-    """Bussgang-linearization comparison bound (Gaussian inputs only).
-
-    Uses the same trained effective SNR per beta_t as the replica bound, so
-    the two are directly comparable point by point.
-    """
-    if params.tx_type != "linear":
-        raise ValueError("the Bussgang comparison bound is defined for linear transmitters")
-    return _grid_bounds(params.rho, params.beta, grid_step, rule, tol,
-                        [(params, "bussgang")])[0][0]
-
-
 def low_snr_asymptotics(params: SystemParams):
     """Closed-form low-SNR limits, identical for both transmitter types:
 
@@ -220,12 +200,6 @@ def low_snr_asymptotics(params: SystemParams):
     beta_t_opt = params.beta / 2.0
     c_bound = params.alpha * params.beta * params.rho ** 2 / (math.pi ** 2 * LN2)
     return beta_t_opt, c_bound
-
-
-def small_alpha_rate(alpha: float, snr_eff: float,
-                     rule: Optional[QuadratureRule] = None) -> float:
-    """Few-receivers approximation: alpha times the single-pair capacity."""
-    return alpha * single_pair_capacity(snr_eff, rule)
 
 
 def sweep_onebit_alpha(

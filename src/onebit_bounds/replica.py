@@ -62,7 +62,6 @@ __all__ = [
     "reff_linear",
     "reff_onebit",
     "csir_rate",
-    "single_pair_capacity",
     "overlap_fixed_points",
 ]
 
@@ -649,18 +648,3 @@ def csir_rate(alpha: float, rho: float, rule: Optional[QuadratureRule] = None,
     )
     return max(0.0, (tails + math.log1p(q_hat) - q_hat + q * q_hat) / LN2)
 
-
-def single_pair_capacity(rho: float, rule: Optional[QuadratureRule] = None) -> float:
-    """Capacity of a single one-bit transmitter/receiver pair over a Rayleigh
-    channel known at the receiver, in bits:
-
-        c(rho) = 2 (1 - E_z[ H_b(Q(sqrt(rho) z)) ]),   z ~ N(0, 1).
-
-    Increases from 0 at rho = 0 to 2 as rho -> inf.
-    """
-    if not rho >= 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    rule = rule or gauss_hermite()
-    x = math.sqrt(rho) * rule.nodes
-    hb = -(q_log_q(x) + q_log_q(-x)) / LN2
-    return float(np.clip(2.0 * (1.0 - rule.weights @ hb), 0.0, 2.0))

@@ -379,6 +379,33 @@ class TestConfigFile:
                                     "--mc-samples", "3000", "--seed", "4"], capsys)
         assert from_file == from_flags
 
+        cfg.write_text(json.dumps({"alpha": 2, "beta": 4.0, "rho": 3.5, "tx": "onebit",
+                                   "grid_step": 0.25, "quad_nodes": 48, "tol": 1e-9}))
+        code, from_file, _ = run_cli(["bound", "--config", str(cfg)], capsys)
+        assert code == 0
+        _, from_flags, _ = run_cli(["bound", "--alpha", "2", "--beta", "4.0", "--rho", "3.5",
+                                    "--tx", "onebit", "--grid-step", "0.25",
+                                    "--quad-nodes", "48", "--tol", "1e-9"], capsys)
+        assert from_file == from_flags
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("exact --m 1 --n 1 --rho 10", "t", 2.9, "invalid int value '2.9'"),
+        ("exact --m 1 --n 1 --t 2 --rho 10", "mc_samples", 1e3, "invalid int value '1000.0'"),
+        ("bound --beta 4 --rho 1", "alpha", True, "invalid float value 'True'"),
+        ("bound --alpha 1 --beta 4 --rho 1", "quad_nodes", 8.7, "invalid int value '8.7'"),
+    ], ids=["exact-t", "exact-mc_samples", "bound-alpha", "bound-quad_nodes"])
+    def test_config_value_read_as_its_flag(self, command, key, value, message,
+                                           tmp_path, capsys):
+        # the value typed as the flag exits 1 in argparse, so the file value must too
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(command.split() + ["--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        assert f"config key {key}: {message}" in err
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--" + key.replace("_", "-"), str(value)])
+        assert exc.value.code == 1
+
     @pytest.mark.parametrize("key, value", [("tx", "one-bit"), ("format", "xml")])
     def test_config_value_outside_choices_rejected(self, key, value, tmp_path, capsys):
         cfg = tmp_path / "run.json"

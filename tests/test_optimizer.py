@@ -7,17 +7,15 @@ import pytest
 
 from onebit_bounds.numerics import LN2, gauss_hermite
 from onebit_bounds.optimizer import (
-    bussgang_bound,
     bussgang_inner_rate,
     compare_sweep,
     low_snr_asymptotics,
     optimize_training,
     replica_bound,
-    small_alpha_rate,
     sweep_onebit_alpha,
     training_grid,
 )
-from onebit_bounds.replica import SystemParams, onebit_rates, reff_onebit, solve_qh, solve_qh_grid
+from onebit_bounds.replica import SystemParams, onebit_rates, solve_qh_grid
 
 RULE = gauss_hermite(128)
 
@@ -82,26 +80,14 @@ class TestOptimizeTraining:
 
 class TestBussgangBound:
     def test_zero_snr_gives_zero_bound(self):
-        res = bussgang_bound(SystemParams(1.0, 5.0, 0.0, "linear"), 0.1, RULE)
-        assert res.c_bound == 0.0
-        assert res.beta_t_opt == pytest.approx(0.1)
-        assert res.method == "bussgang"
+        (row,) = compare_sweep(1.0, 5.0, [-math.inf], 0.1, RULE)
+        assert (row.c_bound_bussgang, row.c_bound_replica, row.r_csir) == (0.0, 0.0, 0.0)
 
     def test_inner_rate_saturation_limit(self):
         # log2(1 + 2/pi) for alpha = 1 as snr_eff -> inf
         assert bussgang_inner_rate(1.0, 1e12) == pytest.approx(
             math.log1p(2.0 / math.pi) / LN2, rel=1e-9)
         assert bussgang_inner_rate(1.0, 1e12) == pytest.approx(0.7107191866648533, rel=1e-9)
-
-    def test_dominated_by_replica_bound(self):
-        params = SystemParams(1.0, 20.0, 1.0, "linear")
-        rep, _ = replica_bound(params, 0.1, RULE)
-        bus = bussgang_bound(params, 0.1, RULE)
-        assert bus.c_bound <= rep.c_bound + 1e-12
-
-    def test_rejects_onebit_transmitters(self):
-        with pytest.raises(ValueError):
-            bussgang_bound(SystemParams(1.0, 5.0, 1.0, "onebit"), 0.1, RULE)
 
 
 class TestLowSnrAsymptotics:
@@ -120,21 +106,6 @@ class TestLowSnrAsymptotics:
         res, _ = replica_bound(params, 0.1, RULE)
         _, c = low_snr_asymptotics(params)
         assert 0.9 <= res.c_bound / c <= 1.1
-
-
-class TestSmallAlphaRate:
-    def test_no_receivers_no_rate(self):
-        assert small_alpha_rate(0.0, 5.0, RULE) == 0.0
-
-    def test_saturation_scaling(self):
-        assert small_alpha_rate(0.3, 1e8, RULE) == pytest.approx(0.6, abs=1e-3)
-
-    def test_tracks_full_computation_at_small_alpha(self):
-        alpha = 0.1
-        ov = solve_qh(10.0, 2.0, RULE)
-        full = reff_onebit(SystemParams(alpha, 8.0, 10.0, "onebit"), ov, RULE)
-        approx = small_alpha_rate(alpha, ov.snr_eff, RULE)
-        assert abs(approx - full) / full < 0.10
 
 
 class TestSweeps:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import special
 
 from onebit_bounds import replica
 from onebit_bounds.numerics import LN2, QuadratureRule, gauss_hermite
@@ -27,7 +27,6 @@ from onebit_bounds.replica import (
     perfect_csi_overlap,
     reff_linear,
     reff_onebit,
-    single_pair_capacity,
     solve_qh,
     solve_qh_grid,
     solve_qx_linear,
@@ -627,29 +626,3 @@ class TestCsirRate:
                 forced = reff_linear(p, perfect_csi_overlap(rho), RULE)
                 assert forced == pytest.approx(csir_rate(alpha, rho, RULE), rel=1e-8)
 
-
-class TestSinglePairCapacity:
-    def test_zero_snr(self):
-        assert single_pair_capacity(0.0, RULE) == 0.0
-
-    def test_saturates_at_two_bits(self):
-        assert single_pair_capacity(1e8, RULE) == pytest.approx(2.0, abs=1e-3)
-        for rho in (0.1, 1.0, 10.0, 100.0):
-            assert single_pair_capacity(rho, RULE) <= 2.0
-
-    def test_against_adaptive_quadrature_oracle(self):
-        def hb(p):
-            if p <= 0.0 or p >= 1.0:
-                return 0.0
-            return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
-
-        oracle, err = integrate.quad(
-            lambda z: hb(float(special.ndtr(-z))) * math.exp(-z * z / 2) / math.sqrt(2 * math.pi),
-            -np.inf, np.inf)
-        assert err < 1e-8
-        assert single_pair_capacity(1.0, RULE) == pytest.approx(2 * (1 - oracle), abs=1e-8)
-
-    def test_monotone_in_snr(self):
-        rhos = np.geomspace(0.01, 100, 15)
-        vals = [single_pair_capacity(r, RULE) for r in rhos]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
