@@ -194,6 +194,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    if args.which == 1 and (args.rho is not None or args.rho_db is not None):
+        raise ValueError("figure 1 sweeps -10 to 20 dB; --rho/--rho-db set figures 2 and 3")
     cfg = _merge_config(args)
     rule = gauss_hermite(cfg.quad_nodes)
     if args.which == 1:
@@ -321,7 +323,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("bound", help="optimized training bound at one parameter point")
     _add_flags(p, "alpha", "beta", "rho", "tx", *_SOLVER, *_OUTPUT)
-    p.add_argument("--refine", action="store_true", help="golden-section refinement of beta_t_opt")
+    p.add_argument("--refine", action="store_true", help="bounded Brent refinement of beta_t_opt")
     p.set_defaults(func=_cmd_bound)
 
     p = subs.add_parser("compare", help="replica vs Bussgang vs known-channel sweep")

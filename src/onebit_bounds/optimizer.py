@@ -8,9 +8,9 @@ of normalized length beta: training length beta_t buys channel knowledge
 
 The objective is evaluated on the grid {step, 2 step, ..., beta - step}
 (endpoints give zero objective and are excluded); ties break toward smaller
-beta_t.  Optional golden-section refinement sharpens the optimum inside the
-winning bracket when the grid is too coarse, e.g. for training-length ratio
-studies at large receiver counts.
+beta_t.  Optional refinement, scipy's bounded Brent search, sharpens the
+optimum inside the winning bracket to grid_step * 1e-3 when the grid is too
+coarse, e.g. for training-length ratio studies at large receiver counts.
 
 Also here: the Bussgang-linearization comparison bound for Gaussian inputs,
 
@@ -103,9 +103,10 @@ def optimize_training(
     """Maximize ((beta - beta_t)/beta) * reff(beta_t) over the training grid.
 
     Returns ``(BoundResult, RateCurve)``.  Ties break toward smaller beta_t.
-    With ``refine=True`` a bounded golden-section search runs inside the
-    bracket around the winning grid point and replaces the optimum if it
-    improves the objective.  ``rates`` may hold reff already evaluated on
+    With ``refine=True`` a bounded Brent search (``minimize_scalar``,
+    ``method="bounded"``, xatol grid_step * 1e-3) runs inside the bracket
+    around the winning grid point and replaces the optimum if it improves
+    the objective.  ``rates`` may hold reff already evaluated on
     the grid; reff is then called by the refinement only.
     """
     bts = training_grid(beta, grid_step)

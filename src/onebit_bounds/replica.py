@@ -23,7 +23,8 @@ With one-bit (QPSK) data symbols the second relation becomes a tanh moment:
 
 and putting q_x_hat equal to the Gaussian-tail right-hand side leaves one
 scalar root in [0, 1].  Every overlap equation is solved the same way: one
-residual scan for a whole batch, then Illinois steps on every bracket.
+residual scan for a whole batch, Illinois steps on every bracket, and the
+closed bracket's midpoint as the root.
 
 Fixed points may be non-unique; the admissible solution minimizes the free
 energies F1 (training) / F2 (data), whose stationary points the equations
@@ -79,11 +80,10 @@ _ONEBIT_Q = np.concatenate([[0.0], _SCAN_Q, [1.0]])
 # Rows of a scan evaluated at once: 2 x 66 x 128 elements keep the
 # temporaries under 1 MB however long the grid is.
 _SCAN_ROWS = 2
-# Refined brackets close at _ROOT_ULPS ulp (or after _MAX_STEPS); the
-# bisection replay evaluates the residual up to _WINDOW ulp outside them.
+# Refined brackets close at _ROOT_ULPS ulp, or stay open after _MAX_STEPS
+# (then _choose's residual check fails); each root is its bracket's midpoint.
 _ROOT_ULPS = 4
 _MAX_STEPS = 200
-_WINDOW = 4
 # One-bit brackets refined, and F2_O and tail terms taken, at once: 32 x 128
 # nodes keep the temporaries small however many pairs there are.
 _ONEBIT_PAIRS = 32
@@ -194,7 +194,8 @@ def _illinois(lo, hi, flo, fhi, residual):
     twice in a row (Illinois).  A point that is not finite, or three steps
     that fail to halve a bracket, give way to bisection.  ``residual(x, k)``
     is the residual at points x of brackets k.  Brackets close at
-    ``_ROOT_ULPS`` ulp, or stay open once ``_MAX_STEPS`` run out.
+    ``_ROOT_ULPS`` ulp, or stay open once ``_MAX_STEPS`` run out.  Returns
+    every bracket's midpoint.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)
@@ -216,43 +217,7 @@ def _illinois(lo, hi, flo, fhi, residual):
         hi[k], fhi[k] = np.where(to_hi, x, h), np.where(to_hi, fx, np.where(again, 0.5 * fh, fh))
         lo[k], flo[k] = np.where(to_hi, l, x), np.where(to_hi, np.where(again, 0.5 * fl, fl), fx)
         moved[k], widths[step % 3, k] = side, w
-    return lo, hi
-
-
-def _replay_bisection(lo, hi, flo, near_lo, near_hi, coef, snr, rule: QuadratureRule):
-    """Bisect every bracket [lo, hi] down to adjacent floats or an exact zero.
-
-    This is the bisection earlier releases ran, so their roots, and output
-    bytes, are kept: the residual can vanish or flip sign on several floats
-    next to a root, and bisection picks among them by its own path.  It is
-    evaluated only at midpoints in [near_lo, near_hi]; outside, its sign
-    follows from the side the midpoint lies on, so the steps that get the
-    midpoints there are plain arithmetic.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    for i, (l, h, a, b) in enumerate(zip(lo.tolist(), hi.tolist(), near_lo.tolist(),
-                                         near_hi.tolist())):
-        mid = 0.5 * (l + h)  # Python floats: the same IEEE steps, far cheaper one by one
-        while l < mid < h and not a <= mid <= b:
-            l, h = (mid, h) if mid < a else (l, mid)
-            mid = 0.5 * (l + h)
-        lo[i], hi[i] = l, h
-    left = np.sign(flo)
-    out = np.empty(lo.shape)
-    k = np.arange(lo.size)
-    while k.size:
-        l, h, mid = lo[k], hi[k], 0.5 * (lo[k] + hi[k])
-        done = (mid == l) | (mid == h)
-        sign = np.where(mid < near_lo[k], left[k], -left[k])
-        ev = np.flatnonzero(~done & (mid >= near_lo[k]) & (mid <= near_hi[k]))
-        if ev.size:
-            sign[ev] = np.sign(_overlap_residual(mid[ev], coef[k[ev]], snr[k[ev]], rule))
-        done |= sign == 0.0
-        out[k[done]] = mid[done]
-        to_hi = sign == -left[k]
-        lo[k], hi[k] = np.where(to_hi, l, mid), np.where(to_hi, mid, h)
-        k = k[~done]
-    return out
+    return 0.5 * (lo + hi)
 
 
 def _scan(coef, snr, qs, residual, rule: QuadratureRule, rows: int):
@@ -284,8 +249,8 @@ def _scan(coef, snr, qs, residual, rule: QuadratureRule, rows: int):
 def _fixed_points(coef: np.ndarray, snr: np.ndarray, rule: QuadratureRule):
     """Every root in (0, 1) of the overlap equation at each (coef, snr) pair.
 
-    The residual is sampled at ``_GRID_N`` log-spaced points; :func:`_illinois`
-    closes every bracket, :func:`_replay_bisection` then picks each root.
+    The residual is sampled at ``_GRID_N`` log-spaced points and
+    :func:`_illinois` closes every bracket; each root is its midpoint.
     Returns ``(owner, roots, lo, hi)``: root k belongs to pair ``owner[k]``
     and was refined in the bracket [lo[k], hi[k]] (lo == hi where a sample
     is an exact zero); a pair's roots come in increasing order.
@@ -293,13 +258,12 @@ def _fixed_points(coef: np.ndarray, snr: np.ndarray, rule: QuadratureRule):
     qs = _SCAN_Q
     res, owner, j_lo, j_hi = _scan(coef, snr, qs, lambda q, q_hat: q / (1.0 - q) - q_hat, rule,
                                    coef.size)
-    lo, hi, flo, c, s = qs[j_lo], qs[j_hi], res[owner, j_lo], coef[owner], snr[owner]
+    lo, hi, c, s = qs[j_lo], qs[j_hi], coef[owner], snr[owner]
     # (1 - q) times the residual has its signs but no pole at q = 1, where
     # the residual's steepness stalls regula falsi
-    l, h = _illinois(lo, hi, flo * (1.0 - lo), res[owner, j_hi] * (1.0 - hi),
-                     lambda x, k: _overlap_residual(x, c[k], s[k], rule) * (1.0 - x))
-    return owner, _replay_bisection(lo, hi, flo, l - _WINDOW * np.spacing(l),
-                                    h + _WINDOW * np.spacing(h), c, s, rule), lo, hi
+    roots = _illinois(lo, hi, res[owner, j_lo] * (1.0 - lo), res[owner, j_hi] * (1.0 - hi),
+                      lambda x, k: _overlap_residual(x, c[k], s[k], rule) * (1.0 - x))
+    return owner, roots, lo, hi
 
 
 def overlap_fixed_points(coef: float, snr: float, rule: QuadratureRule):
@@ -374,13 +338,9 @@ def _tail_term(coef, snr, q, rule: QuadratureRule):
     return -4.0 * coef * _expect(q_log_q(np.multiply.outer(a, rule.nodes)), rule)
 
 
-# libm's log1p elementwise; numpy's vectorized one can differ in the last bit
-_log1p = np.vectorize(math.log1p, otypes=[float])
-
-
 def _free_energy(q, q_hat, coef, snr, rule: QuadratureRule):
     # F1 = F2_L: tail term + ln(1 + q_hat) - q_hat + q q_hat
-    return _tail_term(coef, snr, q, rule) + _log1p(q_hat) - q_hat + q * q_hat
+    return _tail_term(coef, snr, q, rule) + np.log1p(q_hat) - q_hat + q * q_hat
 
 
 def effective_snr(rho: float, q_h: float) -> float:
@@ -556,10 +516,9 @@ def _onebit_overlaps(alpha, snr, rule: QuadratureRule, tol: float):
     res, owner, j_lo, j_hi = _scan(alpha, snr, qs, lambda q, q_hat: _tanh_moment(q_hat, rule)
                                    - q, rule, _SCAN_ROWS)
     a, s = alpha[owner], snr[owner]
-    lo, hi = _illinois(qs[j_lo], qs[j_hi], res[owner, j_lo], res[owner, j_hi],
-                       lambda x, k: _by_pairs(lambda *v: _onebit_residual(*v, rule)[1],
-                                              x, a[k], s[k]))
-    roots = 0.5 * (lo + hi)
+    roots = _illinois(qs[j_lo], qs[j_hi], res[owner, j_lo], res[owner, j_hi],
+                      lambda x, k: _by_pairs(lambda *v: _onebit_residual(*v, rule)[1],
+                                             x, a[k], s[k]))
     q_hat, g = _by_pairs(lambda *v: _onebit_residual(*v, rule), roots, a, s)
     f2 = _by_pairs(lambda *v: _f2_onebit(*v, rule), roots, q_hat, a, s)
     pick = _choose((owner, roots, qs[j_lo], qs[j_hi]), alpha.size, lambda k: f2[k], np.abs(g),

@@ -196,6 +196,21 @@ class TestFigure:
             vals = [float(v) for v in line.split(",")]
             assert vals[4] <= vals[3] + 1e-12
 
+    @pytest.mark.parametrize("flag", ["--rho", "--rho-db"])
+    def test_figure_one_rejects_an_snr_flag(self, flag, capsys):
+        code, out, err = run_cli(["figure", "--which", "1", "--beta", "5", flag, "3"], capsys)
+        assert code == 1 and out == ""
+        assert "figure 1 sweeps -10 to 20 dB" in err
+
+    def test_figure_one_accepts_a_config_file_snr(self, tmp_path, capsys):
+        # every subcommand accepts every config key
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"rho": 3.0}))
+        args = ["figure", "--which", "1", "--beta", "5", "--grid-step", "1"]
+        code, out, _ = run_cli(args + ["--config", str(cfg)], capsys)
+        assert code == 0
+        assert out == run_cli(args, capsys)[1]
+
     def test_figures_regenerate_identically(self, capsys):
         _, out1, _ = run_cli(["figure", "--which", "2", "--beta", "4"], capsys)
         _, out2, _ = run_cli(["figure", "--which", "2", "--beta", "4"], capsys)
@@ -445,11 +460,12 @@ class TestStartup:
 
 class TestGoldenBytes:
     """sha256 of outputs as earlier releases printed them: the replica rows
-    from the per-point bisection solver, the exact rows from the likelihood
-    table the d-pipeline coded for itself.  Both must stay byte for byte.
-    The one-bit rows with a refined beta_t_opt are from the bracketed
-    one-bit data solve, whose more accurate q_x moves that optimum by
-    about 1e-9 relative, far inside the refinement's own tolerance.  The
+    from overlap roots within a few ulp of the residual's sign change, the
+    exact rows from the likelihood table the d-pipeline coded for itself.
+    Both must stay byte for byte.  A refined beta_t_opt is resolved only to
+    grid_step * 1e-3, so a last-bit change in any root moves its 10th-12th
+    digit: the refined rows are from the Illinois-midpoint roots of every
+    overlap solve (about 1e-9 relative, far inside that tolerance).  The
     exact rows at (m, n, t) = (1, 1, 3), (2, 1, 3) and (1, 2, 4) are from
     mi_direct's receiver factorization: only their abs_diff column moved,
     since mi_direct came within 1e-15 of a long-double sum of the joint
@@ -461,9 +477,9 @@ class TestGoldenBytes:
         ("figure --which 3 --beta 8",
          "cdd3566d17e6906f7d92f0b10f4b8995034fadc95c1a6e38447943767b0e42ec"),
         ("bound --alpha 4 --beta 8 --rho 10 --tx onebit --refine",
-         "d31220efef9aac71d211395f1abb455661d6e0a07b8f947b8b50c8689fbba5c0"),
+         "864146600787450e243990f856dc04e75a057edde2c0003a7a7b04a3f9d551be"),
         ("figure --which 2 --beta 4 --rho-db 0 --grid-step 0.05",
-         "32163d56b387a244d7d7a40cb9d38792153d043323280fb6bb76f5b5449b1a7e"),
+         "ff449e94f056ab7ac16af20ab98e3fbea857e65964577a65e88ba85155eacd44"),
         ("bound --alpha 256 --beta 8 --rho-db 0 --tx onebit --refine",
          "d949c7f9028cde4c4488e3be62325e0b2ea7198304e91c9ee28758201c835cd5"),
         ("exact --m 1 --n 1 --t 3 --rho 10",

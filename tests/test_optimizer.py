@@ -76,6 +76,11 @@ class TestOptimizeTraining:
         objective = (8.0 - fine_grid) / 8.0 * onebit_rates(params.alpha, snr_eff, RULE)
         bt_fine = float(fine_grid[int(np.argmax(objective))])
         assert abs(res.beta_t_opt - bt_fine) <= 0.1 + 1e-9
+        # the refinement resolves beta_t to grid_step * 1e-3, inside half a
+        # fine-grid step of its argmax
+        refined, _ = replica_bound(params, 0.1, RULE, refine=True)
+        assert abs(refined.beta_t_opt - bt_fine) <= 0.0005 + 0.1 * 1e-3
+        assert refined.c_bound >= objective.max()
 
 
 class TestBussgangBound:

@@ -14,6 +14,7 @@ from scipy import special
 
 from onebit_bounds import replica
 from onebit_bounds.numerics import LN2, QuadratureRule, gauss_hermite
+from onebit_bounds.optimizer import training_grid
 from onebit_bounds.replica import (
     SolverError,
     SystemParams,
@@ -247,6 +248,44 @@ class TestBatchedSolve:
     def test_point_without_bracket_names_its_training_length(self):
         with pytest.raises(SolverError, match=r"beta_t=1e-13\b"):
             solve_qh_grid(1.0, [1.0, 1e-13, 2.0], RULE)
+
+    @pytest.fixture
+    def unrefined(self, monkeypatch):
+        """The SolverError of a grid whose brackets stay as the scan left them."""
+        monkeypatch.setattr(replica, "_MAX_STEPS", 0)
+        with pytest.raises(SolverError) as exc:
+            solve_qh_grid(1.0, [1.0, 2.0], RULE)
+        return exc.value
+
+    def test_open_bracket_names_its_training_length(self, unrefined):
+        assert "(beta_t=1, snr=1)" in str(unrefined)
+
+    def test_open_bracket_error_carries_the_scan_bracket(self, unrefined):
+        (lo, hi), = unrefined.brackets
+        j = replica._SCAN_Q.tolist().index(lo)
+        assert replica._SCAN_Q[j + 1] == hi
+        assert (lo, hi) == (pytest.approx(0.17302, abs=1e-5), pytest.approx(0.26827, abs=1e-5))
+        assert o_residual(lo, 1.0, 1.0) < 0.0 < o_residual(hi, 1.0, 1.0)
+
+    def test_open_bracket_error_carries_its_midpoint(self, unrefined):
+        (lo, hi), = unrefined.brackets
+        assert unrefined.diagnostics["roots"] == [0.5 * (lo + hi)]
+        residual = unrefined.diagnostics["residual"]
+        assert residual > 1e-10
+        assert residual == pytest.approx(abs(o_residual(0.5 * (lo + hi), 1.0, 1.0)), rel=1e-9)
+
+    @pytest.mark.parametrize("rho", [0.01, 1.0, 10.0, 100.0])
+    def test_residual_evaluations_per_root(self, rho, monkeypatch):
+        # the scan samples the right-hand side alone, so _overlap_residual
+        # sees the Illinois steps and the tolerance check of each picked root
+        grid = training_grid(8.0, 0.1)
+        owner, _, _, _ = _fixed_points(grid, np.full(grid.size, rho), RULE)
+        assert np.bincount(owner, minlength=grid.size).tolist() == [1] * grid.size
+        residual, sizes = replica._overlap_residual, []
+        monkeypatch.setattr(replica, "_overlap_residual",
+                            lambda q, *args: sizes.append(np.size(q)) or residual(q, *args))
+        solve_qh_grid(rho, grid, RULE)
+        assert sum(sizes) <= 10 * grid.size
 
 
 class TestF1:
