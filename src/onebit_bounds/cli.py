@@ -17,6 +17,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -352,9 +353,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # built once per process: parse_args fills a fresh namespace on every
+    # call, so nothing carries over from one main() to the next
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except EnumerationBudgetError as exc:

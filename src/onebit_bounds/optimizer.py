@@ -8,9 +8,12 @@ of normalized length beta: training length beta_t buys channel knowledge
 
 The objective is evaluated on the grid {step, 2 step, ..., beta - step}
 (endpoints give zero objective and are excluded); ties break toward smaller
-beta_t.  Optional refinement, scipy's bounded Brent search, sharpens the
-optimum inside the winning bracket to grid_step * 1e-3 when the grid is too
-coarse, e.g. for training-length ratio studies at large receiver counts.
+beta_t.  Optional refinement sharpens the optimum inside the winning bracket
+when the grid is too coarse, e.g. for training-length ratio studies at large
+receiver counts.  It is the package's own bounded Brent search, transcribed
+from scipy so that it visits the same points and returns the same bits, and
+it resolves beta_t to grid_step * 1e-3.  Every job on one training grid is
+refined in lockstep, one batched solve per search step.
 
 Also here: the Bussgang-linearization comparison bound for Gaussian inputs,
 
@@ -23,7 +26,7 @@ and the quadratic low-SNR closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -34,10 +37,7 @@ from .replica import (
     csir_rate,
     linear_rates,
     onebit_rates,
-    reff_linear,
-    reff_onebit,
     snr_from_db,
-    solve_qh,
     solve_qh_grid,
 )
 
@@ -91,7 +91,7 @@ def training_grid(beta: float, grid_step: float) -> np.ndarray:
 
 
 def optimize_training(
-    reff: Callable[[float], float],
+    reff: Optional[Callable[[float], float]],
     beta: float,
     grid_step: float,
     *,
@@ -103,37 +103,151 @@ def optimize_training(
     """Maximize ((beta - beta_t)/beta) * reff(beta_t) over the training grid.
 
     Returns ``(BoundResult, RateCurve)``.  Ties break toward smaller beta_t.
-    With ``refine=True`` a bounded Brent search (``minimize_scalar``,
-    ``method="bounded"``, xatol grid_step * 1e-3) runs inside the bracket
-    around the winning grid point and replaces the optimum if it improves
-    the objective.  ``rates`` may hold reff already evaluated on
-    the grid; reff is then called by the refinement only.
+    With ``refine=True`` a bounded Brent search (:func:`_brent`, xatol
+    grid_step * 1e-3) runs inside the bracket around the winning grid point
+    and replaces the optimum if it improves the objective.  ``rates`` may
+    hold reff already evaluated on the grid; reff is then called by the
+    refinement only, and may be None without it.
     """
     bts = training_grid(beta, grid_step)
     if rates is None:
         rates = np.array([float(reff(bt)) for bt in bts])
     objective = (beta - bts) / beta * rates
     i = int(np.argmax(objective))  # first maximum == smallest beta_t on ties
-    beta_t_opt = float(bts[i])
-    c_bound = float(objective[i])
+    found = (BoundResult(beta_t_opt=float(bts[i]), c_bound=float(objective[i]),
+                         method=method, params=params),
+             RateCurve(beta=beta, grid_step=grid_step, beta_t=bts, r_eff=rates,
+                       objective=objective))
     if refine:
+        (found,) = _refine([found], lambda jobs, xs: [reff(x) for x in xs])
+    return found
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _sign(v: float) -> float:
+    # numpy's sign(v) + (v == 0): -1 below zero, else 1; NaN stays NaN
+    return -1.0 if v < 0.0 else 1.0 if v >= 0.0 else v
+
+
+def _brent(lo: float, hi: float, xatol: float):
+    """Bounded Brent minimization on [lo, hi] as a generator: it yields each
+    point x, is sent f(x), and returns ``(x, f(x), evaluations)`` of the
+    best point.
+
+    A line-by-line transcription of scipy 1.17's bounded scalar minimizer
+    (its ``method="bounded"``, in ``_optimize.py``; Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5): the same constants,
+    parabola test, sign rule, update order and cap of 500 evaluations, so
+    with the same xatol it visits the same points and returns the same bits.
+    """
+    a, b = lo, hi
+    nfc = fulc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = yield xf
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = yield x
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx, num
+
+
+def _refine(found, rates_at):
+    """Refine every ``(BoundResult, RateCurve)`` of ``found`` inside the
+    bracket around its grid optimum, all searches in lockstep.
+
+    Each step gathers the current point of every live search and calls
+    ``rates_at(jobs, xs)`` once for the rates of jobs ``jobs`` (indices into
+    ``found``) at training lengths ``xs``.  A search result replaces the
+    grid optimum if it improves the objective.
+    """
+    searches, xs = {}, {}
+    for k, (result, curve) in enumerate(found):
+        bts, i = curve.beta_t, int(np.argmax(curve.objective))
         lo = float(bts[i - 1]) if i > 0 else float(bts[0])
         hi = float(bts[i + 1]) if i + 1 < len(bts) else float(bts[-1])
         if hi > lo:
-            from scipy import optimize  # here, so that commands without refinement skip its import
-            res = optimize.minimize_scalar(
-                lambda bt: -(beta - bt) / beta * float(reff(bt)),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": grid_step * 1e-3},
-            )
-            if -float(res.fun) > c_bound:
-                beta_t_opt = float(res.x)
-                c_bound = -float(res.fun)
-    curve = RateCurve(beta=beta, grid_step=grid_step, beta_t=bts,
-                      r_eff=rates, objective=objective)
-    return BoundResult(beta_t_opt=beta_t_opt, c_bound=c_bound,
-                       method=method, params=params), curve
+            searches[k] = _brent(lo, hi, curve.grid_step * 1e-3)
+            xs[k] = next(searches[k])
+    out = list(found)
+    while xs:
+        jobs = list(xs)
+        for k, rate in zip(jobs, rates_at(jobs, [xs[k] for k in jobs])):
+            beta = found[k][1].beta
+            try:
+                xs[k] = searches[k].send(-(beta - xs[k]) / beta * float(rate))
+            except StopIteration as stop:
+                del xs[k]
+                x, fun, _ = stop.value
+                result, curve = found[k]
+                if -fun > result.c_bound:
+                    out[k] = (replace(result, beta_t_opt=float(x), c_bound=-fun), curve)
+    return out
+
+
+def _job_rates(jobs, snr_eff, rule, tol):
+    """Rate of every ``(params, method)`` job at each effective SNR of its
+    row of ``snr_eff``; the one-bit jobs' data overlaps are one batch."""
+    rates = np.empty(snr_eff.shape)
+    onebit = [k for k, (_, method) in enumerate(jobs) if method == "replica-onebit"]
+    if onebit:
+        alphas = np.array([jobs[k][0].alpha for k in onebit])[:, None]
+        rates[onebit] = onebit_rates(alphas, snr_eff[onebit], rule, tol).reshape(len(onebit), -1)
+    for k, (params, method) in enumerate(jobs):
+        if method == "replica-linear":
+            rates[k] = linear_rates(params.alpha, snr_eff[k], rule, tol)
+        elif method == "bussgang":
+            rates[k] = [bussgang_inner_rate(params.alpha, s) for s in snr_eff[k]]
+    return rates
 
 
 def _grid_bounds(rho, beta, grid_step, rule, tol, jobs, refine=False):
@@ -141,31 +255,24 @@ def _grid_bounds(rho, beta, grid_step, rule, tol, jobs, refine=False):
     ``(params, method)`` job on it; one ``(BoundResult, RateCurve)`` per job.
 
     q_h comes from one batched solve over the grid, the linear data overlaps
-    from one more over its effective SNRs, and the one-bit data overlaps of
-    every one-bit job from one more over alpha x grid, so all rates are
-    arrays; only the refinement goes point by point.
+    from one more per linear job, and the one-bit data overlaps of every
+    one-bit job from one more over alpha x grid, so all rates are arrays.
+    The refinement keeps that shape: each search step solves the current
+    points of all jobs the same way, so a batch of one point per job.
     """
     rule = rule or gauss_hermite()
-    overlaps = solve_qh_grid(rho, training_grid(beta, grid_step), rule, tol)
-    snr_eff = np.array([ov.snr_eff for ov in overlaps])
-    alphas = [p.alpha for p, method in jobs if method == "replica-onebit"]
-    onebit = iter(onebit_rates(np.array(alphas)[:, None], snr_eff, rule, tol)
-                  .reshape(len(alphas), -1) if alphas else ())
-    out = []
-    for params, method in jobs:
-        if method == "bussgang":  # never refined
-            rates, point = np.array([bussgang_inner_rate(params.alpha, s) for s in snr_eff]), None
-        else:
-            if method == "replica-linear":
-                rate_fn, rates = reff_linear, linear_rates(params.alpha, snr_eff, rule, tol)
-            else:
-                rate_fn, rates = reff_onebit, next(onebit)
 
-            def point(bt, _p=params, _f=rate_fn):
-                return _f(_p, solve_qh(rho, bt, rule, tol), rule, tol)
+    def snr_effs(bts):
+        return np.array([ov.snr_eff for ov in solve_qh_grid(rho, bts, rule, tol)])
 
-        out.append(optimize_training(point, beta, grid_step, params=params, method=method,
-                                     refine=refine, rates=rates))
+    bts = training_grid(beta, grid_step)
+    grid_rates = _job_rates(jobs, np.broadcast_to(snr_effs(bts), (len(jobs), bts.size)),
+                            rule, tol)
+    out = [optimize_training(None, beta, grid_step, params=params, method=method, rates=rates)
+           for (params, method), rates in zip(jobs, grid_rates)]
+    if refine:
+        out = _refine(out, lambda ks, xs: _job_rates(
+            [jobs[k] for k in ks], snr_effs(xs)[:, None], rule, tol)[:, 0])
     return out
 
 

@@ -438,15 +438,42 @@ class TestConfigFile:
         assert code == 1
 
 
+class TestRepeatedMain:
+    """main() keeps one parser per process; each command of a sequence must
+    print the bytes it prints through a freshly built parser, so no flag
+    carries over from one call to the next."""
+
+    @staticmethod
+    def standalone(argv, capsys):
+        args = build_parser().parse_args(argv)
+        assert args.func(args) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("first, second", [
+        ("bound --alpha 4 --beta 8 --rho 10 --tx onebit --refine",
+         "bound --alpha 4 --beta 8 --rho 10 --tx onebit"),
+        ("compare --alpha 2 --beta 5 --rho-db-min 0 --rho-db-max 2", "figure --which 3"),
+    ])
+    def test_back_to_back_commands_print_their_own_bytes(self, first, second, capsys):
+        outs = [run_cli(args.split(), capsys)[:2] for args in (first, second)]
+        assert outs == [(0, self.standalone(args.split(), capsys)) for args in (first, second)]
+
+
 class TestStartup:
     def test_import_skips_scipy_optimize(self):
-        # only --refine uses scipy.optimize, so no other command pays its import
+        # the refinement is the package's own search, so neither the import
+        # nor a refined bound loads scipy.optimize
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        probe = "import sys, onebit_bounds.cli; print('scipy.optimize' in sys.modules)"
+        probe = ("import contextlib, io, sys, onebit_bounds.cli as cli\n"
+                 "print('scipy.optimize' in sys.modules)\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = cli.main('bound --alpha 4 --beta 8 --rho 10 --tx onebit --refine'"
+                 ".split())\n"
+                 "print(code, 'scipy.optimize' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["False", "0", "False"]
 
     def test_benchmark_tracer_finds_its_names(self):
         # perfbench/tracing.py wraps package functions by name: a renamed or

@@ -9,6 +9,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "onebit_bounds"
 ALLOWED = {
     "overlap_fixed_points": "lists every root of one overlap equation, to inspect root "
                             "multiplicity; perfbench's tracer wraps it by name",
+    "reff_onebit": "the one-point one-bit rate, the oracle the batched onebit_rates is "
+                   "checked against; perfbench's tracer wraps it by name",
     "d1": "the paper's named d-pipeline, d1 to d4",
     "d4": "the paper's named d-pipeline, d1 to d4",
 }

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from onebit_bounds.numerics import LN2, gauss_hermite
 from onebit_bounds.optimizer import (
+    _brent,
     bussgang_inner_rate,
     compare_sweep,
     low_snr_asymptotics,
@@ -15,7 +17,13 @@ from onebit_bounds.optimizer import (
     sweep_onebit_alpha,
     training_grid,
 )
-from onebit_bounds.replica import SystemParams, onebit_rates, solve_qh_grid
+from onebit_bounds.replica import (
+    SystemParams,
+    onebit_rates,
+    reff_onebit,
+    solve_qh,
+    solve_qh_grid,
+)
 
 RULE = gauss_hermite(128)
 
@@ -81,6 +89,71 @@ class TestOptimizeTraining:
         refined, _ = replica_bound(params, 0.1, RULE, refine=True)
         assert abs(refined.beta_t_opt - bt_fine) <= 0.0005 + 0.1 * 1e-3
         assert refined.c_bound >= objective.max()
+
+
+def run_brent(f, lo, hi, xatol):
+    """Drive the :func:`_brent` generator with f; returns (x, f(x), nfev)."""
+    search = _brent(lo, hi, xatol)
+    x = next(search)
+    try:
+        while True:
+            x = search.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def scipy_bounded(f, lo, hi, xatol):
+    """scipy's bounded Brent search, the oracle :func:`_brent` is copied from."""
+    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                   options={"xatol": xatol})
+    return float(res.x), float(res.fun), int(res.nfev)
+
+
+def as_hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBrent:
+    """The package's bounded Brent search against scipy's, bit for bit."""
+
+    @pytest.mark.parametrize("name, f, lo, hi, xatol", [
+        ("flat", lambda x: 1.0, 0.3, 0.5, 1e-4),
+        ("bt^2 e^-bt", lambda x: -(4.0 - x) / 4.0 * x * x * math.exp(-x), 1.0, 1.2, 1e-4),
+        # xatol 0: the last steps are sqrt(2.2e-16) |x| long
+        ("bt^2 e^-bt, xatol 0", lambda x: -x * x * math.exp(-x), 0.0, 5.0, 0.0),
+        # ties between new and kept points
+        ("plateau", lambda x: min(abs(x - 0.7), 0.5), 0.0, 3.0, 1e-4),
+        ("steps", lambda x: math.floor(8 * abs(x - 1.3)) / 8, 0.0, 3.0, 1e-4),
+        ("nan past 1.1", lambda x: math.nan if x > 1.1 else (x - 1.05) ** 2, 1.0, 1.2, 1e-4),
+        ("nan everywhere", lambda x: math.nan, 1.0, 1.2, 1e-4),
+        # a minimum on the bound with xatol 0: the tolerance shrinks with x,
+        # so the search stops at its 500-evaluation cap
+        ("maxiter", lambda x: x, 0.0, 1.0, 0.0),
+    ])
+    def test_matches_scipy(self, name, f, lo, hi, xatol):
+        assert as_hex(run_brent(f, lo, hi, xatol)) == as_hex(scipy_bounded(f, lo, hi, xatol)), name
+
+    def test_maxiter_case_stops_at_the_cap(self):
+        assert run_brent(lambda x: x, 0.0, 1.0, 0.0)[2] == 500
+
+    @pytest.mark.parametrize("beta, rho, step, alphas", [
+        (8.0, 10.0, 0.1, (1.0, 16.0, 256.0)),
+        (4.0, 1.0, 0.05, (2.0, 64.0)),
+    ])
+    def test_lockstep_sweep_matches_scipy_per_alpha(self, beta, rho, step, alphas):
+        # the oracle: scipy's search, one scalar solve per point
+        swept = sweep_onebit_alpha(alphas, beta, rho, step, RULE, refine=True)
+        grid = training_grid(beta, step)
+        snr_eff = [ov.snr_eff for ov in solve_qh_grid(rho, grid, RULE)]
+        for alpha, (res, _) in zip(alphas, swept):
+            params = SystemParams(alpha, beta, rho, "onebit")
+            objective = (beta - grid) / beta * onebit_rates(alpha, snr_eff, RULE)
+            i = int(np.argmax(objective))
+            x, fun, _ = scipy_bounded(
+                lambda bt: -(beta - bt) / beta * reff_onebit(params, solve_qh(rho, bt, RULE), RULE),
+                grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], step * 1e-3)
+            assert -fun > objective[i]
+            assert as_hex([res.beta_t_opt, res.c_bound]) == as_hex([x, -fun]), alpha
 
 
 class TestBussgangBound:
