@@ -15,7 +15,11 @@ and averages:
     reff_exact(T_t) = (1 / (M ln 2)) * sum_{X_t, Y_t} p(X_t) d2 d4   [bits/tx],
     c_bound = max_{T_t in 1..T-1} ((T - T_t) / T) reff_exact(T_t),
 
-the maximum taken by ``optimizer.optimize_training``.
+the maximum taken by ``optimizer.optimize_training`` over the rates at every
+T_t.  The public d1-d4 read one training block's tables: with
+ld1 = ln p(y_d, Y_t | x_d, X_t) and ld2 = ln p(Y_t | X_t), d1 = exp(ld1),
+d2 = exp(ld2), d3 = exp(ld1 - ld2) and d4 is the mutual information of the
+channel ld1 - ld2.
 
 Channel coefficients are iid CN(0, 1); their expectation runs over a tensor
 Gauss-Hermite grid on the 2M real dimensions or over seeded Monte Carlo
@@ -297,96 +301,68 @@ def _training_classes(m: int, t_t: int, use_symmetry: bool):
 
 # --- public d-pipeline operations ------------------------------------------
 
-def _symbol_indices(values: np.ndarray, alphabet: np.ndarray, name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=complex)
-    flat = values.reshape(-1)
-    idx = np.empty(flat.shape, dtype=int)
-    for i, v in enumerate(flat):
-        dist = np.abs(alphabet - v)
-        j = int(np.argmin(dist))
-        if dist[j] > 1e-9:
-            raise ValueError(f"{name} entry {v} is not in the alphabet {list(alphabet)}")
-        idx[i] = j
-    return idx.reshape(values.shape)
-
-
-def _encode_columns(x_t: np.ndarray, m: int) -> tuple:
-    """Map an m x t_t training matrix (or an m x 1 data column) to
-    per-column input indices."""
-    x_t = np.asarray(x_t, dtype=complex)
-    if x_t.ndim != 2 or x_t.shape[0] != m:
-        raise ValueError(f"x_t must have shape ({m}, t_t), got {x_t.shape}")
-    digits = _symbol_indices(x_t, QPSK, "QPSK input")  # (m, t_t)
-    weights = 4 ** np.arange(m - 1, -1, -1)
-    return tuple(int(weights @ digits[:, p]) for p in range(x_t.shape[1]))
-
-
-def _encode_strings(y_t: np.ndarray, n: int, t_t: int) -> tuple:
-    """Map an n x t_t received-training matrix to per-receiver string indices."""
-    y_t = np.asarray(y_t, dtype=complex)
-    if y_t.ndim != 2 or y_t.shape != (n, t_t):
-        raise ValueError(f"y_t must have shape ({n}, {t_t}), got {y_t.shape}")
-    digits = _symbol_indices(y_t, SIGN_OUT, "y_t")
-    weights = 4 ** np.arange(t_t - 1, -1, -1) if t_t else np.zeros(0, dtype=int)
-    return tuple(int(weights @ digits[k]) for k in range(n))
+def _encode(values, alphabet: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """Alphabet indices of ``values`` laid out as ``shape``, read as base-4
+    numbers along the last axis, first entry slowest.  Every entry must lie
+    within 1e-9 of the alphabet; NaN never does."""
+    values = np.asarray(values, dtype=complex).reshape(shape)
+    dist = np.abs(values[..., None] - alphabet)
+    bad = ~(dist.min(axis=-1) <= 1e-9)
+    if bad.any():
+        raise ValueError(f"{name} entry {values[bad][0]} is not in the alphabet {list(alphabet)}")
+    return dist.argmin(axis=-1) @ 4 ** np.arange(shape[-1] - 1, -1, -1)
 
 
 def _block(x_t, y_t, t_t: int, sys_: SmallSystem):
-    """Receiver tables of the training block (x_t, y_t) after the budget
-    check: ``(tab, s_idx, v_log, w_log)``, with ``s_idx`` the per-receiver
-    string indices of y_t."""
+    """``(ld2, ld1)`` of the training block (x_t, y_t) after the budget check:
+    ld2 = ln p(y_t | x_t) and ld1[x, y] = ln p(y_d, y_t | x_d, x_t), with x
+    the data column's index and y the data outputs' (first receiver slowest)."""
     check_budget(sys_, t_t)
-    tab = _Tables(sys_, t_t, stream=0)
-    cols = _encode_columns(np.asarray(x_t, dtype=complex).reshape(sys_.m, t_t), sys_.m)
-    s_idx = _encode_strings(np.asarray(y_t, dtype=complex).reshape(sys_.n, t_t), sys_.n, t_t)
-    return (tab, s_idx) + tab.receiver_tables(cols)
+    cols = _encode(np.transpose(np.reshape(x_t, (sys_.m, t_t))), QPSK, (t_t, sys_.m), "x_t")
+    s_idx = _encode(y_t, SIGN_OUT, (sys_.n, t_t), "y_t")
+    v_log, w_log = _Tables(sys_, t_t, stream=0).receiver_tables(cols)
+    ld2, ld1 = _stack_receivers(v_log, w_log, s_idx[:, None])
+    return float(ld2[0]), ld1[0]
 
 
-def _log_d1_d2(x_d, y_d, x_t, y_t, t_t, sys_: SmallSystem):
-    _, s_idx, v_log, w_log = _block(x_t, y_t, t_t, sys_)
-    (x_col,) = _encode_columns(np.asarray(x_d, dtype=complex).reshape(sys_.m, 1), sys_.m)
-    y_idx = _symbol_indices(np.asarray(y_d, dtype=complex).reshape(sys_.n), SIGN_OUT, "y_d")
-    log_d2_ = float(sum(v_log[s] for s in s_idx))
-    log_d1_ = float(sum(w_log[s, x_col, y] for s, y in zip(s_idx, y_idx)))
-    return log_d1_, log_d2_
+def _data_entry(ld1, x_d, y_d, sys_: SmallSystem) -> float:
+    """ld1 at the data column x_d and the data outputs y_d."""
+    x, y = _encode(x_d, QPSK, (sys_.m,), "x_d"), _encode(y_d, SIGN_OUT, (sys_.n,), "y_d")
+    return float(ld1[x, y])
 
 
 def d1(x_d, y_d, x_t, y_t, t_t: int, sys_: SmallSystem) -> float:
     """Joint probability of data output y_d and training outputs y_t, given
     data input x_d and training matrix x_t, averaged over the channel."""
-    return math.exp(_log_d1_d2(x_d, y_d, x_t, y_t, t_t, sys_)[0])
+    return math.exp(_data_entry(_block(x_t, y_t, t_t, sys_)[1], x_d, y_d, sys_))
 
 
 def d2(x_t, y_t, t_t: int, sys_: SmallSystem) -> float:
     """Probability of the training outputs y_t given the training matrix x_t."""
-    _, s_idx, v_log, _ = _block(x_t, y_t, t_t, sys_)
-    return math.exp(float(sum(v_log[s] for s in s_idx)))
+    return math.exp(_block(x_t, y_t, t_t, sys_)[0])
 
 
 def d3(x_d, y_d, x_t, y_t, t_t: int, sys_: SmallSystem) -> float:
     """Conditional law p(y_d | x_d, x_t, y_t) = d1 / d2, evaluated in log space."""
-    log_d1_, log_d2_ = _log_d1_d2(x_d, y_d, x_t, y_t, t_t, sys_)
-    return math.exp(log_d1_ - log_d2_)
+    ld2, ld1 = _block(x_t, y_t, t_t, sys_)
+    return math.exp(_data_entry(ld1, x_d, y_d, sys_) - ld2)
 
 
 def d4(x_t, y_t, t_t: int, sys_: SmallSystem) -> float:
     """Mutual information (nats) of the conditional data channel after the
     training block (x_t, y_t), with uniform QPSK data inputs."""
-    _, s_idx, v_log, w_log = _block(x_t, y_t, t_t, sys_)
-    _, ld3 = _stack_receivers(v_log, w_log, tuple([s] for s in s_idx))
-    return float(_conditional_mi_nats(ld3)[0])
+    ld2, ld1 = _block(x_t, y_t, t_t, sys_)
+    return float(_conditional_mi_nats(ld1[None] - ld2)[0])
 
 
 def _stack_receivers(v_log, w_log, s_idx):
-    """ld2[b] = ln p(Y_t) and ld3[b, x, y-vector] = ln p(y_d | x, Y_t) for a
+    """ld2[b] = ln p(Y_t) and ld1[b, x, y-vector] = ln p(y_d, Y_t | x) for a
     batch of training outputs, given as one string-index array per receiver."""
     if len(s_idx) == 1:
-        ld2 = v_log[s_idx[0]]
-        return ld2, w_log[s_idx[0]] - ld2[:, None, None]
+        return v_log[s_idx[0]], w_log[s_idx[0]]
     s1, s2 = s_idx
-    ld2 = v_log[s1] + v_log[s2]
-    ld3 = (w_log[s1][:, :, :, None] + w_log[s2][:, :, None, :]) - ld2[:, None, None, None]
-    return ld2, ld3.reshape(len(ld2), -1, 16)
+    ld1 = w_log[s1][:, :, :, None] + w_log[s2][:, :, None, :]
+    return v_log[s1] + v_log[s2], ld1.reshape(len(s1), -1, 16)
 
 
 def reff_exact(t_t: int, sys_: SmallSystem, *, use_symmetry: bool = True) -> float:
@@ -400,11 +376,11 @@ def reff_exact(t_t: int, sys_: SmallSystem, *, use_symmetry: bool = True) -> flo
     total = 0.0
     for cols, count in _training_classes(sys_.m, t_t, use_symmetry):
         v_log, w_log = tab.receiver_tables(cols)
-        ld2, ld3 = _stack_receivers(v_log, w_log, outputs)
+        ld2, ld1 = _stack_receivers(v_log, w_log, outputs)
         # libm's exp, which differs from np.exp in the last bit on some inputs
         p_yt = np.fromiter(map(math.exp, ld2.tolist()), float, ld2.size)
         # a running sum adds the outputs one by one, in enumeration order
-        contrib = float(np.cumsum(p_yt * _conditional_mi_nats(ld3))[-1])
+        contrib = float(np.cumsum(p_yt * _conditional_mi_nats(ld1 - ld2[:, None, None]))[-1])
         total += count * contrib
     total /= 4 ** (sys_.m * t_t)
     return max(0.0, total / (sys_.m * LN2))
@@ -424,8 +400,8 @@ def c_bound_exact(sys_: SmallSystem):
         check_budget(sys_, t_t)
     m = sys_.m
     params = SystemParams(alpha=sys_.n / m, beta=sys_.t_total / m, rho=sys_.rho, tx_type="onebit")
-    return optimize_training(lambda bt: reff_exact(round(bt * m), sys_), params.beta, 1 / m,
-                             params=params, method="exact")
+    return optimize_training([reff_exact(t_t, sys_) for t_t in range(1, sys_.t_total)],
+                             params.beta, 1 / m, params=params, method="exact")
 
 
 # --- independent direct mutual-information pipeline ------------------------

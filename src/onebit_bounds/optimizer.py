@@ -8,12 +8,12 @@ of normalized length beta: training length beta_t buys channel knowledge
 
 The objective is evaluated on the grid {step, 2 step, ..., beta - step}
 (endpoints give zero objective and are excluded); ties break toward smaller
-beta_t.  Optional refinement sharpens the optimum inside the winning bracket
-when the grid is too coarse, e.g. for training-length ratio studies at large
-receiver counts.  It is the package's own bounded Brent search, transcribed
-from scipy so that it visits the same points and returns the same bits, and
-it resolves beta_t to grid_step * 1e-3.  Every job on one training grid is
-refined in lockstep, one batched solve per search step.
+beta_t.  ``optimize_training`` takes either engine's rates on that grid.  The
+replica bounds may refine the optimum inside the winning bracket when the grid
+is too coarse, e.g. for training-length studies at large receiver counts, with
+the package's own bounded Brent search, transcribed from scipy so that it
+visits the same points and returns the same bits; it resolves beta_t to
+grid_step * 1e-3.  Every job on one training grid is refined in lockstep.
 
 Also here: the Bussgang-linearization comparison bound for Gaussian inputs,
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -91,36 +91,28 @@ def training_grid(beta: float, grid_step: float) -> np.ndarray:
 
 
 def optimize_training(
-    reff: Optional[Callable[[float], float]],
+    rates: np.ndarray,
     beta: float,
     grid_step: float,
     *,
     params: Optional[SystemParams] = None,
     method: str = "replica-linear",
-    refine: bool = False,
-    rates: Optional[np.ndarray] = None,
 ):
-    """Maximize ((beta - beta_t)/beta) * reff(beta_t) over the training grid.
+    """Maximize ((beta - beta_t)/beta) * R_eff(beta_t) over the training grid,
+    given ``rates``, R_eff at every point of ``training_grid(beta, grid_step)``.
 
     Returns ``(BoundResult, RateCurve)``.  Ties break toward smaller beta_t.
-    With ``refine=True`` a bounded Brent search (:func:`_brent`, xatol
-    grid_step * 1e-3) runs inside the bracket around the winning grid point
-    and replaces the optimum if it improves the objective.  ``rates`` may
-    hold reff already evaluated on the grid; reff is then called by the
-    refinement only, and may be None without it.
     """
     bts = training_grid(beta, grid_step)
-    if rates is None:
-        rates = np.array([float(reff(bt)) for bt in bts])
+    rates = np.asarray(rates, dtype=float)
+    if rates.shape != bts.shape:
+        raise ValueError(f"rates of shape {rates.shape} for a training grid of {bts.size} points")
     objective = (beta - bts) / beta * rates
     i = int(np.argmax(objective))  # first maximum == smallest beta_t on ties
-    found = (BoundResult(beta_t_opt=float(bts[i]), c_bound=float(objective[i]),
-                         method=method, params=params),
-             RateCurve(beta=beta, grid_step=grid_step, beta_t=bts, r_eff=rates,
-                       objective=objective))
-    if refine:
-        (found,) = _refine([found], lambda jobs, xs: [reff(x) for x in xs])
-    return found
+    return (BoundResult(beta_t_opt=float(bts[i]), c_bound=float(objective[i]),
+                        method=method, params=params),
+            RateCurve(beta=beta, grid_step=grid_step, beta_t=bts, r_eff=rates,
+                      objective=objective))
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -268,7 +260,7 @@ def _grid_bounds(rho, beta, grid_step, rule, tol, jobs, refine=False):
     bts = training_grid(beta, grid_step)
     grid_rates = _job_rates(jobs, np.broadcast_to(snr_effs(bts), (len(jobs), bts.size)),
                             rule, tol)
-    out = [optimize_training(None, beta, grid_step, params=params, method=method, rates=rates)
+    out = [optimize_training(rates, beta, grid_step, params=params, method=method)
            for (params, method), rates in zip(jobs, grid_rates)]
     if refine:
         out = _refine(out, lambda ks, xs: _job_rates(

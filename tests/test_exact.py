@@ -424,3 +424,19 @@ class TestValidationAndBudget:
         s = sys11()
         with pytest.raises(ValueError):
             d2(np.array([[0.5 + 0.5j]]), SIGN_OUT[[0]].reshape(1, 1), 1, s)
+
+    @pytest.mark.parametrize("value", [lambda v: 0.5 + 0.5j, lambda v: v + 1e-6,
+                                       lambda v: complex(math.nan, 0.0),
+                                       lambda v: complex(math.nan, math.nan)],
+                             ids=["off", "near-miss", "nan-real", "nan"])
+    @pytest.mark.parametrize("entry", ["x_t", "y_t", "x_d", "y_d"])
+    def test_alphabet_membership_checked_per_entry(self, entry, value):
+        # each entry's first symbol is index 0 of its alphabet, the index a
+        # nearest-symbol search returns for NaN
+        s = SmallSystem(1, 2, 3, 10.0, ChannelIntegration.quadrature(8))
+        block = {"x_t": QPSK[[0, 1]].reshape(1, 2), "y_t": SIGN_OUT[[0, 2, 1, 3]].reshape(2, 2),
+                 "x_d": QPSK[[0]], "y_d": SIGN_OUT[[0, 1]]}
+        block[entry] = block[entry].copy()
+        block[entry].flat[0] = value(block[entry].flat[0])
+        with pytest.raises(ValueError, match=rf"^{entry} entry .* not in the alphabet"):
+            d1(block["x_d"], block["y_d"], block["x_t"], block["y_t"], 2, s)

@@ -1,6 +1,7 @@
 """Training-length optimization, Bussgang comparison, asymptotic forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import optimize
 from onebit_bounds.numerics import LN2, gauss_hermite
 from onebit_bounds.optimizer import (
     _brent,
+    _refine,
     bussgang_inner_rate,
     compare_sweep,
     low_snr_asymptotics,
@@ -43,33 +45,46 @@ class TestTrainingGrid:
 
 class TestOptimizeTraining:
     def test_constant_rate_prefers_least_training(self):
-        res, curve = optimize_training(lambda bt: 3.0, 5.0, 0.1, method="replica-linear")
+        grid = training_grid(5.0, 0.1)
+        res, curve = optimize_training(np.full(grid.size, 3.0), 5.0, 0.1, method="replica-linear")
         assert res.beta_t_opt == pytest.approx(0.1)
         assert res.c_bound == pytest.approx((5.0 - 0.1) / 5.0 * 3.0, rel=1e-12)
 
     def test_quadratic_vertex_on_grid(self):
-        res, _ = optimize_training(lambda bt: bt, 2.0, 0.1, method="replica-linear")
+        res, _ = optimize_training(training_grid(2.0, 0.1), 2.0, 0.1, method="replica-linear")
         assert res.beta_t_opt == pytest.approx(1.0)
         assert res.c_bound == pytest.approx(0.5, rel=1e-12)
 
     def test_result_matches_curve_point(self):
-        res, curve = optimize_training(lambda bt: math.sin(bt) + 1.1, 6.0, 0.1,
+        res, curve = optimize_training(np.sin(training_grid(6.0, 0.1)) + 1.1, 6.0, 0.1,
                                        method="replica-linear")
         i = int(np.argmin(np.abs(curve.beta_t - res.beta_t_opt)))
         assert res.c_bound == pytest.approx(curve.objective[i], rel=1e-12)
         assert res.c_bound >= curve.objective.max() - 1e-15
 
     def test_curve_invariants(self):
-        _, curve = optimize_training(lambda bt: bt**0.5, 4.0, 0.1, method="replica-linear")
+        _, curve = optimize_training(training_grid(4.0, 0.1) ** 0.5, 4.0, 0.1,
+                                     method="replica-linear")
         assert np.all(curve.beta_t > 0) and np.all(curve.beta_t < curve.beta)
         assert np.all(curve.objective <= curve.r_eff + 1e-15)
         assert np.all(curve.r_eff >= 0)
 
+    @pytest.mark.parametrize("rates", [np.array([3.0]), np.full(50, 3.0), np.full((49, 1), 3.0)],
+                             ids=["one", "one-too-many", "column"])
+    def test_rates_must_match_the_grid(self, rates):
+        # the grid {0.1, ..., 4.9} has 49 points
+        message = f"rates of shape {rates.shape} for a training grid of 49 points"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optimize_training(rates, 5.0, 0.1)
+
     def test_refinement_improves_off_grid_peak(self):
-        # objective (1 - bt/4) * rate peaks off-grid for rate = bt^2 e^{-bt}
+        # objective (1 - bt/4) * rate peaks off-grid for rate = bt^2 e^{-bt};
+        # the refinement of _grid_bounds, driven with one job
         rate = lambda bt: bt * bt * math.exp(-bt)
-        coarse, _ = optimize_training(rate, 4.0, 0.1, method="replica-linear")
-        fine, _ = optimize_training(rate, 4.0, 0.1, method="replica-linear", refine=True)
+        found = optimize_training([rate(bt) for bt in training_grid(4.0, 0.1)], 4.0, 0.1,
+                                  method="replica-linear")
+        (fine, _), = _refine([found], lambda jobs, xs: [rate(x) for x in xs])
+        coarse = found[0]
         assert fine.c_bound >= coarse.c_bound
         assert abs(fine.beta_t_opt - coarse.beta_t_opt) <= 0.1 + 1e-12
 

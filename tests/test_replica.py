@@ -276,16 +276,17 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("rho", [0.01, 1.0, 10.0, 100.0])
     def test_residual_evaluations_per_root(self, rho, monkeypatch):
-        # the scan samples the right-hand side alone, so _overlap_residual
-        # sees the Illinois steps and the tolerance check of each picked root
+        # the scan takes its expectation inline, so _gaussian_rhs sees the
+        # Illinois steps and the tolerance check of each picked root: at
+        # least one of each per root
         grid = training_grid(8.0, 0.1)
         owner, _, _, _ = _fixed_points(grid, np.full(grid.size, rho), RULE)
         assert np.bincount(owner, minlength=grid.size).tolist() == [1] * grid.size
-        residual, sizes = replica._overlap_residual, []
-        monkeypatch.setattr(replica, "_overlap_residual",
-                            lambda q, *args: sizes.append(np.size(q)) or residual(q, *args))
+        rhs, sizes = replica._gaussian_rhs, []
+        monkeypatch.setattr(replica, "_gaussian_rhs",
+                            lambda q, *args: sizes.append(np.size(q)) or rhs(q, *args))
         solve_qh_grid(rho, grid, RULE)
-        assert sum(sizes) <= 10 * grid.size
+        assert 2 * grid.size <= sum(sizes) <= 10 * grid.size
 
 
 class TestF1:
