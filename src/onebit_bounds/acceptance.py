@@ -18,9 +18,10 @@ from functools import lru_cache
 from typing import Callable, List
 
 import numpy as np
+from scipy import integrate, special
 
 from .exact import ChannelIntegration, SmallSystem, mi_direct, reff_exact
-from .numerics import LN2, exp_ratio, gauss_hermite, q_function
+from .numerics import LN2, gauss_hermite, q_function
 from .optimizer import compare_sweep, replica_bound, sweep_onebit_alpha
 from .replica import (
     SystemParams,
@@ -269,25 +270,33 @@ def criterion_9() -> CriterionResult:
 
         # fixed-point residuals at returned solutions, recoded from the
         # equations: q/(1-q) = (c K^2/pi) E[exp(-K^2 q u^2)/Q(K sqrt(q) u)],
-        # K^2 = snr/(1 + snr (1-q)), and for one-bit data q_x = the tanh
+        # K^2 = snr/(1 + snr (1-q)), the expectation by adaptive quadrature
+        # of the original integrand, and for one-bit data q_x = the tanh
         # moment at that right-hand side, minus 1
         def rhs(q, c, snr):
             ksq = snr / (1.0 + snr * (1.0 - q))
-            return c * ksq / math.pi * float(rule.weights @ exp_ratio(math.sqrt(ksq * q) * rule.nodes))
+            a = math.sqrt(ksq * q)
+
+            def f(u):  # N(0, 1) density times exp(-a^2 u^2) / Q(a u), up to sqrt(2 pi)
+                return math.exp(-0.5 * u * u - (a * u) ** 2 - special.log_ndtr(-a * u))
+
+            mean = sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                       for lo, hi in ((-math.inf, 0.0), (0.0, math.inf)))
+            return c * ksq / math.pi * mean / math.sqrt(2.0 * math.pi)
 
         def residual(q, c, snr):
             return q / (1.0 - q) - rhs(q, c, snr)
 
         for rho in (0.01, 1.0, 100.0):
             for beta_t in (0.1, 1.0, 10.0):
-                ov = solve_qh(rho, beta_t, rule)
+                ov = solve_qh(rho, beta_t)
                 res = abs(residual(ov.q_h, beta_t, rho))
                 if res > 1e-10:
                     problems.append(f"q_h residual {res:.2e} at rho={rho}, beta_t={beta_t}")
         u = rule.nodes
         for s in (0.05, 1.0, 10.0):
             for alpha in (0.5, 2.0):
-                dl = solve_qx_linear(s, alpha, rule)
+                dl = solve_qx_linear(s, alpha)
                 res = abs(residual(dl.q_x, alpha, s))
                 if res > 1e-10:
                     problems.append(f"q_x linear residual {res:.2e} at s={s}, alpha={alpha}")
@@ -301,19 +310,19 @@ def criterion_9() -> CriterionResult:
         # finite-difference stationarity of the free energies
         h = 1e-7
         for rho, beta_t in ((1.0, 1.0), (10.0, 0.5)):
-            ov = solve_qh(rho, beta_t, rule)
-            dq = (f1_value(ov.q_h + h, ov.q_h_hat, rho, beta_t, rule)
-                  - f1_value(ov.q_h - h, ov.q_h_hat, rho, beta_t, rule)) / (2 * h)
-            dqh = (f1_value(ov.q_h, ov.q_h_hat + h, rho, beta_t, rule)
-                   - f1_value(ov.q_h, ov.q_h_hat - h, rho, beta_t, rule)) / (2 * h)
+            ov = solve_qh(rho, beta_t)
+            dq = (f1_value(ov.q_h + h, ov.q_h_hat, rho, beta_t)
+                  - f1_value(ov.q_h - h, ov.q_h_hat, rho, beta_t)) / (2 * h)
+            dqh = (f1_value(ov.q_h, ov.q_h_hat + h, rho, beta_t)
+                   - f1_value(ov.q_h, ov.q_h_hat - h, rho, beta_t)) / (2 * h)
             if max(abs(dq), abs(dqh)) > 1e-6:
                 problems.append(f"F1 gradient ({dq:.2e}, {dqh:.2e}) at rho={rho}, beta_t={beta_t}")
         for s, alpha in ((1.0, 1.0), (5.0, 4.0)):
-            dl = solve_qx_linear(s, alpha, rule)
-            dq = (f1_value(dl.q_x + h, dl.q_x_hat, s, alpha, rule)
-                  - f1_value(dl.q_x - h, dl.q_x_hat, s, alpha, rule)) / (2 * h)
-            dqh = (f1_value(dl.q_x, dl.q_x_hat + h, s, alpha, rule)
-                   - f1_value(dl.q_x, dl.q_x_hat - h, s, alpha, rule)) / (2 * h)
+            dl = solve_qx_linear(s, alpha)
+            dq = (f1_value(dl.q_x + h, dl.q_x_hat, s, alpha)
+                  - f1_value(dl.q_x - h, dl.q_x_hat, s, alpha)) / (2 * h)
+            dqh = (f1_value(dl.q_x, dl.q_x_hat + h, s, alpha)
+                   - f1_value(dl.q_x, dl.q_x_hat - h, s, alpha)) / (2 * h)
             if max(abs(dq), abs(dqh)) > 1e-6:
                 problems.append(f"F2L gradient ({dq:.2e}, {dqh:.2e}) at s={s}, alpha={alpha}")
             do = solve_qx_onebit(s, alpha, rule)

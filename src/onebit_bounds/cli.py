@@ -147,8 +147,7 @@ def _system_params(cfg: argparse.Namespace) -> SystemParams:
 def _cmd_bound(args) -> int:
     cfg = _merge_config(args)
     params = _system_params(cfg)
-    rule = gauss_hermite(cfg.quad_nodes)
-    result, curve = replica_bound(params, cfg.grid_step, rule, cfg.tol,
+    result, curve = replica_bound(params, cfg.grid_step, gauss_hermite(cfg.quad_nodes), cfg.tol,
                                   refine=bool(args.refine))
     sections = [
         ("result",
@@ -166,10 +165,10 @@ def _cmd_bound(args) -> int:
 _COMPARE_HEADER = ["rho_db", "alpha", "beta", "c_bound_replica", "c_bound_bussgang", "r_csir"]
 
 
-def _compare_table(cfg: argparse.Namespace, alphas, betas, rho_dbs, rule):
+def _compare_table(cfg: argparse.Namespace, alphas, betas, rho_dbs):
     return [[r.rho_db, r.alpha, r.beta, r.c_bound_replica, r.c_bound_bussgang, r.r_csir]
             for b in betas for a in alphas
-            for r in compare_sweep(a, b, rho_dbs, cfg.grid_step, rule, cfg.tol)]
+            for r in compare_sweep(a, b, rho_dbs, cfg.grid_step, cfg.tol)]
 
 
 def _cmd_compare(args) -> int:
@@ -183,8 +182,7 @@ def _cmd_compare(args) -> int:
         raise ValueError(f"empty SNR sweep: [{lo}, {hi}] step {step}")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
     rho_dbs = [lo + k * step for k in range(n)]
-    rule = gauss_hermite(cfg.quad_nodes)
-    table = _compare_table(cfg, [cfg.alpha], [cfg.beta], rho_dbs, rule)
+    table = _compare_table(cfg, [cfg.alpha], [cfg.beta], rho_dbs)
     for col in range(3, 6):
         vals = [row[col] for row in table]
         if any(b < a - 1e-12 for a, b in zip(vals, vals[1:])):
@@ -195,14 +193,14 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    if args.which == 1 and (args.rho is not None or args.rho_db is not None):
-        raise ValueError("figure 1 sweeps -10 to 20 dB; --rho/--rho-db set figures 2 and 3")
+    if args.which == 1 and (args.rho, args.rho_db, args.quad_nodes) != (None, None, None):
+        raise ValueError("figure 1 sweeps -10 to 20 dB and reads no one-bit moment; "
+                         "--rho/--rho-db and --quad-nodes set figures 2 and 3")
     cfg = _merge_config(args)
-    rule = gauss_hermite(cfg.quad_nodes)
     if args.which == 1:
         rho_dbs = [float(d) for d in range(-10, 21)]
         betas = (cfg.beta,) if cfg.beta is not None else _FIGURE1_BETAS
-        table = _compare_table(cfg, [1.0, 2.0], betas, rho_dbs, rule)
+        table = _compare_table(cfg, [1.0, 2.0], betas, rho_dbs)
         _emit_sections([("figure1", _COMPARE_HEADER, table)], cfg)
         return 0
 
@@ -214,7 +212,7 @@ def _cmd_figure(args) -> int:
     table = []
     for beta in betas:
         results = sweep_onebit_alpha(_FIGURE_ALPHAS, beta, rho, cfg.grid_step,
-                                     rule, cfg.tol, refine=True)
+                                     gauss_hermite(cfg.quad_nodes), cfg.tol, refine=True)
         for alpha, (res, _) in zip(_FIGURE_ALPHAS, results):
             table.append([alpha, beta, res.beta_t_opt if args.which == 2 else res.c_bound])
     header = (["alpha", "beta", "beta_t_opt"] if args.which == 2
@@ -288,7 +286,7 @@ _FLAGS = {
     "rho_db": dict(type=float, help="per-receiver SNR in dB (power)"),
     "tx": dict(type=str, default="linear", choices=TX_TYPES, help="transmitter type"),
     "grid_step": dict(type=float, default=0.1, help="training-length grid step"),
-    "quad_nodes": dict(type=int, default=128, help="Gauss-Hermite order for expectations"),
+    "quad_nodes": dict(type=int, default=128, help="Gauss-Hermite order of the one-bit moments"),
     "tol": dict(type=float, default=1e-10, help="fixed-point tolerance"),
     "seed": dict(type=int, default=0, help="Monte Carlo seed"),
     "out": dict(type=str, help="output path (default stdout)"),
@@ -328,7 +326,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bound)
 
     p = subs.add_parser("compare", help="replica vs Bussgang vs known-channel sweep")
-    _add_flags(p, "alpha", "beta", *_SOLVER, *_OUTPUT)
+    _add_flags(p, "alpha", "beta", "grid_step", "tol", *_OUTPUT)
     p.add_argument("--rho-db-min", dest="rho_db_min", type=float, default=-10.0)
     p.add_argument("--rho-db-max", dest="rho_db_max", type=float, default=20.0)
     p.add_argument("--rho-db-step", dest="rho_db_step", type=float, default=1.0)

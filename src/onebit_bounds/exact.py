@@ -241,6 +241,9 @@ class _Tables:
         return v_log, w_log
 
 
+_block_tables = lru_cache(maxsize=4)(_Tables)  # d1-d4 build one per (system, t_t)
+
+
 def _conditional_mi_nats(ld3: np.ndarray) -> np.ndarray:
     """Mutual information (nats) of each channel of a batch given as
     ld3[b, x, y] = ln p(y | x), with uniform inputs."""
@@ -320,7 +323,7 @@ def _block(x_t, y_t, t_t: int, sys_: SmallSystem):
     check_budget(sys_, t_t)
     cols = _encode(np.transpose(np.reshape(x_t, (sys_.m, t_t))), QPSK, (t_t, sys_.m), "x_t")
     s_idx = _encode(y_t, SIGN_OUT, (sys_.n, t_t), "y_t")
-    v_log, w_log = _Tables(sys_, t_t, stream=0).receiver_tables(cols)
+    v_log, w_log = _block_tables(sys_, t_t).receiver_tables(cols)
     ld2, ld1 = _stack_receivers(v_log, w_log, s_idx[:, None])
     return float(ld2[0]), ld1[0]
 

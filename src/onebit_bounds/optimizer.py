@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import LN2, QuadratureRule, gauss_hermite
+from .numerics import LN2, QuadratureRule
 from .replica import (
     SystemParams,
     csir_rate,
@@ -236,7 +236,7 @@ def _job_rates(jobs, snr_eff, rule, tol):
         rates[onebit] = onebit_rates(alphas, snr_eff[onebit], rule, tol).reshape(len(onebit), -1)
     for k, (params, method) in enumerate(jobs):
         if method == "replica-linear":
-            rates[k] = linear_rates(params.alpha, snr_eff[k], rule, tol)
+            rates[k] = linear_rates(params.alpha, snr_eff[k], tol)
         elif method == "bussgang":
             rates[k] = [bussgang_inner_rate(params.alpha, s) for s in snr_eff[k]]
     return rates
@@ -252,10 +252,8 @@ def _grid_bounds(rho, beta, grid_step, rule, tol, jobs, refine=False):
     The refinement keeps that shape: each search step solves the current
     points of all jobs the same way, so a batch of one point per job.
     """
-    rule = rule or gauss_hermite()
-
     def snr_effs(bts):
-        return np.array([ov.snr_eff for ov in solve_qh_grid(rho, bts, rule, tol)])
+        return np.array([ov.snr_eff for ov in solve_qh_grid(rho, bts, tol)])
 
     bts = training_grid(beta, grid_step)
     grid_rates = _job_rates(jobs, np.broadcast_to(snr_effs(bts), (len(jobs), bts.size)),
@@ -340,7 +338,6 @@ def compare_sweep(
     beta: float,
     rho_db_values: Iterable[float],
     grid_step: float = 0.1,
-    rule: Optional[QuadratureRule] = None,
     tol: float = 1e-10,
 ):
     """Replica vs Bussgang vs known-channel rates over an SNR sweep.
@@ -348,20 +345,13 @@ def compare_sweep(
     Each SNR point solves the training grid once and reuses it for both
     optimized bounds.
     """
-    rule = rule or gauss_hermite()
     rho_dbs = [float(d) for d in rho_db_values]
     rhos = [snr_from_db(d) for d in rho_dbs]  # every point checked before any solve
     rows = []
     for rho_db, rho in zip(rho_dbs, rhos):
         params = SystemParams(alpha=alpha, beta=beta, rho=rho, tx_type="linear")
-        (rep, _), (bus, _) = _grid_bounds(rho, beta, grid_step, rule, tol,
+        (rep, _), (bus, _) = _grid_bounds(rho, beta, grid_step, None, tol,
                                           [(params, "replica-linear"), (params, "bussgang")])
-        rows.append(CompareRow(
-            rho_db=rho_db,
-            alpha=alpha,
-            beta=beta,
-            c_bound_replica=rep.c_bound,
-            c_bound_bussgang=bus.c_bound,
-            r_csir=csir_rate(alpha, rho, rule, tol),
-        ))
+        rows.append(CompareRow(rho_db=rho_db, alpha=alpha, beta=beta, c_bound_replica=rep.c_bound,
+                               c_bound_bussgang=bus.c_bound, r_csir=csir_rate(alpha, rho, tol)))
     return rows

@@ -24,7 +24,9 @@ With one-bit (QPSK) data symbols the second relation becomes a tanh moment:
 and putting q_x_hat equal to the Gaussian-tail right-hand side leaves one
 scalar root in [0, 1].  Every overlap equation is solved the same way: one
 residual scan for a whole batch, Illinois steps on every bracket, and the
-closed bracket's midpoint as the root.
+closed bracket's midpoint as the root.  The Gaussian-tail expectations (the
+right-hand side and the Q ln Q terms) are the exact means of ``numerics``;
+a ``rule`` argument sets only the one-bit tanh and ln cosh moments.
 
 Fixed points may be non-unique; the admissible solution minimizes the free
 energies F1 (training) / F2 (data), whose stationary points the equations
@@ -42,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import LN2, QuadratureRule, exp_ratio, gauss_hermite, q_log_q
+from .numerics import LN2, QuadratureRule, expect, gauss_hermite, mean_exp_ratio, mean_q_log_q
 
 __all__ = [
     "SystemParams",
@@ -70,22 +72,17 @@ TX_TYPES = ("linear", "onebit")
 
 # Residual sampling grid for the overlap equations: log-spaced so that
 # roots of order snr (low-SNR regime, down to ~1e-10) are still bracketed.
-_GRID_LO = 1e-12
-_GRID_HI = 1.0 - 1e-9
-_GRID_N = 64
-_SCAN_Q = np.geomspace(_GRID_LO, _GRID_HI, _GRID_N)
+_SCAN_Q = np.geomspace(1e-12, 1.0 - 1e-9, 64)
 # The one-bit residual has no pole and is >= 0 at q = 0, <= 0 at q = 1: its
 # scan takes both ends, so every pair has a bracket (q = 1: saturated root).
 _ONEBIT_Q = np.concatenate([[0.0], _SCAN_Q, [1.0]])
-# Rows of a scan evaluated at once: 2 x 66 x 128 elements keep the
-# temporaries under 1 MB however long the grid is.
+# Scan rows evaluated at once: at most 2 x 66 x 128 one-bit moment elements.
 _SCAN_ROWS = 2
 # Refined brackets close at _ROOT_ULPS ulp, or stay open after _MAX_STEPS
 # (then _choose's residual check fails); each root is its bracket's midpoint.
 _ROOT_ULPS = 4
 _MAX_STEPS = 200
-# One-bit brackets refined, and F2_O and tail terms taken, at once: 32 x 128
-# nodes keep the temporaries small however many pairs there are.
+# One-bit brackets refined, and F2_O taken, at once: 32 x 128 nodes, as above.
 _ONEBIT_PAIRS = 32
 
 
@@ -165,25 +162,14 @@ def _k_sq(snr, q) -> np.ndarray:
     return snr / (1.0 + snr * (1.0 - q))
 
 
-def _expect(values, rule: QuadratureRule):
-    # E_u along the last axis.  Each row is its own dot product, so a batch
-    # gives the same bits as one point at a time (a matrix-vector product
-    # does not).
-    if values.ndim == 1:
-        return values @ rule.weights
-    return (values[..., None, :] @ rule.weights[:, None])[..., 0, 0]
-
-
-def _gaussian_rhs(q, coef, snr, rule: QuadratureRule):
-    """(coef K^2 / pi) E_u[ exp(-K^2 q u^2) / Q(K sqrt(q) u) ], vectorized in q."""
-    q = np.asarray(q, dtype=float)
+def _gaussian_rhs(q, coef, snr):
+    """(coef K^2 / pi) E_u[ exp(-K^2 q u^2) / Q(K sqrt(q) u) ] for each q of an array."""
     ksq = _k_sq(snr, q)
-    return coef * ksq / np.pi * _expect(exp_ratio(np.sqrt(ksq * q)[..., None] * rule.nodes), rule)
+    return coef * ksq / np.pi * mean_exp_ratio(np.sqrt(ksq * q))
 
 
-def _overlap_residual(q, coef, snr, rule: QuadratureRule):
-    q = np.asarray(q, dtype=float)
-    return q / (1.0 - q) - _gaussian_rhs(q, coef, snr, rule)
+def _overlap_residual(q, coef, snr):
+    return q / (1.0 - q) - _gaussian_rhs(q, coef, snr)
 
 
 def _illinois(lo, hi, flo, fhi, residual):
@@ -220,7 +206,7 @@ def _illinois(lo, hi, flo, fhi, residual):
     return 0.5 * (lo + hi)
 
 
-def _scan(coef, snr, qs, residual, rule: QuadratureRule, rows: int):
+def _scan(coef, snr, qs, residual, rows: int):
     """Sample ``residual(q, rhs(q))`` at every q of qs for each (coef, snr)
     pair, ``rows`` pairs at a time.  The expectation in rhs does not depend
     on coef, so it is taken once per distinct snr, ``_SCAN_ROWS`` at a time.
@@ -231,8 +217,7 @@ def _scan(coef, snr, qs, residual, rule: QuadratureRule, rows: int):
     ksq = _k_sq(usnr[:, None], qs)
     mean = np.empty_like(ksq)
     for i in range(0, len(usnr), _SCAN_ROWS):
-        arg = np.sqrt(ksq[i:i + _SCAN_ROWS] * qs)[..., None] * rule.nodes
-        mean[i:i + _SCAN_ROWS] = _expect(exp_ratio(arg), rule)
+        mean[i:i + _SCAN_ROWS] = mean_exp_ratio(np.sqrt(ksq[i:i + _SCAN_ROWS] * qs))
     res = np.empty((coef.size, qs.size))
     for i in range(0, coef.size, rows):
         u = inv[i:i + rows]
@@ -246,27 +231,26 @@ def _scan(coef, snr, qs, residual, rule: QuadratureRule, rows: int):
     return res, owner[order], j_lo[order], j_hi[order]
 
 
-def _fixed_points(coef: np.ndarray, snr: np.ndarray, rule: QuadratureRule):
+def _fixed_points(coef: np.ndarray, snr: np.ndarray):
     """Every root in (0, 1) of the overlap equation at each (coef, snr) pair.
 
-    The residual is sampled at ``_GRID_N`` log-spaced points and
+    The residual is sampled at the 64 log-spaced points of ``_SCAN_Q`` and
     :func:`_illinois` closes every bracket; each root is its midpoint.
     Returns ``(owner, roots, lo, hi)``: root k belongs to pair ``owner[k]``
     and was refined in the bracket [lo[k], hi[k]] (lo == hi where a sample
     is an exact zero); a pair's roots come in increasing order.
     """
     qs = _SCAN_Q
-    res, owner, j_lo, j_hi = _scan(coef, snr, qs, lambda q, q_hat: q / (1.0 - q) - q_hat, rule,
-                                   coef.size)
+    res, owner, j_lo, j_hi = _scan(coef, snr, qs, lambda q, q_hat: q / (1.0 - q) - q_hat, coef.size)
     lo, hi, c, s = qs[j_lo], qs[j_hi], coef[owner], snr[owner]
     # (1 - q) times the residual has its signs but no pole at q = 1, where
     # the residual's steepness stalls regula falsi
     roots = _illinois(lo, hi, res[owner, j_lo] * (1.0 - lo), res[owner, j_hi] * (1.0 - hi),
-                      lambda x, k: _overlap_residual(x, c[k], s[k], rule) * (1.0 - x))
+                      lambda x, k: _overlap_residual(x, c[k], s[k]) * (1.0 - x))
     return owner, roots, lo, hi
 
 
-def overlap_fixed_points(coef: float, snr: float, rule: QuadratureRule):
+def overlap_fixed_points(coef: float, snr: float):
     """All roots in (0, 1) of  q/(1-q) = (coef K^2/pi) E_u exp(-K^2 q u^2)/Q(K sqrt(q) u).
 
     Samples the residual at log-spaced points and refines every sign-change
@@ -274,7 +258,7 @@ def overlap_fixed_points(coef: float, snr: float, rule: QuadratureRule):
     multiplicity.  With coef * snr > 0 the residual is negative at 0+ and
     positive at 1-, so at least one root is always bracketed.
     """
-    _, roots, lo, hi = _fixed_points(np.array([float(coef)]), np.array([float(snr)]), rule)
+    _, roots, lo, hi = _fixed_points(np.array([float(coef)]), np.array([float(snr)]))
     return [float(r) for r in roots], [(float(a), float(b)) for a, b in zip(lo, hi) if a < b]
 
 
@@ -306,8 +290,7 @@ def _choose(found, pairs: int, energy, resid, allowed, what: str, label) -> np.n
     return pick
 
 
-def _solve_overlaps(coef, snr, rule: QuadratureRule, tol: float, what: str,
-                    coef_name: str) -> np.ndarray:
+def _solve_overlaps(coef, snr, tol: float, what: str, coef_name: str) -> np.ndarray:
     """The admissible overlap at every (coef, snr) pair, solved as one batch.
 
     Pairs with coef * snr == 0 give q = 0.  Where a pair has several roots
@@ -321,26 +304,25 @@ def _solve_overlaps(coef, snr, rule: QuadratureRule, tol: float, what: str,
     if live.size == 0:
         return q
     c, s = coef[live], snr[live]
-    found = owner, roots, _, _ = _fixed_points(c, s, rule)
+    found = owner, roots, _, _ = _fixed_points(c, s)
     c_o, s_o = c[owner], s[owner]
     q[live] = roots[_choose(
         found, live.size,
-        lambda k: _free_energy(roots[k], roots[k] / (1.0 - roots[k]), c_o[k], s_o[k], rule),
-        np.abs(_overlap_residual(roots, c_o, s_o, rule)),
+        lambda k: _free_energy(roots[k], roots[k] / (1.0 - roots[k]), c_o[k], s_o[k]),
+        np.abs(_overlap_residual(roots, c_o, s_o)),
         tol * np.maximum(1.0, roots / (1.0 - roots)), what,
         lambda i: f"{coef_name}={c[i]:g}, snr={s[i]:g}")]
     return q
 
 
-def _tail_term(coef, snr, q, rule: QuadratureRule):
+def _tail_term(coef, snr, q):
     # -4 coef E_u[ Q(a u) ln Q(a u) ],  a = sqrt(K^2 q); vectorized
-    a = np.sqrt(_k_sq(snr, q) * q)
-    return -4.0 * coef * _expect(q_log_q(np.multiply.outer(a, rule.nodes)), rule)
+    return -4.0 * coef * mean_q_log_q(np.sqrt(_k_sq(snr, q) * q))
 
 
-def _free_energy(q, q_hat, coef, snr, rule: QuadratureRule):
+def _free_energy(q, q_hat, coef, snr):
     # F1 = F2_L: tail term + ln(1 + q_hat) - q_hat + q q_hat
-    return _tail_term(coef, snr, q, rule) + np.log1p(q_hat) - q_hat + q * q_hat
+    return _tail_term(coef, snr, q) + np.log1p(q_hat) - q_hat + q * q_hat
 
 
 def effective_snr(rho: float, q_h: float) -> float:
@@ -352,8 +334,7 @@ def effective_snr(rho: float, q_h: float) -> float:
     return rho * q_h / (1.0 + rho * (1.0 - q_h))
 
 
-def f1_value(q: float, q_hat: float, rho: float, beta_t: float,
-             rule: Optional[QuadratureRule] = None) -> float:
+def f1_value(q: float, q_hat: float, rho: float, beta_t: float) -> float:
     """Training-phase free energy
 
         F1(q, q_hat) = -4 beta_t E_u[ Q(a u) ln Q(a u) ] + q q_hat
@@ -368,11 +349,10 @@ def f1_value(q: float, q_hat: float, rho: float, beta_t: float,
         raise ValueError(f"q must lie in [0, 1), got {q}")
     if not q_hat >= 0.0:
         raise ValueError(f"q_hat must be nonnegative, got {q_hat}")
-    return float(_free_energy(q, q_hat, beta_t, rho, rule or gauss_hermite()))
+    return float(_free_energy(q, q_hat, beta_t, rho))
 
 
-def solve_qh_grid(rho: float, beta_ts, rule: Optional[QuadratureRule] = None,
-                  tol: float = 1e-10) -> list:
+def solve_qh_grid(rho: float, beta_ts, tol: float = 1e-10) -> list:
     """:func:`solve_qh` at every training length of a grid, as one batched solve.
 
     The grid shares one residual scan, since the Gaussian expectation in the
@@ -386,7 +366,7 @@ def solve_qh_grid(rho: float, beta_ts, rule: Optional[QuadratureRule] = None,
         raise ValueError(f"beta_t must be nonnegative, got {bts[~(bts >= 0.0)][0]}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    q_h = _solve_overlaps(bts, rho, rule or gauss_hermite(), tol, "channel overlap", "beta_t")
+    q_h = _solve_overlaps(bts, rho, tol, "channel overlap", "beta_t")
     return [
         ChannelOverlap(beta_t=float(bt), q_h=q, q_h_hat=q / (1.0 - q), rho_eff=rho * q,
                        sigma_eff_sq=1.0 + (1.0 - q) * rho, snr_eff=effective_snr(rho, q))
@@ -394,14 +374,13 @@ def solve_qh_grid(rho: float, beta_ts, rule: Optional[QuadratureRule] = None,
     ]
 
 
-def solve_qh(rho: float, beta_t: float, rule: Optional[QuadratureRule] = None,
-             tol: float = 1e-10) -> ChannelOverlap:
+def solve_qh(rho: float, beta_t: float, tol: float = 1e-10) -> ChannelOverlap:
     """Solve the training-phase overlap equation and build the effective channel.
 
     beta_t = 0 (or rho = 0) degenerates to q_h = 0: no estimate, snr_eff = 0.
     Among multiple fixed points the F1 minimizer is returned.
     """
-    return solve_qh_grid(rho, beta_t, rule, tol)[0]
+    return solve_qh_grid(rho, beta_t, tol)[0]
 
 
 def perfect_csi_overlap(rho: float) -> ChannelOverlap:
@@ -421,8 +400,8 @@ def _ln_cosh(t: np.ndarray) -> np.ndarray:
 def _f2_onebit(r, r_hat, alpha, snr_eff, rule: QuadratureRule):
     # F2_O, vectorized; each expectation is one dot product per element
     r_hat = np.asarray(r_hat, dtype=float)
-    cosh_term = _expect(_ln_cosh(r_hat[..., None] + np.sqrt(r_hat)[..., None] * rule.nodes), rule)
-    return _tail_term(alpha, snr_eff, r, rule) + r_hat - 2.0 * cosh_term + r * r_hat
+    cosh_term = expect(_ln_cosh(r_hat[..., None] + np.sqrt(r_hat)[..., None] * rule.nodes), rule)
+    return _tail_term(alpha, snr_eff, r) + r_hat - 2.0 * cosh_term + r * r_hat
 
 
 def f2_onebit(r: float, r_hat: float, alpha: float, snr_eff: float,
@@ -449,8 +428,7 @@ def _check_data_args(snr_eff: float, alpha: float, tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def solve_qx_linear(snr_eff: float, alpha: float, rule: Optional[QuadratureRule] = None,
-                    tol: float = 1e-10) -> DataOverlap:
+def solve_qx_linear(snr_eff: float, alpha: float, tol: float = 1e-10) -> DataOverlap:
     """Data-phase overlap for Gaussian data symbols.
 
     Substituting q_x = q_x_hat / (1 + q_x_hat) reduces the pair of stationarity
@@ -459,15 +437,10 @@ def solve_qx_linear(snr_eff: float, alpha: float, rule: Optional[QuadratureRule]
     minimizer is returned.
     """
     _check_data_args(snr_eff, alpha, tol)
-    rule = rule or gauss_hermite()
-    q = float(_solve_overlaps(alpha, snr_eff, rule, tol, "linear data overlap", "alpha")[0])
+    q = float(_solve_overlaps(alpha, snr_eff, tol, "linear data overlap", "alpha")[0])
     q_hat = q / (1.0 - q)
-    return DataOverlap(
-        q_x=q,
-        q_x_hat=q_hat,
-        f2_value=f1_value(q, q_hat, snr_eff, alpha, rule),
-        a_coeff=math.sqrt(_k_sq(snr_eff, q)),
-    )
+    return DataOverlap(q_x=q, q_x_hat=q_hat, f2_value=f1_value(q, q_hat, snr_eff, alpha),
+                       a_coeff=math.sqrt(_k_sq(snr_eff, q)))
 
 
 def _tanh_moment(q_hat, rule: QuadratureRule):
@@ -475,17 +448,17 @@ def _tanh_moment(q_hat, rule: QuadratureRule):
 
     The moment equals 1 + E_u[ tanh(sqrt(q_hat) u + q_hat) ], in [1, 2), so
     subtracting 1 from its quadrature value is exact (Sterbenz).  Below
-    q_hat = 1e-8 the 0 * inf ambiguity is removed by the series
-    q_hat - 3 q_hat^2 + O(q_hat^3), taken directly so that q_x keeps its
+    q_hat = 1e-8 the 0 * inf ambiguity is removed by the series E_u[tanh(...)]
+    = q_hat - q_hat^2 + O(q_hat^3), taken directly so that q_x keeps its
     relative accuracy.  A sum that rounds above 1 near saturation is capped
     there: g(1) <= 0 then holds in floats too.
     """
     small = q_hat < 1e-8
     s = np.sqrt(np.maximum(q_hat, 1e-8))[..., None]  # small entries take the series
     u = rule.nodes
-    m = _expect(np.tanh(s * u + q_hat[..., None]) * (2.0 + u / s), rule) - 1.0
+    m = expect(np.tanh(s * u + q_hat[..., None]) * (2.0 + u / s), rule) - 1.0
     if np.count_nonzero(small):
-        m = np.where(small, q_hat - 3.0 * q_hat * q_hat, m)
+        m = np.where(small, q_hat - q_hat * q_hat, m)
     return np.minimum(m, 1.0)
 
 
@@ -499,7 +472,7 @@ def _by_pairs(fn, *arrays):
 def _onebit_residual(q, alpha, snr, rule: QuadratureRule):
     # (q_hat, g): q_hat = rhs(q) and g(q) = tanh_moment(q_hat) - 1 - q, the
     # "- 1" already taken inside _tanh_moment
-    q_hat = _gaussian_rhs(q, alpha, snr, rule)
+    q_hat = _gaussian_rhs(q, alpha, snr)
     return np.array([q_hat, _tanh_moment(q_hat, rule) - q])
 
 
@@ -514,7 +487,7 @@ def _onebit_overlaps(alpha, snr, rule: QuadratureRule, tol: float):
     """
     qs = _ONEBIT_Q
     res, owner, j_lo, j_hi = _scan(alpha, snr, qs, lambda q, q_hat: _tanh_moment(q_hat, rule)
-                                   - q, rule, _SCAN_ROWS)
+                                   - q, _SCAN_ROWS)
     a, s = alpha[owner], snr[owner]
     roots = _illinois(qs[j_lo], qs[j_hi], res[owner, j_lo], res[owner, j_hi],
                       lambda x, k: _by_pairs(lambda *v: _onebit_residual(*v, rule)[1],
@@ -542,25 +515,22 @@ def solve_qx_onebit(snr_eff: float, alpha: float, rule: Optional[QuadratureRule]
     return DataOverlap(q_x=q, q_x_hat=q_hat, f2_value=f2, a_coeff=math.sqrt(_k_sq(snr_eff, q)))
 
 
-def linear_rates(alpha: float, snr_eff, rule: Optional[QuadratureRule] = None,
-                 tol: float = 1e-10) -> np.ndarray:
+def linear_rates(alpha: float, snr_eff, tol: float = 1e-10) -> np.ndarray:
     """:func:`reff_linear` at every effective SNR of an array; the data
     overlaps are solved as one batch."""
-    rule = rule or gauss_hermite()
     s = np.atleast_1d(np.asarray(snr_eff, dtype=float))
     _check_data_args(float(s.min()), alpha, tol)
-    q = _solve_overlaps(alpha, s, rule, tol, "linear data overlap", "alpha")
+    q = _solve_overlaps(alpha, s, tol, "linear data overlap", "alpha")
     # the tail term at q = 1 is minus the output-entropy term 4 alpha E[Q ln Q]
-    rates = np.maximum(0.0, (_free_energy(q, q / (1.0 - q), alpha, s, rule)
-                             - _tail_term(alpha, s, 1.0, rule)) / LN2)
+    rates = np.maximum(0.0, (_free_energy(q, q / (1.0 - q), alpha, s)
+                             - _tail_term(alpha, s, 1.0)) / LN2)
     return np.where(s == 0.0, 0.0, rates)
 
 
-def reff_linear(params: SystemParams, overlap: ChannelOverlap,
-                rule: Optional[QuadratureRule] = None, tol: float = 1e-10) -> float:
+def reff_linear(params: SystemParams, overlap: ChannelOverlap, tol: float = 1e-10) -> float:
     """Per-transmitter rate of the trained system with Gaussian data symbols,
     in bits per channel use."""
-    return float(linear_rates(params.alpha, overlap.snr_eff, rule, tol)[0])
+    return float(linear_rates(params.alpha, overlap.snr_eff, tol)[0])
 
 
 def onebit_rates(alpha, snr_eff, rule: Optional[QuadratureRule] = None,
@@ -573,8 +543,7 @@ def onebit_rates(alpha, snr_eff, rule: Optional[QuadratureRule] = None,
     _check_data_args(float(s.min()), float(a.min()), tol)
     _, _, f2 = _onebit_overlaps(a, s, rule, tol)
     # the QPSK input alphabet caps the rate at 2 bits; trim float residue
-    rates = _by_pairs(lambda a, s, f2: np.clip((f2 - _tail_term(a, s, 1.0, rule)) / LN2, 0.0, 2.0),
-                      a, s, f2)
+    rates = np.clip((f2 - _tail_term(a, s, 1.0)) / LN2, 0.0, 2.0)
     return np.where(s == 0.0, 0.0, rates)
 
 
@@ -585,8 +554,7 @@ def reff_onebit(params: SystemParams, overlap: ChannelOverlap,
     return float(onebit_rates(params.alpha, overlap.snr_eff, rule, tol)[0])
 
 
-def csir_rate(alpha: float, rho: float, rule: Optional[QuadratureRule] = None,
-              tol: float = 1e-10) -> float:
+def csir_rate(alpha: float, rho: float, tol: float = 1e-10) -> float:
     """Rate with perfect receiver channel knowledge and Gaussian inputs:
 
         R = (1/ln 2) [ 4 alpha E_u( Q(sqrt(rho) u) ln Q(sqrt(rho) u)
@@ -597,13 +565,10 @@ def csir_rate(alpha: float, rho: float, rule: Optional[QuadratureRule] = None,
     Upper reference for every training-based linear-transmitter bound.
     """
     _check_data_args(rho, alpha, tol)
-    rule = rule or gauss_hermite()
-    q = float(_solve_overlaps(alpha, rho, rule, tol, "known-channel data overlap", "alpha")[0])
+    q = float(_solve_overlaps(alpha, rho, tol, "known-channel data overlap", "alpha")[0])
     q_hat = q / (1.0 - q)
     a_hat = math.sqrt(rho / (1.0 + rho * (1.0 - q)))
-    tails = 4.0 * alpha * float(
-        rule.weights @ (q_log_q(math.sqrt(rho) * rule.nodes)
-                        - q_log_q(a_hat * math.sqrt(q) * rule.nodes))
-    )
+    known, data = mean_q_log_q(np.array([math.sqrt(rho), a_hat * math.sqrt(q)]))
+    tails = 4.0 * alpha * float(known - data)
     return max(0.0, (tails + math.log1p(q_hat) - q_hat + q * q_hat) / LN2)
 

@@ -202,6 +202,13 @@ class TestFigure:
         assert code == 1 and out == ""
         assert "figure 1 sweeps -10 to 20 dB" in err
 
+    def test_figure_one_rejects_quad_nodes(self, capsys):
+        # figure 1 is compare's sweep, which reads no one-bit moment
+        code, out, err = run_cli(["figure", "--which", "1", "--beta", "5", "--quad-nodes", "64"],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert "--quad-nodes set figures 2 and 3" in err
+
     def test_figure_one_accepts_a_config_file_snr(self, tmp_path, capsys):
         # every subcommand accepts every config key
         cfg = tmp_path / "run.json"
@@ -325,7 +332,7 @@ class TestFlagGroups:
             ["--alpha", "--beta", "--tx", "--grid-step", "--quad-nodes", "--tol"],
         "asymptotics --alpha 1 --beta 10 --rho 0.01": ["--grid-step", "--quad-nodes", "--tol", "--seed"],
         "figure --which 2 --beta 4": ["--alpha", "--tx", "--seed"],
-        "compare --alpha 1 --beta 5": ["--tx", "--seed", "--rho", "--rho-db"],
+        "compare --alpha 1 --beta 5": ["--tx", "--seed", "--rho", "--rho-db", "--quad-nodes"],
         "bound --alpha 1 --beta 4 --rho 1": ["--seed"],
     }
 
@@ -496,19 +503,23 @@ class TestGoldenBytes:
     exact rows at (m, n, t) = (1, 1, 3), (2, 1, 3) and (1, 2, 4) are from
     mi_direct's receiver factorization: only their abs_diff column moved,
     since mi_direct came within 1e-15 of a long-double sum of the joint
-    law where the summed joint law had been up to 2.4e-12 off."""
+    law where the summed joint law had been up to 2.4e-12 off.  The four
+    replica digests that read a Gaussian-tail mean at a >= 1 are from the
+    exact 48-node means: compare's r_csir rows from 8 dB up came within
+    1e-15 of a quad oracle (they were up to 5.2e-2 off at 20 dB), and the
+    refined rows moved below their grid_step * 1e-3 resolution."""
 
     @pytest.mark.parametrize("args, digest", [
         ("compare --alpha 2 --beta 5",
-         "3f672db7385178f94e62a3dca3da85e1867b6ea44bfc4b6e315cfa0dc3346e0e"),
+         "f6f2a9b5021364806b729e94c56c8e1cced93ff6b50877cd84a990dead22cb44"),
         ("figure --which 3 --beta 8",
          "cdd3566d17e6906f7d92f0b10f4b8995034fadc95c1a6e38447943767b0e42ec"),
         ("bound --alpha 4 --beta 8 --rho 10 --tx onebit --refine",
-         "864146600787450e243990f856dc04e75a057edde2c0003a7a7b04a3f9d551be"),
+         "bb536df733510923d1daeec963a84f5e7e98271b65fdbe8c53964dfc19272012"),
         ("figure --which 2 --beta 4 --rho-db 0 --grid-step 0.05",
-         "ff449e94f056ab7ac16af20ab98e3fbea857e65964577a65e88ba85155eacd44"),
+         "a205824c33a46c48e9253f3edbe8546ec7d714f162910b6f2d1666e1b64fab4f"),
         ("bound --alpha 256 --beta 8 --rho-db 0 --tx onebit --refine",
-         "d949c7f9028cde4c4488e3be62325e0b2ea7198304e91c9ee28758201c835cd5"),
+         "c48f249496d5b166b798bb9f60751db4a05f8296907f94ff113205075c3b0313"),
         ("exact --m 1 --n 1 --t 3 --rho 10",
          "e6bfbde42f5f23df162b89db17a851a458a42d0614f1827e5df1720b91bde220"),
         ("exact --m 2 --n 2 --t 2 --rho 10 --mc-samples 2000 --seed 0",

@@ -11,6 +11,10 @@ ALLOWED = {
                             "multiplicity; perfbench's tracer wraps it by name",
     "reff_onebit": "the one-point one-bit rate, the oracle the batched onebit_rates is "
                    "checked against; perfbench's tracer wraps it by name",
+    "exp_ratio": "the pointwise ratio exp(-x^2)/Q(x) behind mean_exp_ratio; perfbench's "
+                 "tracer wraps it by name",
+    "q_log_q": "the pointwise Q(x) ln Q(x) behind mean_q_log_q; perfbench's tracer wraps "
+               "it by name",
     "d1": "the paper's named d-pipeline, d1 to d4",
     "d4": "the paper's named d-pipeline, d1 to d4",
 }

@@ -11,6 +11,8 @@ from onebit_bounds.numerics import (
     exp_ratio,
     gauss_hermite,
     log_q_function,
+    mean_exp_ratio,
+    mean_q_log_q,
     q_function,
     q_log_q,
 )
@@ -139,3 +141,31 @@ class TestExpectNormal:
         got = rule.weights @ q_log_q(rule.nodes)
         assert got == pytest.approx(oracle, abs=1e-8)
         assert got == pytest.approx(-0.25, abs=1e-10)
+
+
+class TestGaussianTailMeans:
+    """E_u[exp_ratio(a u)] and E_u[Q ln Q(a u)] from a = 0 to 1e6, where a
+    Gauss-Hermite rule on the raw integrand is 100% off from a = 100 up."""
+
+    # mpmath at dps=40, adaptive quad of the raw integrands split at 0 and
+    # +-1/a, frozen to 20 digits; a = 0 gives 2 and -ln(2)/2 exactly
+    MPMATH = [
+        (0.0, 2.0, -0.34657359027997265471),
+        (1e-3, 1.9999992732398834853, -0.34657343112513805708),
+        (0.5, 1.8375949053193999582, -0.31250184275146318545),
+        (3.0, 0.70795119718493328317, -0.11352180819804305572),
+        (10.0, 0.22502699376650959257, -0.035840413541192466775),
+        (100.0, 0.022638415664710180061, -0.00360304238515911609),
+        (1e4, 0.0002263979839746364748, -0.000036032358282235266107),
+        (1e6, 2.2639798535749034275e-6, -3.6032358475693792222e-7),
+    ]
+
+    @pytest.mark.parametrize("a, exp_ratio_mean, q_log_q_mean", MPMATH)
+    def test_against_mpmath(self, a, exp_ratio_mean, q_log_q_mean):
+        assert mean_exp_ratio(a) == pytest.approx(exp_ratio_mean, rel=1e-15, abs=0.0)
+        assert mean_q_log_q(a) == pytest.approx(q_log_q_mean, rel=1e-15, abs=0.0)
+
+    def test_batch_gives_the_bits_of_each_point(self):
+        a = np.array([[m[0] for m in self.MPMATH]] * 2)
+        assert mean_exp_ratio(a).tolist() == [[float(mean_exp_ratio(v)) for v in a[0]]] * 2
+        assert mean_q_log_q(a).tolist() == [[float(mean_q_log_q(v)) for v in a[0]]] * 2

@@ -95,7 +95,7 @@ class TestOptimizeTraining:
         params = SystemParams(8.0, 8.0, 10.0, "onebit")
         res, _ = replica_bound(params, 0.1, RULE)
         fine_grid = training_grid(8.0, 0.001)
-        snr_eff = [ov.snr_eff for ov in solve_qh_grid(10.0, fine_grid, RULE)]
+        snr_eff = [ov.snr_eff for ov in solve_qh_grid(10.0, fine_grid)]
         objective = (8.0 - fine_grid) / 8.0 * onebit_rates(params.alpha, snr_eff, RULE)
         bt_fine = float(fine_grid[int(np.argmax(objective))])
         assert abs(res.beta_t_opt - bt_fine) <= 0.1 + 1e-9
@@ -159,13 +159,13 @@ class TestBrent:
         # the oracle: scipy's search, one scalar solve per point
         swept = sweep_onebit_alpha(alphas, beta, rho, step, RULE, refine=True)
         grid = training_grid(beta, step)
-        snr_eff = [ov.snr_eff for ov in solve_qh_grid(rho, grid, RULE)]
+        snr_eff = [ov.snr_eff for ov in solve_qh_grid(rho, grid)]
         for alpha, (res, _) in zip(alphas, swept):
             params = SystemParams(alpha, beta, rho, "onebit")
             objective = (beta - grid) / beta * onebit_rates(alpha, snr_eff, RULE)
             i = int(np.argmax(objective))
             x, fun, _ = scipy_bounded(
-                lambda bt: -(beta - bt) / beta * reff_onebit(params, solve_qh(rho, bt, RULE), RULE),
+                lambda bt: -(beta - bt) / beta * reff_onebit(params, solve_qh(rho, bt), RULE),
                 grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], step * 1e-3)
             assert -fun > objective[i]
             assert as_hex([res.beta_t_opt, res.c_bound]) == as_hex([x, -fun]), alpha
@@ -173,7 +173,7 @@ class TestBrent:
 
 class TestBussgangBound:
     def test_zero_snr_gives_zero_bound(self):
-        (row,) = compare_sweep(1.0, 5.0, [-math.inf], 0.1, RULE)
+        (row,) = compare_sweep(1.0, 5.0, [-math.inf], 0.1)
         assert (row.c_bound_bussgang, row.c_bound_replica, row.r_csir) == (0.0, 0.0, 0.0)
 
     def test_inner_rate_saturation_limit(self):
@@ -213,7 +213,7 @@ class TestSweeps:
             assert res.beta_t_opt == pytest.approx(direct.beta_t_opt, rel=1e-12)
 
     def test_compare_rows_are_ordered_and_consistent(self):
-        rows = compare_sweep(1.0, 20.0, [0.0, 10.0], rule=RULE)
+        rows = compare_sweep(1.0, 20.0, [0.0, 10.0])
         assert [r.rho_db for r in rows] == [0.0, 10.0]
         for r in rows:
             assert r.c_bound_bussgang <= r.c_bound_replica + 1e-12
