@@ -270,19 +270,24 @@ def criterion_9() -> CriterionResult:
 
         # fixed-point residuals at returned solutions, recoded from the
         # equations: q/(1-q) = (c K^2/pi) E[exp(-K^2 q u^2)/Q(K sqrt(q) u)],
-        # K^2 = snr/(1 + snr (1-q)), the expectation by adaptive quadrature
-        # of the original integrand, and for one-bit data q_x = the tanh
-        # moment at that right-hand side, minus 1
-        def rhs(q, c, snr):
+        # K^2 = snr/(1 + snr (1-q)), and for one-bit data q_x = the tanh
+        # moment at that right-hand side, minus 1; each expectation by
+        # adaptive quadrature of the original integrand, split at its kinks
+        def mean(f, points):  # integral of f split at points, over sqrt(2 pi)
+            edges = (-math.inf,) + points + (math.inf,)
+            return sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                       for lo, hi in zip(edges, edges[1:])) / math.sqrt(2.0 * math.pi)
+
+        def rhs(q, c, snr):  # the density times exp(-a^2 u^2) / Q(a u), a = K sqrt(q)
             ksq = snr / (1.0 + snr * (1.0 - q))
             a = math.sqrt(ksq * q)
+            return c * ksq / math.pi * mean(
+                lambda u: math.exp(-0.5 * u * u - (a * u) ** 2 - special.log_ndtr(-a * u)), (0.0,))
 
-            def f(u):  # N(0, 1) density times exp(-a^2 u^2) / Q(a u), up to sqrt(2 pi)
-                return math.exp(-0.5 * u * u - (a * u) ** 2 - special.log_ndtr(-a * u))
-
-            mean = sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-                       for lo, hi in ((-math.inf, 0.0), (0.0, math.inf)))
-            return c * ksq / math.pi * mean / math.sqrt(2.0 * math.pi)
+        def tanh_moment(q_hat):  # the integrand changes sign at u = -2a and u = -a
+            a = math.sqrt(q_hat)
+            return mean(lambda u: math.exp(-0.5 * u * u) * math.tanh(a * u + q_hat)
+                        * (2.0 + u / a), (-2.0 * a, -a, 0.0))
 
         def residual(q, c, snr):
             return q / (1.0 - q) - rhs(q, c, snr)
@@ -293,17 +298,14 @@ def criterion_9() -> CriterionResult:
                 res = abs(residual(ov.q_h, beta_t, rho))
                 if res > 1e-10:
                     problems.append(f"q_h residual {res:.2e} at rho={rho}, beta_t={beta_t}")
-        u = rule.nodes
         for s in (0.05, 1.0, 10.0):
             for alpha in (0.5, 2.0):
                 dl = solve_qx_linear(s, alpha)
                 res = abs(residual(dl.q_x, alpha, s))
                 if res > 1e-10:
                     problems.append(f"q_x linear residual {res:.2e} at s={s}, alpha={alpha}")
-                do = solve_qx_onebit(s, alpha, rule)
-                qh = rhs(do.q_x, alpha, s)
-                moment = float(rule.weights @ (np.tanh(math.sqrt(qh) * u + qh) * (2.0 + u / math.sqrt(qh))))
-                res = abs(moment - 1.0 - do.q_x)
+                do = solve_qx_onebit(s, alpha)
+                res = abs(tanh_moment(rhs(do.q_x, alpha, s)) - 1.0 - do.q_x)
                 if res > 1e-10:
                     problems.append(f"q_x one-bit residual {res:.2e} at s={s}, alpha={alpha}")
 
@@ -325,11 +327,11 @@ def criterion_9() -> CriterionResult:
                    - f1_value(dl.q_x, dl.q_x_hat - h, s, alpha)) / (2 * h)
             if max(abs(dq), abs(dqh)) > 1e-6:
                 problems.append(f"F2L gradient ({dq:.2e}, {dqh:.2e}) at s={s}, alpha={alpha}")
-            do = solve_qx_onebit(s, alpha, rule)
-            dq = (f2_onebit(min(do.q_x + h, 1.0), do.q_x_hat, alpha, s, rule)
-                  - f2_onebit(do.q_x - h, do.q_x_hat, alpha, s, rule)) / (min(do.q_x + h, 1.0) - (do.q_x - h))
-            dqh = (f2_onebit(do.q_x, do.q_x_hat + h, alpha, s, rule)
-                   - f2_onebit(do.q_x, do.q_x_hat - h, alpha, s, rule)) / (2 * h)
+            do = solve_qx_onebit(s, alpha)
+            dq = (f2_onebit(min(do.q_x + h, 1.0), do.q_x_hat, alpha, s)
+                  - f2_onebit(do.q_x - h, do.q_x_hat, alpha, s)) / (min(do.q_x + h, 1.0) - (do.q_x - h))
+            dqh = (f2_onebit(do.q_x, do.q_x_hat + h, alpha, s)
+                   - f2_onebit(do.q_x, do.q_x_hat - h, alpha, s)) / (2 * h)
             if max(abs(dq), abs(dqh)) > 1e-6:
                 problems.append(f"F2O gradient ({dq:.2e}, {dqh:.2e}) at s={s}, alpha={alpha}")
 

@@ -29,7 +29,6 @@ from .exact import (
     c_bound_exact,
     mi_direct,
 )
-from .numerics import gauss_hermite
 from .optimizer import (
     compare_sweep,
     low_snr_asymptotics,
@@ -147,8 +146,7 @@ def _system_params(cfg: argparse.Namespace) -> SystemParams:
 def _cmd_bound(args) -> int:
     cfg = _merge_config(args)
     params = _system_params(cfg)
-    result, curve = replica_bound(params, cfg.grid_step, gauss_hermite(cfg.quad_nodes), cfg.tol,
-                                  refine=bool(args.refine))
+    result, curve = replica_bound(params, cfg.grid_step, cfg.tol, refine=bool(args.refine))
     sections = [
         ("result",
          ["beta_t_opt", "c_bound", "method", "alpha", "beta", "rho"],
@@ -193,9 +191,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    if args.which == 1 and (args.rho, args.rho_db, args.quad_nodes) != (None, None, None):
-        raise ValueError("figure 1 sweeps -10 to 20 dB and reads no one-bit moment; "
-                         "--rho/--rho-db and --quad-nodes set figures 2 and 3")
+    if args.which == 1 and (args.rho, args.rho_db) != (None, None):
+        raise ValueError("figure 1 sweeps -10 to 20 dB; --rho/--rho-db set figures 2 and 3")
     cfg = _merge_config(args)
     if args.which == 1:
         rho_dbs = [float(d) for d in range(-10, 21)]
@@ -211,8 +208,8 @@ def _cmd_figure(args) -> int:
     betas = (cfg.beta,) if cfg.beta is not None else _FIGURE2_BETAS
     table = []
     for beta in betas:
-        results = sweep_onebit_alpha(_FIGURE_ALPHAS, beta, rho, cfg.grid_step,
-                                     gauss_hermite(cfg.quad_nodes), cfg.tol, refine=True)
+        results = sweep_onebit_alpha(_FIGURE_ALPHAS, beta, rho, cfg.grid_step, cfg.tol,
+                                     refine=True)
         for alpha, (res, _) in zip(_FIGURE_ALPHAS, results):
             table.append([alpha, beta, res.beta_t_opt if args.which == 2 else res.c_bound])
     header = (["alpha", "beta", "beta_t_opt"] if args.which == 2
@@ -286,7 +283,6 @@ _FLAGS = {
     "rho_db": dict(type=float, help="per-receiver SNR in dB (power)"),
     "tx": dict(type=str, default="linear", choices=TX_TYPES, help="transmitter type"),
     "grid_step": dict(type=float, default=0.1, help="training-length grid step"),
-    "quad_nodes": dict(type=int, default=128, help="Gauss-Hermite order of the one-bit moments"),
     "tol": dict(type=float, default=1e-10, help="fixed-point tolerance"),
     "seed": dict(type=int, default=0, help="Monte Carlo seed"),
     "out": dict(type=str, help="output path (default stdout)"),
@@ -299,7 +295,7 @@ _FLAGS = {
                           help="tensor quadrature order per real dimension"),
     "config": dict(type=str, help="JSON config file; flags override its values"),
 }
-_SOLVER = ("grid_step", "quad_nodes", "tol")
+_SOLVER = ("grid_step", "tol")
 _OUTPUT = ("out", "format", "config")
 
 
@@ -326,7 +322,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bound)
 
     p = subs.add_parser("compare", help="replica vs Bussgang vs known-channel sweep")
-    _add_flags(p, "alpha", "beta", "grid_step", "tol", *_OUTPUT)
+    _add_flags(p, "alpha", "beta", *_SOLVER, *_OUTPUT)
     p.add_argument("--rho-db-min", dest="rho_db_min", type=float, default=-10.0)
     p.add_argument("--rho-db-max", dest="rho_db_max", type=float, default=20.0)
     p.add_argument("--rho-db-step", dest="rho_db_step", type=float, default=1.0)

@@ -15,6 +15,9 @@ The Gaussian-tail means E_u[exp_ratio(a u)] and E_u[Q ln Q(a u)] are exact at
 any a: u = w / sqrt(1 + a^2) moves their Gaussian factor into the weight of one
 fixed 48-node rule, within 2.3e-16 of mpmath for a in [0, 1e6] (40 nodes:
 8.9e-15, 32: 5.7e-13; on f(a u) itself, 128 nodes are 100% off from a = 100).
+The one-bit moments E[tanh z] and E[ln cosh z], z ~ N(q, q), take the default
+128-node rule in ``replica``, directly for small q and in the Fourier dual above
+(within 5.9e-12 of mpmath for q in [1e-12, 1e3]; on the raw integrand, 1e-7 at q = 10).
 """
 from __future__ import annotations
 

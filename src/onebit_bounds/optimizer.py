@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import LN2, QuadratureRule
+from .numerics import LN2
 from .replica import (
     SystemParams,
     csir_rate,
@@ -226,14 +226,14 @@ def _refine(found, rates_at):
     return out
 
 
-def _job_rates(jobs, snr_eff, rule, tol):
+def _job_rates(jobs, snr_eff, tol):
     """Rate of every ``(params, method)`` job at each effective SNR of its
     row of ``snr_eff``; the one-bit jobs' data overlaps are one batch."""
     rates = np.empty(snr_eff.shape)
     onebit = [k for k, (_, method) in enumerate(jobs) if method == "replica-onebit"]
     if onebit:
         alphas = np.array([jobs[k][0].alpha for k in onebit])[:, None]
-        rates[onebit] = onebit_rates(alphas, snr_eff[onebit], rule, tol).reshape(len(onebit), -1)
+        rates[onebit] = onebit_rates(alphas, snr_eff[onebit], tol).reshape(len(onebit), -1)
     for k, (params, method) in enumerate(jobs):
         if method == "replica-linear":
             rates[k] = linear_rates(params.alpha, snr_eff[k], tol)
@@ -242,7 +242,7 @@ def _job_rates(jobs, snr_eff, rule, tol):
     return rates
 
 
-def _grid_bounds(rho, beta, grid_step, rule, tol, jobs, refine=False):
+def _grid_bounds(rho, beta, grid_step, tol, jobs, refine=False):
     """Solve the training grid at ``rho`` once and optimize every
     ``(params, method)`` job on it; one ``(BoundResult, RateCurve)`` per job.
 
@@ -256,32 +256,24 @@ def _grid_bounds(rho, beta, grid_step, rule, tol, jobs, refine=False):
         return np.array([ov.snr_eff for ov in solve_qh_grid(rho, bts, tol)])
 
     bts = training_grid(beta, grid_step)
-    grid_rates = _job_rates(jobs, np.broadcast_to(snr_effs(bts), (len(jobs), bts.size)),
-                            rule, tol)
+    grid_rates = _job_rates(jobs, np.broadcast_to(snr_effs(bts), (len(jobs), bts.size)), tol)
     out = [optimize_training(rates, beta, grid_step, params=params, method=method)
            for (params, method), rates in zip(jobs, grid_rates)]
     if refine:
         out = _refine(out, lambda ks, xs: _job_rates(
-            [jobs[k] for k in ks], snr_effs(xs)[:, None], rule, tol)[:, 0])
+            [jobs[k] for k in ks], snr_effs(xs)[:, None], tol)[:, 0])
     return out
 
 
-def replica_bound(
-    params: SystemParams,
-    grid_step: float = 0.1,
-    rule: Optional[QuadratureRule] = None,
-    tol: float = 1e-10,
-    *,
-    refine: bool = False,
-):
+def replica_bound(params: SystemParams, grid_step: float = 0.1, tol: float = 1e-10, *,
+                  refine: bool = False):
     """Optimized training-based bound for the configured transmitter type.
 
     Returns ``(BoundResult, RateCurve)`` with method ``replica-linear`` or
     ``replica-onebit``.
     """
     method = "replica-linear" if params.tx_type == "linear" else "replica-onebit"
-    return _grid_bounds(params.rho, params.beta, grid_step, rule, tol,
-                        [(params, method)], refine)[0]
+    return _grid_bounds(params.rho, params.beta, grid_step, tol, [(params, method)], refine)[0]
 
 
 def bussgang_inner_rate(alpha: float, snr_eff: float) -> float:
@@ -300,16 +292,8 @@ def low_snr_asymptotics(params: SystemParams):
     return beta_t_opt, c_bound
 
 
-def sweep_onebit_alpha(
-    alphas: Sequence[float],
-    beta: float,
-    rho: float,
-    grid_step: float = 0.1,
-    rule: Optional[QuadratureRule] = None,
-    tol: float = 1e-10,
-    *,
-    refine: bool = False,
-):
+def sweep_onebit_alpha(alphas: Sequence[float], beta: float, rho: float, grid_step: float = 0.1,
+                       tol: float = 1e-10, *, refine: bool = False):
     """One-bit transmitter bounds over a receiver-ratio sweep.
 
     The training overlap q_h does not depend on alpha, so the grid of
@@ -318,7 +302,7 @@ def sweep_onebit_alpha(
     """
     jobs = [(SystemParams(alpha=alpha, beta=beta, rho=rho, tx_type="onebit"), "replica-onebit")
             for alpha in alphas]
-    return _grid_bounds(rho, beta, grid_step, rule, tol, jobs, refine)
+    return _grid_bounds(rho, beta, grid_step, tol, jobs, refine)
 
 
 @dataclass(frozen=True)
@@ -350,7 +334,7 @@ def compare_sweep(
     rows = []
     for rho_db, rho in zip(rho_dbs, rhos):
         params = SystemParams(alpha=alpha, beta=beta, rho=rho, tx_type="linear")
-        (rep, _), (bus, _) = _grid_bounds(rho, beta, grid_step, None, tol,
+        (rep, _), (bus, _) = _grid_bounds(rho, beta, grid_step, tol,
                                           [(params, "replica-linear"), (params, "bussgang")])
         rows.append(CompareRow(rho_db=rho_db, alpha=alpha, beta=beta, c_bound_replica=rep.c_bound,
                                c_bound_bussgang=bus.c_bound, r_csir=csir_rate(alpha, rho, tol)))

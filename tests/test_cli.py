@@ -202,13 +202,6 @@ class TestFigure:
         assert code == 1 and out == ""
         assert "figure 1 sweeps -10 to 20 dB" in err
 
-    def test_figure_one_rejects_quad_nodes(self, capsys):
-        # figure 1 is compare's sweep, which reads no one-bit moment
-        code, out, err = run_cli(["figure", "--which", "1", "--beta", "5", "--quad-nodes", "64"],
-                                 capsys)
-        assert code == 1 and out == ""
-        assert "--quad-nodes set figures 2 and 3" in err
-
     def test_figure_one_accepts_a_config_file_snr(self, tmp_path, capsys):
         # every subcommand accepts every config key
         cfg = tmp_path / "run.json"
@@ -331,9 +324,9 @@ class TestFlagGroups:
         "exact --m 1 --n 1 --t 2 --rho 1":
             ["--alpha", "--beta", "--tx", "--grid-step", "--quad-nodes", "--tol"],
         "asymptotics --alpha 1 --beta 10 --rho 0.01": ["--grid-step", "--quad-nodes", "--tol", "--seed"],
-        "figure --which 2 --beta 4": ["--alpha", "--tx", "--seed"],
+        "figure --which 2 --beta 4": ["--alpha", "--tx", "--seed", "--quad-nodes"],
         "compare --alpha 1 --beta 5": ["--tx", "--seed", "--rho", "--rho-db", "--quad-nodes"],
-        "bound --alpha 1 --beta 4 --rho 1": ["--seed"],
+        "bound --alpha 1 --beta 4 --rho 1": ["--seed", "--quad-nodes"],
     }
 
     @pytest.mark.parametrize("args, flag", [
@@ -383,7 +376,7 @@ class TestConfigFile:
         assert code == 1
         assert "alhpa" in err
 
-    @pytest.mark.parametrize("key", ["workers", "which"])
+    @pytest.mark.parametrize("key", ["workers", "which", "quad_nodes"])
     def test_retired_key_rejected(self, key, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"alpha": 1.0, "beta": 2.0, "rho": 1.0, key: 2}))
@@ -402,20 +395,20 @@ class TestConfigFile:
         assert from_file == from_flags
 
         cfg.write_text(json.dumps({"alpha": 2, "beta": 4.0, "rho": 3.5, "tx": "onebit",
-                                   "grid_step": 0.25, "quad_nodes": 48, "tol": 1e-9}))
+                                   "grid_step": 0.25, "tol": 1e-9}))
         code, from_file, _ = run_cli(["bound", "--config", str(cfg)], capsys)
         assert code == 0
         _, from_flags, _ = run_cli(["bound", "--alpha", "2", "--beta", "4.0", "--rho", "3.5",
-                                    "--tx", "onebit", "--grid-step", "0.25",
-                                    "--quad-nodes", "48", "--tol", "1e-9"], capsys)
+                                    "--tx", "onebit", "--grid-step", "0.25", "--tol", "1e-9"],
+                                   capsys)
         assert from_file == from_flags
 
     @pytest.mark.parametrize("command, key, value, message", [
         ("exact --m 1 --n 1 --rho 10", "t", 2.9, "invalid int value '2.9'"),
         ("exact --m 1 --n 1 --t 2 --rho 10", "mc_samples", 1e3, "invalid int value '1000.0'"),
         ("bound --beta 4 --rho 1", "alpha", True, "invalid float value 'True'"),
-        ("bound --alpha 1 --beta 4 --rho 1", "quad_nodes", 8.7, "invalid int value '8.7'"),
-    ], ids=["exact-t", "exact-mc_samples", "bound-alpha", "bound-quad_nodes"])
+        ("exact --m 1 --n 1 --t 2 --rho 10", "channel_order", 8.7, "invalid int value '8.7'"),
+    ], ids=["exact-t", "exact-mc_samples", "bound-alpha", "exact-channel_order"])
     def test_config_value_read_as_its_flag(self, command, key, value, message,
                                            tmp_path, capsys):
         # the value typed as the flag exits 1 in argparse, so the file value must too
@@ -507,19 +500,23 @@ class TestGoldenBytes:
     replica digests that read a Gaussian-tail mean at a >= 1 are from the
     exact 48-node means: compare's r_csir rows from 8 dB up came within
     1e-15 of a quad oracle (they were up to 5.2e-2 off at 20 dB), and the
-    refined rows moved below their grid_step * 1e-3 resolution."""
+    refined rows moved below their grid_step * 1e-3 resolution.  The four
+    one-bit digests are from the exact one-bit moments: every moved rate and
+    c_bound came within 4e-13 of a 1024-node sum of the raw moments (it was
+    up to 3.5e-8 off), and every moved beta_t_opt by less than its
+    grid_step * 1e-3 resolution."""
 
     @pytest.mark.parametrize("args, digest", [
         ("compare --alpha 2 --beta 5",
          "f6f2a9b5021364806b729e94c56c8e1cced93ff6b50877cd84a990dead22cb44"),
         ("figure --which 3 --beta 8",
-         "cdd3566d17e6906f7d92f0b10f4b8995034fadc95c1a6e38447943767b0e42ec"),
+         "2d68334faed280abeaaf65e1f07f1635346c5e846c02f232702b80f9a9ee3016"),
         ("bound --alpha 4 --beta 8 --rho 10 --tx onebit --refine",
-         "bb536df733510923d1daeec963a84f5e7e98271b65fdbe8c53964dfc19272012"),
+         "fc6a43b48c3943463bb3d86df05011df2ff955d0594d238c6a267c6b2962898d"),
         ("figure --which 2 --beta 4 --rho-db 0 --grid-step 0.05",
-         "a205824c33a46c48e9253f3edbe8546ec7d714f162910b6f2d1666e1b64fab4f"),
+         "f79f166b50317aeb4c58e66bfadb21983ddcda1734fa2e16c405d0c4d5a912ae"),
         ("bound --alpha 256 --beta 8 --rho-db 0 --tx onebit --refine",
-         "c48f249496d5b166b798bb9f60751db4a05f8296907f94ff113205075c3b0313"),
+         "d56409f94a72073adeff71966e53f00d2c86a264a9c34f4955cf73dc26ddc413"),
         ("exact --m 1 --n 1 --t 3 --rho 10",
          "e6bfbde42f5f23df162b89db17a851a458a42d0614f1827e5df1720b91bde220"),
         ("exact --m 2 --n 2 --t 2 --rho 10 --mc-samples 2000 --seed 0",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from onebit_bounds.numerics import LN2, gauss_hermite
+from onebit_bounds.numerics import LN2
 from onebit_bounds.optimizer import (
     _brent,
     _refine,
@@ -26,8 +26,6 @@ from onebit_bounds.replica import (
     solve_qh,
     solve_qh_grid,
 )
-
-RULE = gauss_hermite(128)
 
 
 class TestTrainingGrid:
@@ -93,15 +91,15 @@ class TestOptimizeTraining:
         # TestBatchedSolve checks point by point against solve_qh and
         # reff_onebit; the coarse run's step-0.1 grid is a separate batch
         params = SystemParams(8.0, 8.0, 10.0, "onebit")
-        res, _ = replica_bound(params, 0.1, RULE)
+        res, _ = replica_bound(params, 0.1)
         fine_grid = training_grid(8.0, 0.001)
         snr_eff = [ov.snr_eff for ov in solve_qh_grid(10.0, fine_grid)]
-        objective = (8.0 - fine_grid) / 8.0 * onebit_rates(params.alpha, snr_eff, RULE)
+        objective = (8.0 - fine_grid) / 8.0 * onebit_rates(params.alpha, snr_eff)
         bt_fine = float(fine_grid[int(np.argmax(objective))])
         assert abs(res.beta_t_opt - bt_fine) <= 0.1 + 1e-9
         # the refinement resolves beta_t to grid_step * 1e-3, inside half a
         # fine-grid step of its argmax
-        refined, _ = replica_bound(params, 0.1, RULE, refine=True)
+        refined, _ = replica_bound(params, 0.1, refine=True)
         assert abs(refined.beta_t_opt - bt_fine) <= 0.0005 + 0.1 * 1e-3
         assert refined.c_bound >= objective.max()
 
@@ -157,15 +155,15 @@ class TestBrent:
     ])
     def test_lockstep_sweep_matches_scipy_per_alpha(self, beta, rho, step, alphas):
         # the oracle: scipy's search, one scalar solve per point
-        swept = sweep_onebit_alpha(alphas, beta, rho, step, RULE, refine=True)
+        swept = sweep_onebit_alpha(alphas, beta, rho, step, refine=True)
         grid = training_grid(beta, step)
         snr_eff = [ov.snr_eff for ov in solve_qh_grid(rho, grid)]
         for alpha, (res, _) in zip(alphas, swept):
             params = SystemParams(alpha, beta, rho, "onebit")
-            objective = (beta - grid) / beta * onebit_rates(alpha, snr_eff, RULE)
+            objective = (beta - grid) / beta * onebit_rates(alpha, snr_eff)
             i = int(np.argmax(objective))
             x, fun, _ = scipy_bounded(
-                lambda bt: -(beta - bt) / beta * reff_onebit(params, solve_qh(rho, bt), RULE),
+                lambda bt: -(beta - bt) / beta * reff_onebit(params, solve_qh(rho, bt)),
                 grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], step * 1e-3)
             assert -fun > objective[i]
             assert as_hex([res.beta_t_opt, res.c_bound]) == as_hex([x, -fun]), alpha
@@ -196,7 +194,7 @@ class TestLowSnrAsymptotics:
 
     def test_matches_full_optimization_at_low_snr(self):
         params = SystemParams(1.0, 10.0, 0.01, "linear")
-        res, _ = replica_bound(params, 0.1, RULE)
+        res, _ = replica_bound(params, 0.1)
         _, c = low_snr_asymptotics(params)
         assert 0.9 <= res.c_bound / c <= 1.1
 
@@ -204,11 +202,11 @@ class TestLowSnrAsymptotics:
 class TestSweeps:
     def test_alpha_sweep_shares_training_solutions(self):
         alphas = (1.0, 4.0)
-        out = sweep_onebit_alpha(alphas, beta=4.0, rho=10.0, rule=RULE)
+        out = sweep_onebit_alpha(alphas, beta=4.0, rho=10.0)
         assert len(out) == 2
         for alpha, (res, curve) in zip(alphas, out):
             params = SystemParams(alpha, 4.0, 10.0, "onebit")
-            direct, _ = replica_bound(params, 0.1, RULE)
+            direct, _ = replica_bound(params, 0.1)
             assert res.c_bound == pytest.approx(direct.c_bound, rel=1e-12)
             assert res.beta_t_opt == pytest.approx(direct.beta_t_opt, rel=1e-12)
 

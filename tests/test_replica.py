@@ -6,7 +6,8 @@ explicit damped iteration), so agreement is a genuine cross-check rather
 than a restatement of the implementation.  The Gaussian-tail oracles code
 the integrand after the change of variables u = w / sqrt(1 + a^2) through
 the log-CDF, where the package goes through erfcx; the known-channel rates
-are also checked against adaptive ``quad`` of the original integrand.
+are also checked against adaptive ``quad`` of the original integrand, and the
+one-bit moments against adaptive ``quad`` and mpmath.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 from scipy import integrate, optimize, special
 
 from onebit_bounds import numerics, replica
-from onebit_bounds.numerics import LN2, QuadratureRule, gauss_hermite
+from onebit_bounds.numerics import LN2, QuadratureRule
 from onebit_bounds.optimizer import training_grid
 from onebit_bounds.replica import (
     SolverError,
@@ -38,8 +39,6 @@ from onebit_bounds.replica import (
     solve_qx_onebit,
 )
 from onebit_bounds.replica import _fixed_points
-
-RULE = gauss_hermite(128)
 
 
 # --- oracle helpers (independent codings) -----------------------------------
@@ -113,19 +112,25 @@ def o_bisect(coef, snr, a, b, nodes, weights, width):
     return 0.5 * (a + b)
 
 
-def o_onebit_g(q, alpha, snr, rule):
+def o_onebit_g(q, alpha, snr):
     """The one-bit data-phase residual g(q) = moment(q_hat(q)) - 1 - q,
-    coded as a scalar, the moment at the package rule's nodes, with the
-    series q_hat - q_hat^2 for moment - 1 below q_hat = 1e-8 (taken
-    directly: 1 + series - 1 would keep q only to ~1e-16 absolute; checked
-    against mpmath in TestTanhMomentSeries)."""
+    coded as a scalar.  The moment minus 1 is m = E[tanh z] = E[tanh^2 z],
+    and 1 - m = E[sech^2 z], z = r u + q_hat ~ N(q_hat, q_hat) (the density
+    of z has p(-z) = e^(-2z) p(z)).  m up to q_hat = 1 (where m = 0.55),
+    1 - m above, is taken by adaptive quad of its positive integrand, split
+    where tanh(z) = 0, so m keeps its relative accuracy as q_hat -> 0 and
+    never rounds above 1."""
     q_hat = o_rhs(q, alpha, snr)
-    if q_hat < 1e-8:
-        m = q_hat - q_hat * q_hat
-    else:
-        r = math.sqrt(q_hat)
-        m = float(rule.weights @ (np.tanh(r * rule.nodes + q_hat) * (2.0 + rule.nodes / r))) - 1.0
-    return m - q
+    r = math.sqrt(q_hat)
+
+    def mean(f):
+        return sum(integrate.quad(lambda u: math.exp(-0.5 * u * u) * f(r * u + q_hat), lo, hi,
+                                  epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in ((-math.inf, -r), (-r, 0.0), (0.0, math.inf))) / math.sqrt(2.0 * math.pi)
+
+    if q_hat <= 1.0:
+        return mean(lambda z: math.tanh(z) ** 2) - q
+    return 1.0 - mean(lambda z: (2.0 * math.exp(-abs(z)) / (1.0 + math.exp(-2.0 * abs(z)))) ** 2) - q
 
 
 def mp_tanh_moment(q_hat):
@@ -138,18 +143,18 @@ def mp_tanh_moment(q_hat):
                              [-mp.inf, 0, mp.inf]) - 1)
 
 
-def o_onebit_roots(alpha, snr, rule, n_grid=400):
+def o_onebit_roots(alpha, snr, n_grid=400):
     """Every root in [0, 1] of :func:`o_onebit_g`: a scan at 0 and at
     log-spaced points up to 1, then bisection of each sign change down to
     adjacent floats."""
     grid = np.concatenate([[0.0], np.geomspace(1e-14, 1.0, n_grid)]).tolist()
-    vals = [o_onebit_g(q, alpha, snr, rule) for q in grid]
+    vals = [o_onebit_g(q, alpha, snr) for q in grid]
     roots = [q for q, v in zip(grid, vals) if v == 0.0]
     for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
         if fa * fb < 0.0:
             while a < 0.5 * (a + b) < b:
                 m = 0.5 * (a + b)
-                fm = o_onebit_g(m, alpha, snr, rule)
+                fm = o_onebit_g(m, alpha, snr)
                 if fm == 0.0:
                     a = b = m
                 elif (fm > 0.0) == (fa > 0.0):
@@ -172,7 +177,7 @@ def o_f1(q, coef, snr, nodes, weights):
 class TestSolveQh:
     def test_no_training_degenerates(self):
         ov = solve_qh(1.0, 0.0)
-        assert ov.q_h == 0.0 and ov.snr_eff == 0.0 and ov.sigma_eff_sq == 2.0
+        assert ov.q_h == 0.0 and ov.snr_eff == 0.0
 
     def test_zero_snr_degenerates(self):
         ov = solve_qh(0.0, 3.0)
@@ -191,9 +196,7 @@ class TestSolveQh:
         ov = solve_qh(10.0, 1.0)
         assert 0.0 <= ov.q_h < 1.0
         assert ov.q_h_hat == pytest.approx(ov.q_h / (1.0 - ov.q_h), rel=1e-10)
-        assert ov.rho_eff == pytest.approx(10.0 * ov.q_h, rel=1e-12)
-        assert ov.sigma_eff_sq == pytest.approx(1.0 + 10.0 * (1.0 - ov.q_h), rel=1e-12)
-        assert ov.snr_eff == pytest.approx(ov.rho_eff / ov.sigma_eff_sq, rel=1e-12)
+        assert ov.snr_eff == pytest.approx(10.0 * ov.q_h / (1.0 + 10.0 * (1.0 - ov.q_h)), rel=1e-12)
 
     def test_monotone_in_training_and_snr(self):
         betas = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -403,13 +406,13 @@ class TestSolveQxLinear:
 
 class TestSolveQxOnebit:
     def test_zero_snr(self):
-        d = solve_qx_onebit(0.0, 1.0, RULE)
+        d = solve_qx_onebit(0.0, 1.0)
         assert d.q_x == 0.0 and d.q_x_hat == 0.0
         assert d.f2_value == pytest.approx(2 * LN2, rel=1e-12)
 
     def test_low_snr_law(self):
         s = 1e-4
-        d = solve_qx_onebit(s, 1.0, RULE)
+        d = solve_qx_onebit(s, 1.0)
         assert d.q_x == pytest.approx(2 * s / math.pi, rel=0.05)
 
     def test_against_grid_refinement_oracle(self):
@@ -438,40 +441,126 @@ class TestSolveQxOnebit:
                 b = m
             else:
                 a, fa = m, fm
-        d = solve_qx_onebit(s, alpha, RULE)
+        d = solve_qx_onebit(s, alpha)
         assert d.q_x == pytest.approx(0.5 * (a + b), abs=1e-6)
         assert 0.0 <= d.q_x <= 1.0
 
     @pytest.mark.parametrize("s", [1e-9, 1e-10, 1e-12])
     def test_series_branch_keeps_relative_accuracy(self, s):
-        # below q_hat = 1e-8 the root of the series q_hat - q_hat^2 - q is
-        # exact to rounding; forming 1 + series and subtracting 1 again
-        # left q_x 1.5e-7 relative off at snr_eff = 1e-9
-        d = solve_qx_onebit(s, 1.0, RULE)
+        # q_hat < 1e-8: the direct form of the tanh moment is a sum of
+        # positive terms, so q_x keeps its relative accuracy; forming 1 + m
+        # and subtracting 1 would leave it 1.5e-7 off at snr_eff = 1e-9
+        d = solve_qx_onebit(s, 1.0)
         assert d.q_x_hat < 1e-8
         assert d.q_x == pytest.approx(mp_tanh_moment(d.q_x_hat), rel=1e-12, abs=0.0)
 
     def test_residuals_below_tolerance(self):
         for s, alpha in ((0.05, 0.5), (1.0, 1.0), (10.0, 4.0)):
-            d = solve_qx_onebit(s, alpha, RULE)
+            d = solve_qx_onebit(s, alpha)
             q_hat = o_rhs(d.q_x, alpha, s)
             assert q_hat == pytest.approx(d.q_x_hat, rel=1e-6)
 
 
-class TestTanhMomentSeries:
-    """Below q_hat = 1e-8 the moment is taken by its series q_hat - q_hat^2,
-    in the package and in o_onebit_g; both against mpmath (50 digits, frozen).
-    q_hat - 3 q_hat^2 would be 2e-9 relative off at q_hat = 1e-9."""
+def mp_moments(q_hat):
+    """(m, 1 - m, E[ln(1 + e^(-2z))]) with m = E[tanh z], z ~ N(q_hat, q_hat):
+    mpmath integrals at 30 digits of tanh(z), 2 / (1 + e^(2z)) and
+    ln(1 + e^(-2z)) against the density of z, split around z = 0 and around
+    q_hat.  mp.quad's tolerance is absolute, so the last two, of order
+    e^(-q_hat/2), are integrated times e^(q_hat/2)."""
+    with mp.workdps(30):
+        q = mp.mpf(q_hat)
+        a, up = mp.sqrt(q), mp.exp(q / 2)
+        points = sorted({mp.mpf(z) for z in (0, 1, -1, 10, -10, 40, -40)}
+                        | {q + k * a for k in (-10, -1, 0, 1, 10)})
 
-    MPMATH = {1e-12: 9.99999999999000000000001667e-13,
-              1e-9: 9.99999999000000001666666662e-10,
-              5e-9: 4.99999997500000020833333063e-9}
+        def mean(f, scale=1):
+            return float(mp.quad(lambda z: mp.npdf(z, q, a) * f(z) * scale,
+                                 [-mp.inf] + points + [mp.inf]) / scale)
 
-    @pytest.mark.parametrize("q_hat", sorted(MPMATH))
-    def test_series_against_mpmath(self, q_hat):
-        got = replica._tanh_moment(np.array([q_hat]), RULE)[0]
-        assert got == pytest.approx(self.MPMATH[q_hat], rel=1e-12, abs=0.0)
-        assert q_hat - q_hat * q_hat == pytest.approx(self.MPMATH[q_hat], rel=1e-12, abs=0.0)
+        return (mean(mp.tanh), mean(lambda z: 2 / (1 + mp.exp(2 * z)), up),
+                mean(lambda z: mp.log1p(mp.exp(-2 * z)), up))
+
+
+def _ulps(x, k):
+    return float(x + k * np.spacing(x))
+
+
+# every half decade of [1e-12, 1e3], and a few ulp either side of each
+# switch to the dual form (pi/2 for the tanh moment, 2.125 for the ln term)
+MOMENT_Q = np.geomspace(1e-12, 1e3, 31).tolist() + [
+    _ulps(x, k) for x in (math.pi / 2, 2.125) for k in (-3, 0, 1, 3)]
+# mp_moments at each of MOMENT_Q; TestOnebitMoments re-derives three rows
+MP_MOMENTS = [
+    (9.99999999999e-13, 0.999999999999, 0.6931471805594454),  # q_hat = 1e-12
+    (3.1622776601583793e-12, 0.9999999999968378, 0.6931471805583642),  # q_hat = 3.16228e-12
+    (9.9999999999e-12, 0.99999999999, 0.6931471805549453),  # q_hat = 1e-11
+    (3.162277660068379e-11, 0.9999999999683772, 0.6931471805441339),  # q_hat = 3.16228e-11
+    (9.999999999e-11, 0.9999999999, 0.6931471805099453),  # q_hat = 1e-10
+    (3.1622776591683797e-10, 0.9999999996837723, 0.6931471804018314),  # q_hat = 3.16228e-10
+    (9.999999990000001e-10, 0.999999999, 0.6931471800599454),  # q_hat = 1e-09
+    (3.1622776501683797e-09, 0.9999999968377223, 0.6931471789788065),  # q_hat = 3.16228e-09
+    (9.999999900000002e-09, 0.9999999900000001, 0.6931471755599453),  # q_hat = 1e-08
+    (3.162277560168385e-08, 0.9999999683772244, 0.6931471647485573),  # q_hat = 3.16228e-08
+    (9.999999000000167e-08, 0.99999990000001, 0.6931471305599478),  # q_hat = 1e-07
+    (3.162276660168906e-07, 0.999999683772334, 0.6931470224460873),  # q_hat = 3.16228e-07
+    (9.999990000016667e-07, 0.999999000001, 0.6931466805601953),  # q_hat = 1e-06
+    (3.1622676602210834e-06, 0.9999968377323398, 0.6931455994236152),  # q_hat = 3.16228e-06
+    (9.999900001666623e-06, 0.9999900000999984, 0.6931421805849451),  # q_hat = 1e-05
+    (3.162177665438409e-05, 0.9999683782233456, 0.6931313694216392),  # q_hat = 3.16228e-05
+    (9.999000166623349e-05, 0.9999000099983337, 0.6930971830597786),  # q_hat = 0.0001
+    (0.0003161278186781801, 0.9996838721813218, 0.6929890916716686),  # q_hat = 0.000316228
+    (0.0009990016623484014, 0.9990009983376515, 0.6926474303934865),  # q_hat = 0.001
+    (0.00315232993618364, 0.9968476700638164, 0.6915685364800959),  # q_hat = 0.00316228
+    (0.009901624784165211, 0.9900983752158348, 0.6881720159344948),  # q_hat = 0.01
+    (0.03067156981237528, 0.9693284301876247, 0.6775807175573939),  # q_hat = 0.0316228
+    (0.09134060120487789, 0.9086593987951221, 0.645497946663229),  # q_hat = 0.1
+    (0.2470236840526119, 0.7529763159473881, 0.5560901171177095),  # q_hat = 0.316228
+    (0.5504004907933272, 0.44959950920667285, 0.3563163602131137),  # q_hat = 1
+    (0.8872731308449315, 0.1127268691550685, 0.09759922385530438),  # q_hat = 3.16228
+    (0.9975886852645878, 0.0024113147354122575, 0.002248342108372146),  # q_hat = 10
+    (0.9999999707941085, 2.9205891490381726e-08, 2.8412053172380125e-08),  # q_hat = 31.6228
+    (1.0, 2.3883834712711399e-23, 2.365713967298675e-23),  # q_hat = 100
+    (1.0, 1.5079666586511986e-70, 1.503278553647313e-70),  # q_hat = 316.228
+    (1.0, 2.8202299027335838e-219, 2.8174249749060894e-219),  # q_hat = 1000
+    (0.6949485137975261, 0.30505148620247385, 0.25018383781154363),  # pi/2 - 3 ulp
+    (0.6949485137975263, 0.30505148620247374, 0.2501838378115435),  # pi/2
+    (0.6949485137975263, 0.3050514862024737, 0.2501838378115435),  # pi/2 + 1 ulp
+    (0.6949485137975264, 0.30505148620247363, 0.25018383781154346),  # pi/2 + 3 ulp
+    (0.7866029823922126, 0.21339701760778743, 0.1791950984156004),  # 2.125 - 3 ulp
+    (0.7866029823922127, 0.21339701760778726, 0.17919509841560027),  # 2.125
+    (0.7866029823922128, 0.2133970176077872, 0.17919509841560025),  # 2.125 + 1 ulp
+    (0.7866029823922129, 0.21339701760778707, 0.17919509841560013),  # 2.125 + 3 ulp
+]
+
+
+class TestOnebitMoments:
+    """Both one-bit moments, E[tanh z] and E[ln(1 + e^(-2z))], and 1 - m
+    where the package forms it on its own (the dual form above pi/2),
+    against mpmath.  Worst measured: m 2.6e-12, 1 - m 5.9e-12 and the ln
+    term 1.5e-12 relative, each next to its switch."""
+
+    @pytest.mark.parametrize("q_hat, expected", zip(MOMENT_Q, MP_MOMENTS), ids=map(repr, MOMENT_Q))
+    def test_against_mpmath(self, q_hat, expected):
+        m, gap, log1p = expected
+        q = np.array([q_hat])
+        got = replica._tanh_moment(q)[0]
+        assert got == pytest.approx(m, rel=5e-12, abs=0.0)
+        if q_hat > math.pi / 2:
+            got = replica._dual_mean(q)[0]
+        else:
+            got = 1.0 - got
+        assert got == pytest.approx(gap, rel=1e-11, abs=0.0)
+        assert replica._log1p_moment(q)[0] == pytest.approx(log1p, rel=3e-12, abs=0.0)
+
+    @pytest.mark.parametrize("i", [0, 33, 30])
+    def test_table_rows_rederived(self, i):
+        assert mp_moments(MOMENT_Q[i]) == pytest.approx(MP_MOMENTS[i], rel=1e-15, abs=0.0)
+
+    def test_fold_leaves_the_moments(self, fold):
+        # the fold fixture swaps the Gaussian-tail rule only
+        q = np.array(MOMENT_Q)
+        assert replica._tanh_moment(q) == pytest.approx([m for m, _, _ in MP_MOMENTS], rel=5e-12)
+        assert replica._log1p_moment(q) == pytest.approx([v for _, _, v in MP_MOMENTS], rel=3e-12)
 
 
 ONEBIT_ALPHAS = (0.5, 1.0, 8.0, 256.0)
@@ -484,33 +573,33 @@ class TestOnebitBatch:
     def test_roots_match_bisection_oracle(self):
         alpha = np.repeat(ONEBIT_ALPHAS, len(ONEBIT_SNRS))
         snr = np.tile(ONEBIT_SNRS, len(ONEBIT_ALPHAS))
-        q, _, _ = replica._onebit_overlaps(alpha, snr, RULE, 1e-10)
+        q, _, _ = replica._onebit_overlaps(alpha, snr, 1e-10)
         for i, (a, s) in enumerate(zip(alpha, snr)):
-            roots = o_onebit_roots(a, s, RULE)
+            roots = o_onebit_roots(a, s)
             assert len(roots) == 1, f"alpha={a}, snr={s}"
             assert q[i] == pytest.approx(roots[0], rel=1e-12, abs=0.0), f"alpha={a}, snr={s}"
 
     def test_saturated_pairs_give_unit_overlap(self):
         alpha = np.array([64.0, 64.0, 256.0, 256.0, 64.0])
         snr = np.array([10.0, 100.0, 1.0, 10.0, 1.0])
-        q, _, _ = replica._onebit_overlaps(alpha, snr, RULE, 1e-10)
+        q, _, _ = replica._onebit_overlaps(alpha, snr, 1e-10)
         assert q[:4].tolist() == [1.0] * 4
-        assert all(o_onebit_roots(a, s, RULE) == [1.0] for a, s in zip(alpha[:4], snr[:4]))
+        assert all(o_onebit_roots(a, s) == [1.0] for a, s in zip(alpha[:4], snr[:4]))
         assert 0.0 < q[4] < 1.0  # alpha 64 at snr 1 is short of saturation
 
     def test_moment_rounded_above_two_still_saturates(self):
         # here the 128-node tanh moment at q = 1 sums to 2 + 4.4e-16, above
         # its exact bound 2, which left g > 0 on all of [0, 1] and no bracket
-        d = solve_qx_onebit(5.284161765473836, 256.0, RULE)
+        d = solve_qx_onebit(5.284161765473836, 256.0)
         assert d.q_x == 1.0
 
     def test_zero_snr_pairs_give_zero_overlap(self):
         alpha, snr = np.array([1.0, 4.0, 2.0, 8.0]), np.array([0.0, 1.0, 0.0, 10.0])
-        q, q_hat, f2 = replica._onebit_overlaps(alpha, snr, RULE, 1e-10)
+        q, q_hat, f2 = replica._onebit_overlaps(alpha, snr, 1e-10)
         assert q[0] == q[2] == q_hat[0] == q_hat[2] == 0.0
-        assert f2[2] == f2_onebit(0.0, 0.0, 2.0, 0.0, RULE)
+        assert f2[2] == f2_onebit(0.0, 0.0, 2.0, 0.0)
         assert q[1] > 0.0 and q[3] > 0.0
-        rates = onebit_rates(alpha, snr, RULE)
+        rates = onebit_rates(alpha, snr)
         assert rates[0] == rates[2] == 0.0 and (rates[[1, 3]] > 0.0).all()
 
     def test_batch_matches_pointwise_solves(self, monkeypatch):
@@ -519,13 +608,13 @@ class TestOnebitBatch:
         alphas = (1.0, 8.0)
         snr = np.array([ov.snr_eff for ov in overlaps])
         q, q_hat, f2 = replica._onebit_overlaps(np.repeat(alphas, snr.size),
-                                                np.tile(snr, len(alphas)), RULE, 1e-10)
-        pointwise = [solve_qx_onebit(s, a, RULE) for a in alphas for s in snr]
+                                                np.tile(snr, len(alphas)), 1e-10)
+        pointwise = [solve_qx_onebit(s, a) for a in alphas for s in snr]
         assert q.tolist() == [d.q_x for d in pointwise]
         assert q_hat.tolist() == [d.q_x_hat for d in pointwise]
         assert f2.tolist() == [d.f2_value for d in pointwise]
-        rates = onebit_rates(np.array(alphas)[:, None], snr, RULE)
-        assert rates.tolist() == [reff_onebit(SystemParams(a, 8.0, 10.0, "onebit"), ov, RULE)
+        rates = onebit_rates(np.array(alphas)[:, None], snr)
+        assert rates.tolist() == [reff_onebit(SystemParams(a, 8.0, 10.0, "onebit"), ov)
                                   for a in alphas for ov in overlaps]
 
     @pytest.fixture
@@ -535,7 +624,7 @@ class TestOnebitBatch:
         monkeypatch.setattr(replica, "_MAX_STEPS", 0)
         monkeypatch.setattr(replica, "_ONEBIT_PAIRS", 2)  # the failing pair in chunk 2
         with pytest.raises(SolverError) as exc:
-            onebit_rates([256.0, 256.0, 8.0], [1.0, 10.0, 100.0], RULE)
+            onebit_rates([256.0, 256.0, 8.0], [1.0, 10.0, 100.0])
         return exc.value
 
     def test_failing_point_is_named(self, unrefined):
@@ -545,21 +634,21 @@ class TestOnebitBatch:
         (lo, hi), = unrefined.brackets
         j = replica._ONEBIT_Q.tolist().index(lo)
         assert replica._ONEBIT_Q[j + 1] == hi
-        assert o_onebit_g(lo, 8.0, 100.0, RULE) > 0.0 > o_onebit_g(hi, 8.0, 100.0, RULE)
+        assert o_onebit_g(lo, 8.0, 100.0) > 0.0 > o_onebit_g(hi, 8.0, 100.0)
 
     def test_error_carries_the_roots(self, unrefined):
         (lo, hi), = unrefined.brackets
         assert unrefined.diagnostics["roots"] == [0.5 * (lo + hi)]
         residual = unrefined.diagnostics["residual"]
         assert residual > 1e-10
-        assert residual == pytest.approx(abs(o_onebit_g(0.5 * (lo + hi), 8.0, 100.0, RULE)), rel=1e-9)
+        assert residual == pytest.approx(abs(o_onebit_g(0.5 * (lo + hi), 8.0, 100.0)), rel=1e-9)
 
 
 class TestF2:
     def test_origin_values(self):
         for alpha in (0.5, 1.0, 3.0):
             assert f1_value(0.0, 0.0, 1.0, alpha) == pytest.approx(2 * alpha * LN2, rel=1e-12)
-            assert f2_onebit(0.0, 0.0, alpha, 1.0, RULE) == pytest.approx(2 * alpha * LN2, rel=1e-12)
+            assert f2_onebit(0.0, 0.0, alpha, 1.0) == pytest.approx(2 * alpha * LN2, rel=1e-12)
 
     def test_linear_against_refined_quadrature_oracle(self):
         r, r_hat, alpha, s = 0.5, 1.0, 1.0, 1.0
@@ -575,7 +664,7 @@ class TestF2:
                               -(r_hat + math.sqrt(r_hat) * O_NODES)) - LN2
         oracle = (-4.0 * alpha * float(O_WEIGHTS @ o_qlnq(a * math.sqrt(r) * O_NODES))
                   + r_hat - 2.0 * float(O_WEIGHTS @ lncosh) + r * r_hat)
-        assert f2_onebit(r, r_hat, alpha, s, RULE) == pytest.approx(oracle, abs=1e-9)
+        assert f2_onebit(r, r_hat, alpha, s) == pytest.approx(oracle, abs=1e-9)
 
     def test_stationarity_at_solutions(self):
         h = 1e-7
@@ -586,12 +675,12 @@ class TestF2:
             grad_qh = (f1_value(d.q_x, d.q_x_hat + h, s, alpha)
                        - f1_value(d.q_x, d.q_x_hat - h, s, alpha)) / (2 * h)
             assert abs(grad_q) < 1e-6 and abs(grad_qh) < 1e-6
-            o = solve_qx_onebit(s, alpha, RULE)
+            o = solve_qx_onebit(s, alpha)
             hi = min(o.q_x + h, 1.0)
-            grad_q = (f2_onebit(hi, o.q_x_hat, alpha, s, RULE)
-                      - f2_onebit(o.q_x - h, o.q_x_hat, alpha, s, RULE)) / (hi - o.q_x + h)
-            grad_qh = (f2_onebit(o.q_x, o.q_x_hat + h, alpha, s, RULE)
-                       - f2_onebit(o.q_x, o.q_x_hat - h, alpha, s, RULE)) / (2 * h)
+            grad_q = (f2_onebit(hi, o.q_x_hat, alpha, s)
+                      - f2_onebit(o.q_x - h, o.q_x_hat, alpha, s)) / (hi - o.q_x + h)
+            grad_qh = (f2_onebit(o.q_x, o.q_x_hat + h, alpha, s)
+                       - f2_onebit(o.q_x, o.q_x_hat - h, alpha, s)) / (2 * h)
             assert abs(grad_q) < 1e-6 and abs(grad_qh) < 1e-6
 
 
@@ -647,7 +736,7 @@ class TestRates:
         ov = solve_qh(10.0, 0.0)
         p = SystemParams(2.0, 8.0, 10.0, "linear")
         assert reff_linear(p, ov) == 0.0
-        assert reff_onebit(SystemParams(2.0, 8.0, 10.0, "onebit"), ov, RULE) == 0.0
+        assert reff_onebit(SystemParams(2.0, 8.0, 10.0, "onebit"), ov) == 0.0
 
     def test_linear_against_independent_chain(self):
         p = SystemParams(1.0, 10.0, 10.0, "linear")
@@ -658,7 +747,7 @@ class TestRates:
     def test_onebit_against_independent_chain(self):
         p = SystemParams(4.0, 8.0, 10.0, "onebit")
         ov = solve_qh(10.0, 1.0)
-        assert reff_onebit(p, ov, RULE) == pytest.approx(
+        assert reff_onebit(p, ov) == pytest.approx(
             o_reff_chain(4.0, 10.0, 1.0, "onebit"), abs=1e-7)
 
     def test_onebit_hard_cap(self):
@@ -666,7 +755,7 @@ class TestRates:
             p = SystemParams(alpha, 8.0, 10.0, "onebit")
             for bt in (0.2, 1.0, 4.0):
                 ov = solve_qh(10.0, bt)
-                assert reff_onebit(p, ov, RULE) <= 2.0
+                assert reff_onebit(p, ov) <= 2.0
 
     def test_monotone_in_overlap_quality(self):
         p = SystemParams(2.0, 8.0, 10.0, "linear")
@@ -762,8 +851,7 @@ class TestHighSnrOracles:
         assert csir_rate(alpha, rho) == pytest.approx(oracle, abs=1e-10)
 
     def test_onebit_rate_at_snr_100(self):
-        # the one-bit moments take the rule given: at q_hat = 14 here the
-        # default 128 nodes are 6e-9 off, 512 nodes 7e-13
+        # at q_hat = 14 here a 128-node rule on the raw moments is 6e-9 off
         alpha, snr = 2.0, 100.0
 
         def moment(q_hat):
@@ -779,5 +867,5 @@ class TestHighSnrOracles:
         oracle = (-4.0 * alpha * (q_qlnq(a) - q_qlnq(math.sqrt(snr)))
                   + q_hat - 2.0 * ln_cosh + q * q_hat) / LN2
         assert oracle < 2.0
-        assert onebit_rates(alpha, snr, gauss_hermite(512))[0] == pytest.approx(oracle, abs=1e-10)
+        assert onebit_rates(alpha, snr)[0] == pytest.approx(oracle, abs=1e-10)
         assert 1.9993 < onebit_rates(alpha, snr)[0] < 2.0  # below the clip
