@@ -146,7 +146,7 @@ def _system_params(cfg: argparse.Namespace) -> SystemParams:
 def _cmd_bound(args) -> int:
     cfg = _merge_config(args)
     params = _system_params(cfg)
-    result, curve = replica_bound(params, cfg.grid_step, cfg.tol, refine=bool(args.refine))
+    result, curve = replica_bound(params, cfg.grid_step, refine=bool(args.refine))
     sections = [
         ("result",
          ["beta_t_opt", "c_bound", "method", "alpha", "beta", "rho"],
@@ -166,7 +166,7 @@ _COMPARE_HEADER = ["rho_db", "alpha", "beta", "c_bound_replica", "c_bound_bussga
 def _compare_table(cfg: argparse.Namespace, alphas, betas, rho_dbs):
     return [[r.rho_db, r.alpha, r.beta, r.c_bound_replica, r.c_bound_bussgang, r.r_csir]
             for b in betas for a in alphas
-            for r in compare_sweep(a, b, rho_dbs, cfg.grid_step, cfg.tol)]
+            for r in compare_sweep(a, b, rho_dbs, cfg.grid_step)]
 
 
 def _cmd_compare(args) -> int:
@@ -208,8 +208,7 @@ def _cmd_figure(args) -> int:
     betas = (cfg.beta,) if cfg.beta is not None else _FIGURE2_BETAS
     table = []
     for beta in betas:
-        results = sweep_onebit_alpha(_FIGURE_ALPHAS, beta, rho, cfg.grid_step, cfg.tol,
-                                     refine=True)
+        results = sweep_onebit_alpha(_FIGURE_ALPHAS, beta, rho, cfg.grid_step, refine=True)
         for alpha, (res, _) in zip(_FIGURE_ALPHAS, results):
             table.append([alpha, beta, res.beta_t_opt if args.which == 2 else res.c_bound])
     header = (["alpha", "beta", "beta_t_opt"] if args.which == 2
@@ -283,7 +282,6 @@ _FLAGS = {
     "rho_db": dict(type=float, help="per-receiver SNR in dB (power)"),
     "tx": dict(type=str, default="linear", choices=TX_TYPES, help="transmitter type"),
     "grid_step": dict(type=float, default=0.1, help="training-length grid step"),
-    "tol": dict(type=float, default=1e-10, help="fixed-point tolerance"),
     "seed": dict(type=int, default=0, help="Monte Carlo seed"),
     "out": dict(type=str, help="output path (default stdout)"),
     "format": dict(type=str, default="csv", choices=("csv", "json"), help="output format"),
@@ -295,7 +293,6 @@ _FLAGS = {
                           help="tensor quadrature order per real dimension"),
     "config": dict(type=str, help="JSON config file; flags override its values"),
 }
-_SOLVER = ("grid_step", "tol")
 _OUTPUT = ("out", "format", "config")
 
 
@@ -317,19 +314,19 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("bound", help="optimized training bound at one parameter point")
-    _add_flags(p, "alpha", "beta", "rho", "tx", *_SOLVER, *_OUTPUT)
+    _add_flags(p, "alpha", "beta", "rho", "tx", "grid_step", *_OUTPUT)
     p.add_argument("--refine", action="store_true", help="bounded Brent refinement of beta_t_opt")
     p.set_defaults(func=_cmd_bound)
 
     p = subs.add_parser("compare", help="replica vs Bussgang vs known-channel sweep")
-    _add_flags(p, "alpha", "beta", *_SOLVER, *_OUTPUT)
+    _add_flags(p, "alpha", "beta", "grid_step", *_OUTPUT)
     p.add_argument("--rho-db-min", dest="rho_db_min", type=float, default=-10.0)
     p.add_argument("--rho-db-max", dest="rho_db_max", type=float, default=20.0)
     p.add_argument("--rho-db-step", dest="rho_db_step", type=float, default=1.0)
     p.set_defaults(func=_cmd_compare)
 
     p = subs.add_parser("figure", help="emit data behind the standard figures")
-    _add_flags(p, "beta", "rho", *_SOLVER, *_OUTPUT)
+    _add_flags(p, "beta", "rho", "grid_step", *_OUTPUT)
     p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
     p.set_defaults(func=_cmd_figure)
 

@@ -84,6 +84,8 @@ def training_grid(beta: float, grid_step: float) -> np.ndarray:
     """Grid {step, 2 step, ..., beta - step}; raises on an empty grid."""
     if not 0.0 < grid_step < math.inf:
         raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     n = int(math.floor((beta - grid_step) / grid_step + 1e-9))
     if n < 1:
         raise ValueError(f"empty training grid: beta={beta} with grid_step={grid_step}")
@@ -226,23 +228,23 @@ def _refine(found, rates_at):
     return out
 
 
-def _job_rates(jobs, snr_eff, tol):
+def _job_rates(jobs, snr_eff):
     """Rate of every ``(params, method)`` job at each effective SNR of its
     row of ``snr_eff``; the one-bit jobs' data overlaps are one batch."""
     rates = np.empty(snr_eff.shape)
     onebit = [k for k, (_, method) in enumerate(jobs) if method == "replica-onebit"]
     if onebit:
         alphas = np.array([jobs[k][0].alpha for k in onebit])[:, None]
-        rates[onebit] = onebit_rates(alphas, snr_eff[onebit], tol).reshape(len(onebit), -1)
+        rates[onebit] = onebit_rates(alphas, snr_eff[onebit]).reshape(len(onebit), -1)
     for k, (params, method) in enumerate(jobs):
         if method == "replica-linear":
-            rates[k] = linear_rates(params.alpha, snr_eff[k], tol)
+            rates[k] = linear_rates(params.alpha, snr_eff[k])
         elif method == "bussgang":
             rates[k] = [bussgang_inner_rate(params.alpha, s) for s in snr_eff[k]]
     return rates
 
 
-def _grid_bounds(rho, beta, grid_step, tol, jobs, refine=False):
+def _grid_bounds(rho, beta, grid_step, jobs, refine=False):
     """Solve the training grid at ``rho`` once and optimize every
     ``(params, method)`` job on it; one ``(BoundResult, RateCurve)`` per job.
 
@@ -253,27 +255,26 @@ def _grid_bounds(rho, beta, grid_step, tol, jobs, refine=False):
     points of all jobs the same way, so a batch of one point per job.
     """
     def snr_effs(bts):
-        return np.array([ov.snr_eff for ov in solve_qh_grid(rho, bts, tol)])
+        return np.array([ov.snr_eff for ov in solve_qh_grid(rho, bts)])
 
     bts = training_grid(beta, grid_step)
-    grid_rates = _job_rates(jobs, np.broadcast_to(snr_effs(bts), (len(jobs), bts.size)), tol)
+    grid_rates = _job_rates(jobs, np.broadcast_to(snr_effs(bts), (len(jobs), bts.size)))
     out = [optimize_training(rates, beta, grid_step, params=params, method=method)
            for (params, method), rates in zip(jobs, grid_rates)]
     if refine:
         out = _refine(out, lambda ks, xs: _job_rates(
-            [jobs[k] for k in ks], snr_effs(xs)[:, None], tol)[:, 0])
+            [jobs[k] for k in ks], snr_effs(xs)[:, None])[:, 0])
     return out
 
 
-def replica_bound(params: SystemParams, grid_step: float = 0.1, tol: float = 1e-10, *,
-                  refine: bool = False):
+def replica_bound(params: SystemParams, grid_step: float = 0.1, *, refine: bool = False):
     """Optimized training-based bound for the configured transmitter type.
 
     Returns ``(BoundResult, RateCurve)`` with method ``replica-linear`` or
     ``replica-onebit``.
     """
     method = "replica-linear" if params.tx_type == "linear" else "replica-onebit"
-    return _grid_bounds(params.rho, params.beta, grid_step, tol, [(params, method)], refine)[0]
+    return _grid_bounds(params.rho, params.beta, grid_step, [(params, method)], refine)[0]
 
 
 def bussgang_inner_rate(alpha: float, snr_eff: float) -> float:
@@ -293,7 +294,7 @@ def low_snr_asymptotics(params: SystemParams):
 
 
 def sweep_onebit_alpha(alphas: Sequence[float], beta: float, rho: float, grid_step: float = 0.1,
-                       tol: float = 1e-10, *, refine: bool = False):
+                       *, refine: bool = False):
     """One-bit transmitter bounds over a receiver-ratio sweep.
 
     The training overlap q_h does not depend on alpha, so the grid of
@@ -302,7 +303,7 @@ def sweep_onebit_alpha(alphas: Sequence[float], beta: float, rho: float, grid_st
     """
     jobs = [(SystemParams(alpha=alpha, beta=beta, rho=rho, tx_type="onebit"), "replica-onebit")
             for alpha in alphas]
-    return _grid_bounds(rho, beta, grid_step, tol, jobs, refine)
+    return _grid_bounds(rho, beta, grid_step, jobs, refine)
 
 
 @dataclass(frozen=True)
@@ -322,7 +323,6 @@ def compare_sweep(
     beta: float,
     rho_db_values: Iterable[float],
     grid_step: float = 0.1,
-    tol: float = 1e-10,
 ):
     """Replica vs Bussgang vs known-channel rates over an SNR sweep.
 
@@ -334,8 +334,8 @@ def compare_sweep(
     rows = []
     for rho_db, rho in zip(rho_dbs, rhos):
         params = SystemParams(alpha=alpha, beta=beta, rho=rho, tx_type="linear")
-        (rep, _), (bus, _) = _grid_bounds(rho, beta, grid_step, tol,
+        (rep, _), (bus, _) = _grid_bounds(rho, beta, grid_step,
                                           [(params, "replica-linear"), (params, "bussgang")])
         rows.append(CompareRow(rho_db=rho_db, alpha=alpha, beta=beta, c_bound_replica=rep.c_bound,
-                               c_bound_bussgang=bus.c_bound, r_csir=csir_rate(alpha, rho, tol)))
+                               c_bound_bussgang=bus.c_bound, r_csir=csir_rate(alpha, rho)))
     return rows

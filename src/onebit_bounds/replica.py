@@ -24,8 +24,9 @@ With one-bit (QPSK) data symbols the second relation becomes a tanh moment:
 and putting q_x_hat equal to the Gaussian-tail right-hand side leaves one
 scalar root in [0, 1].  Every overlap equation is solved the same way: one
 residual scan for a whole batch, Illinois steps on every bracket, and the
-closed bracket's midpoint as the root.  The Gaussian-tail expectations (the
-right-hand side and the Q ln Q terms) are the exact means of ``numerics``.
+closed bracket's midpoint as the root, which must leave a residual within
+1e-10.  The Gaussian-tail expectations (the right-hand side and the Q ln Q
+terms) are the exact means of ``numerics``.
 
 One-bit moments.  With z = a u + q_hat ~ N(q_hat, q_hat), a = sqrt(q_hat), the
 tanh moment minus 1 is m = E[tanh z], and E[ln cosh z] = q_hat - ln 2 + L in
@@ -90,14 +91,13 @@ _SCAN_Q = np.geomspace(1e-12, 1.0 - 1e-9, 64)
 # The one-bit residual has no pole and is >= 0 at q = 0, <= 0 at q = 1: its
 # scan takes both ends, so every pair has a bracket (q = 1: saturated root).
 _ONEBIT_Q = np.concatenate([[0.0], _SCAN_Q, [1.0]])
-# Scan rows evaluated at once: at most 2 x 66 x 128 one-bit moment elements.
-_SCAN_ROWS = 2
 # Refined brackets close at _ROOT_ULPS ulp, or stay open after _MAX_STEPS
 # (then _choose's residual check fails); each root is its bracket's midpoint.
 _ROOT_ULPS = 4
 _MAX_STEPS = 200
-# One-bit brackets refined, and F2_O taken, at once: 32 x 128 nodes, as above.
-_ONEBIT_PAIRS = 32
+# Residual bound of a chosen root: relative to max(1, q/(1-q)) for the
+# Gaussian overlaps, absolute for the one-bit one.
+_TOL = 1e-10
 # The one-bit moments' rule, and the q_hat above which each takes its dual form.
 _MOMENT_ORDER, _TANH_DUAL_FROM, _LOG1P_DUAL_FROM = 128, math.pi / 2, 2.125
 
@@ -168,7 +168,6 @@ class DataOverlap:
     q_x: float
     q_x_hat: float
     f2_value: float
-    a_coeff: float
 
 
 def _k_sq(snr, q) -> np.ndarray:
@@ -182,8 +181,15 @@ def _gaussian_rhs(q, coef, snr):
     return coef * ksq / np.pi * mean_exp_ratio(np.sqrt(ksq * q))
 
 
-def _overlap_residual(q, coef, snr):
-    return q / (1.0 - q) - _gaussian_rhs(q, coef, snr)
+def _gaussian_g(q, q_hat):
+    # (1 - q) times the residual q/(1-q) - q_hat: its signs, but no pole at
+    # q = 1, where the residual's steepness stalls regula falsi
+    return (q / (1.0 - q) - q_hat) * (1.0 - q)
+
+
+def _onebit_g(q, q_hat):
+    # tanh_moment(q_hat) - 1 - q, the "- 1" already taken inside _tanh_moment
+    return _tanh_moment(q_hat) - q
 
 
 def _illinois(lo, hi, flo, fhi, residual):
@@ -220,22 +226,16 @@ def _illinois(lo, hi, flo, fhi, residual):
     return 0.5 * (lo + hi)
 
 
-def _scan(coef, snr, qs, residual, rows: int):
-    """Sample ``residual(q, rhs(q))`` at every q of qs for each (coef, snr)
-    pair, ``rows`` pairs at a time.  The expectation in rhs does not depend
-    on coef, so it is taken once per distinct snr, ``_SCAN_ROWS`` at a time.
-    Returns ``(res, owner, j_lo, j_hi)``: the samples, and the row and the
-    columns either side of each sign change or zero (j_lo == j_hi), by row,
-    then column."""
+def _scan(coef, snr, qs, g):
+    """Sample ``g(q, rhs(q))`` at every q of qs for each (coef, snr) pair.
+    The expectation in rhs does not depend on coef, so it is taken once per
+    distinct snr.  Returns ``(res, owner, j_lo, j_hi)``: the samples, and the
+    row and the columns either side of each sign change or zero (j_lo ==
+    j_hi), by row, then column."""
     usnr, inv = np.unique(snr, return_inverse=True)
     ksq = _k_sq(usnr[:, None], qs)
-    mean = np.empty_like(ksq)
-    for i in range(0, len(usnr), _SCAN_ROWS):
-        mean[i:i + _SCAN_ROWS] = mean_exp_ratio(np.sqrt(ksq[i:i + _SCAN_ROWS] * qs))
-    res = np.empty((coef.size, qs.size))
-    for i in range(0, coef.size, rows):
-        u = inv[i:i + rows]
-        res[i:i + rows] = residual(qs, coef[i:i + rows, None] * ksq[u] / np.pi * mean[u])
+    mean = mean_exp_ratio(np.sqrt(ksq * qs))
+    res = g(qs, coef[:, None] * ksq[inv] / np.pi * mean[inv])
     sign = np.sign(res)
     z_own, z_j = np.nonzero(sign == 0.0)
     b_own, b_j = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
@@ -245,22 +245,18 @@ def _scan(coef, snr, qs, residual, rows: int):
     return res, owner[order], j_lo[order], j_hi[order]
 
 
-def _fixed_points(coef: np.ndarray, snr: np.ndarray):
-    """Every root in (0, 1) of the overlap equation at each (coef, snr) pair.
-
-    The residual is sampled at the 64 log-spaced points of ``_SCAN_Q`` and
+def _roots(coef: np.ndarray, snr: np.ndarray, g, qs: np.ndarray):
+    """Every root of ``g(q, rhs(q))`` on qs at each (coef, snr) pair, with
+    rhs the Gaussian-tail right-hand side: ``g`` is sampled at qs and
     :func:`_illinois` closes every bracket; each root is its midpoint.
     Returns ``(owner, roots, lo, hi)``: root k belongs to pair ``owner[k]``
     and was refined in the bracket [lo[k], hi[k]] (lo == hi where a sample
     is an exact zero); a pair's roots come in increasing order.
     """
-    qs = _SCAN_Q
-    res, owner, j_lo, j_hi = _scan(coef, snr, qs, lambda q, q_hat: q / (1.0 - q) - q_hat, coef.size)
+    res, owner, j_lo, j_hi = _scan(coef, snr, qs, g)
     lo, hi, c, s = qs[j_lo], qs[j_hi], coef[owner], snr[owner]
-    # (1 - q) times the residual has its signs but no pole at q = 1, where
-    # the residual's steepness stalls regula falsi
-    roots = _illinois(lo, hi, res[owner, j_lo] * (1.0 - lo), res[owner, j_hi] * (1.0 - hi),
-                      lambda x, k: _overlap_residual(x, c[k], s[k]) * (1.0 - x))
+    roots = _illinois(lo, hi, res[owner, j_lo], res[owner, j_hi],
+                      lambda x, k: g(x, _gaussian_rhs(x, c[k], s[k])))
     return owner, roots, lo, hi
 
 
@@ -272,7 +268,8 @@ def overlap_fixed_points(coef: float, snr: float):
     multiplicity.  With coef * snr > 0 the residual is negative at 0+ and
     positive at 1-, so at least one root is always bracketed.
     """
-    _, roots, lo, hi = _fixed_points(np.array([float(coef)]), np.array([float(snr)]))
+    _, roots, lo, hi = _roots(np.array([float(coef)]), np.array([float(snr)]),
+                              _gaussian_g, _SCAN_Q)
     return [float(r) for r in roots], [(float(a), float(b)) for a, b in zip(lo, hi) if a < b]
 
 
@@ -304,12 +301,12 @@ def _choose(found, pairs: int, energy, resid, allowed, what: str, label) -> np.n
     return pick
 
 
-def _solve_overlaps(coef, snr, tol: float, what: str, coef_name: str) -> np.ndarray:
+def _solve_overlaps(coef, snr, what: str, coef_name: str) -> np.ndarray:
     """The admissible overlap at every (coef, snr) pair, solved as one batch.
 
     Pairs with coef * snr == 0 give q = 0.  Where a pair has several roots
-    the one of least free energy wins; every chosen root must meet the
-    residual tolerance.
+    the one of least free energy wins; every chosen root must leave a
+    residual within ``_TOL`` max(1, q/(1-q)).
     """
     coef, snr = np.broadcast_arrays(np.atleast_1d(np.asarray(coef, dtype=float)),
                                     np.asarray(snr, dtype=float))
@@ -318,13 +315,13 @@ def _solve_overlaps(coef, snr, tol: float, what: str, coef_name: str) -> np.ndar
     if live.size == 0:
         return q
     c, s = coef[live], snr[live]
-    found = owner, roots, _, _ = _fixed_points(c, s)
+    found = owner, roots, _, _ = _roots(c, s, _gaussian_g, _SCAN_Q)
     c_o, s_o = c[owner], s[owner]
     q[live] = roots[_choose(
         found, live.size,
         lambda k: _free_energy(roots[k], roots[k] / (1.0 - roots[k]), c_o[k], s_o[k]),
-        np.abs(_overlap_residual(roots, c_o, s_o)),
-        tol * np.maximum(1.0, roots / (1.0 - roots)), what,
+        np.abs(roots / (1.0 - roots) - _gaussian_rhs(roots, c_o, s_o)),
+        _TOL * np.maximum(1.0, roots / (1.0 - roots)), what,
         lambda i: f"{coef_name}={c[i]:g}, snr={s[i]:g}")]
     return q
 
@@ -339,10 +336,19 @@ def _free_energy(q, q_hat, coef, snr):
     return _tail_term(coef, snr, q) + np.log1p(q_hat) - q_hat + q * q_hat
 
 
+def _check_finite(name: str, values, positive: bool = False) -> None:
+    """Raise ValueError unless every value is finite and nonnegative, or
+    positive if ``positive``."""
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    bad = v[~(((v > 0.0) if positive else (v >= 0.0)) & (v < math.inf))]
+    if bad.size:
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {sign}, got {bad[0]}")
+
+
 def effective_snr(rho: float, q_h: float) -> float:
     """snr_eff = rho q_h / (1 + rho (1 - q_h)); in [0, rho], increasing in q_h."""
-    if not rho >= 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
+    _check_finite("rho", rho)
     if not 0.0 <= q_h <= 1.0:
         raise ValueError(f"q_h must lie in [0, 1], got {q_h}")
     return rho * q_h / (1.0 + rho * (1.0 - q_h))
@@ -366,7 +372,7 @@ def f1_value(q: float, q_hat: float, rho: float, beta_t: float) -> float:
     return float(_free_energy(q, q_hat, beta_t, rho))
 
 
-def solve_qh_grid(rho: float, beta_ts, tol: float = 1e-10) -> list:
+def solve_qh_grid(rho: float, beta_ts) -> list:
     """:func:`solve_qh` at every training length of a grid, as one batched solve.
 
     The grid shares one residual scan, since the Gaussian expectation in the
@@ -374,13 +380,9 @@ def solve_qh_grid(rho: float, beta_ts, tol: float = 1e-10) -> list:
     :class:`ChannelOverlap` in grid order.
     """
     bts = np.atleast_1d(np.asarray(beta_ts, dtype=float))
-    if not rho >= 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    if not (bts >= 0.0).all():
-        raise ValueError(f"beta_t must be nonnegative, got {bts[~(bts >= 0.0)][0]}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    q_h = _solve_overlaps(bts, rho, tol, "channel overlap", "beta_t")
+    _check_finite("rho", rho)
+    _check_finite("beta_t", bts)
+    q_h = _solve_overlaps(bts, rho, "channel overlap", "beta_t")
     return [
         ChannelOverlap(beta_t=float(bt), q_h=q, q_h_hat=q / (1.0 - q),
                        snr_eff=effective_snr(rho, q))
@@ -388,13 +390,13 @@ def solve_qh_grid(rho: float, beta_ts, tol: float = 1e-10) -> list:
     ]
 
 
-def solve_qh(rho: float, beta_t: float, tol: float = 1e-10) -> ChannelOverlap:
+def solve_qh(rho: float, beta_t: float) -> ChannelOverlap:
     """Solve the training-phase overlap equation and build the effective channel.
 
     beta_t = 0 (or rho = 0) degenerates to q_h = 0: no estimate, snr_eff = 0.
     Among multiple fixed points the F1 minimizer is returned.
     """
-    return solve_qh_grid(rho, beta_t, tol)[0]
+    return solve_qh_grid(rho, beta_t)[0]
 
 
 def perfect_csi_overlap(rho: float) -> ChannelOverlap:
@@ -407,19 +409,22 @@ def perfect_csi_overlap(rho: float) -> ChannelOverlap:
 def _dual_mean(q_hat, g=lambda y: 1.0):
     """e^(-q_hat/2) sqrt(pi/2) / a E_v[sech(pi y / 2) g(y)], y = v / a, for each
     q_hat of a 1-d array: 1 - m as it stands, L with g(y) = 1 / (1 + y^2)."""
-    rule, a = gauss_hermite(_MOMENT_ORDER), np.sqrt(q_hat)
-    y = rule.nodes / a[:, None]
-    mean = expect(g(y) / np.cosh(0.5 * np.pi * y), rule)
+    a = np.sqrt(q_hat)
+    mean = expect(lambda r, v: g(v / r) / np.cosh(0.5 * np.pi * (v / r)), a,
+                  gauss_hermite(_MOMENT_ORDER))
     return np.exp(-0.5 * q_hat) * np.sqrt(0.5 * np.pi) / a * mean
 
 
 def _log1p_moment(q_hat):
     """L = E[ln(1 + e^(-2z))] for each q_hat of an array (module docstring)."""
-    rule, low = gauss_hermite(_MOMENT_ORDER), q_hat <= _LOG1P_DUAL_FROM
+    def h(r, w):
+        x = np.abs(r * w)
+        return np.cosh(x) * np.log1p(np.exp(-2.0 * x)) + x * np.exp(-x)
+
+    low = q_hat <= _LOG1P_DUAL_FROM
     out = np.empty(q_hat.shape)
-    x = np.abs(np.sqrt(q_hat[low])[:, None] * rule.nodes)
-    h = np.cosh(x) * np.log1p(np.exp(-2.0 * x)) + x * np.exp(-x)
-    out[low] = np.exp(-0.5 * q_hat[low]) * expect(h, rule)
+    out[low] = np.exp(-0.5 * q_hat[low]) * expect(h, np.sqrt(q_hat[low]),
+                                                  gauss_hermite(_MOMENT_ORDER))
     out[~low] = _dual_mean(q_hat[~low], lambda y: 1.0 / (1.0 + y * y))
     return out
 
@@ -444,16 +449,12 @@ def f2_onebit(r: float, r_hat: float, alpha: float, snr_eff: float) -> float:
     return float(_f2_onebit(r, r_hat, alpha, snr_eff))
 
 
-def _check_data_args(snr_eff: float, alpha: float, tol: float) -> None:
-    if not snr_eff >= 0.0:
-        raise ValueError(f"snr_eff must be nonnegative, got {snr_eff}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+def _check_data_args(snr_eff, alpha) -> None:
+    _check_finite("snr_eff", snr_eff)
+    _check_finite("alpha", alpha, positive=True)
 
 
-def solve_qx_linear(snr_eff: float, alpha: float, tol: float = 1e-10) -> DataOverlap:
+def solve_qx_linear(snr_eff: float, alpha: float) -> DataOverlap:
     """Data-phase overlap for Gaussian data symbols.
 
     Substituting q_x = q_x_hat / (1 + q_x_hat) reduces the pair of stationarity
@@ -461,63 +462,47 @@ def solve_qx_linear(snr_eff: float, alpha: float, tol: float = 1e-10) -> DataOve
     with (beta_t, rho) -> (alpha, snr_eff).  Among multiple roots the F2_L
     minimizer is returned.
     """
-    _check_data_args(snr_eff, alpha, tol)
-    q = float(_solve_overlaps(alpha, snr_eff, tol, "linear data overlap", "alpha")[0])
+    _check_data_args(snr_eff, alpha)
+    q = float(_solve_overlaps(alpha, snr_eff, "linear data overlap", "alpha")[0])
     q_hat = q / (1.0 - q)
-    return DataOverlap(q_x=q, q_x_hat=q_hat, f2_value=f1_value(q, q_hat, snr_eff, alpha),
-                       a_coeff=math.sqrt(_k_sq(snr_eff, q)))
+    return DataOverlap(q_x=q, q_x_hat=q_hat, f2_value=f1_value(q, q_hat, snr_eff, alpha))
 
 
 def _tanh_moment(q_hat):
     """m = E_u[tanh(a u + q_hat) (2 + u / a)] - 1 for each q_hat of an array;
     it never exceeds 1 and keeps its relative accuracy as q_hat -> 0."""
-    rule, low = gauss_hermite(_MOMENT_ORDER), q_hat <= _TANH_DUAL_FROM
+    def f(r, w):
+        t = np.tanh(r * w)
+        return 2.0 * t * t / (1.0 + t * t)
+
+    low = q_hat <= _TANH_DUAL_FROM
     m = np.empty(q_hat.shape)
-    t = np.tanh(0.5 * np.sqrt(q_hat[low])[:, None] * rule.nodes)
-    m[low] = (-np.expm1(-0.5 * q_hat[low])
-              + np.exp(-0.5 * q_hat[low]) * expect(2.0 * t * t / (1.0 + t * t), rule))
+    m[low] = (-np.expm1(-0.5 * q_hat[low]) + np.exp(-0.5 * q_hat[low])
+              * expect(f, 0.5 * np.sqrt(q_hat[low]), gauss_hermite(_MOMENT_ORDER)))
     m[~low] = 1.0 - _dual_mean(q_hat[~low])
     return m
 
 
-def _by_pairs(fn, *arrays):
-    """fn over ``_ONEBIT_PAIRS`` entries of the arrays at a time, its
-    outputs joined along the last axis."""
-    return np.concatenate([fn(*(v[i:i + _ONEBIT_PAIRS] for v in arrays))
-                           for i in range(0, arrays[0].size, _ONEBIT_PAIRS)], axis=-1)
-
-
-def _onebit_residual(q, alpha, snr):
-    # (q_hat, g): q_hat = rhs(q) and g(q) = tanh_moment(q_hat) - 1 - q, the
-    # "- 1" already taken inside _tanh_moment
-    q_hat = _gaussian_rhs(q, alpha, snr)
-    return np.array([q_hat, _tanh_moment(q_hat) - q])
-
-
-def _onebit_overlaps(alpha, snr, tol: float):
+def _onebit_overlaps(alpha, snr):
     """q_x, q_x_hat and F2_O at every (alpha, snr) pair.
 
-    q_x is a root of g(q) = tanh_moment(rhs(q)) - 1 - q, sampled at
-    ``_ONEBIT_Q`` (snr == 0 gives the root q_x = 0), with every bracket
-    closed by :func:`_illinois`.  Where a pair has several roots the least
-    F2_O wins; every chosen root must meet |g| <= tol, or
-    :class:`SolverError` carries its brackets and roots.
+    q_x is a root of g(q) = tanh_moment(rhs(q)) - 1 - q found by
+    :func:`_roots` on ``_ONEBIT_Q`` (snr == 0 gives the root q_x = 0).  Where
+    a pair has several roots the least F2_O wins; every chosen root must
+    meet |g| <= ``_TOL``, or :class:`SolverError` carries its brackets and
+    roots.
     """
-    qs = _ONEBIT_Q
-    res, owner, j_lo, j_hi = _scan(alpha, snr, qs, lambda q, q_hat: _tanh_moment(q_hat) - q,
-                                   _SCAN_ROWS)
+    found = owner, roots, _, _ = _roots(alpha, snr, _onebit_g, _ONEBIT_Q)
     a, s = alpha[owner], snr[owner]
-    roots = _illinois(qs[j_lo], qs[j_hi], res[owner, j_lo], res[owner, j_hi],
-                      lambda x, k: _by_pairs(lambda *v: _onebit_residual(*v)[1], x, a[k], s[k]))
-    q_hat, g = _by_pairs(_onebit_residual, roots, a, s)
-    f2 = _by_pairs(_f2_onebit, roots, q_hat, a, s)
-    pick = _choose((owner, roots, qs[j_lo], qs[j_hi]), alpha.size, lambda k: f2[k], np.abs(g),
-                   np.full(g.size, tol), "one-bit data overlap",
+    q_hat = _gaussian_rhs(roots, a, s)
+    f2 = _f2_onebit(roots, q_hat, a, s)
+    pick = _choose(found, alpha.size, lambda k: f2[k], np.abs(_onebit_g(roots, q_hat)),
+                   np.full(roots.size, _TOL), "one-bit data overlap",
                    lambda i: f"snr_eff={snr[i]:g}, alpha={alpha[i]:g}")
     return roots[pick], q_hat[pick], f2[pick]
 
 
-def solve_qx_onebit(snr_eff: float, alpha: float, tol: float = 1e-10) -> DataOverlap:
+def solve_qx_onebit(snr_eff: float, alpha: float) -> DataOverlap:
     """Data-phase overlap for one-bit data symbols.
 
     Substituting q_x_hat = rhs(q_x), the Gaussian-tail right-hand side,
@@ -525,49 +510,49 @@ def solve_qx_onebit(snr_eff: float, alpha: float, tol: float = 1e-10) -> DataOve
     [0, 1], solved by :func:`_onebit_overlaps`; q_x = 1 is the saturated
     root.  Among multiple roots the F2_O minimizer is returned.
     """
-    _check_data_args(snr_eff, alpha, tol)
+    _check_data_args(snr_eff, alpha)
     q, q_hat, f2 = (float(v[0]) for v in _onebit_overlaps(
-        np.array([float(alpha)]), np.array([float(snr_eff)]), tol))
-    return DataOverlap(q_x=q, q_x_hat=q_hat, f2_value=f2, a_coeff=math.sqrt(_k_sq(snr_eff, q)))
+        np.array([float(alpha)]), np.array([float(snr_eff)])))
+    return DataOverlap(q_x=q, q_x_hat=q_hat, f2_value=f2)
 
 
-def linear_rates(alpha: float, snr_eff, tol: float = 1e-10) -> np.ndarray:
+def linear_rates(alpha: float, snr_eff) -> np.ndarray:
     """:func:`reff_linear` at every effective SNR of an array; the data
     overlaps are solved as one batch."""
     s = np.atleast_1d(np.asarray(snr_eff, dtype=float))
-    _check_data_args(float(s.min()), alpha, tol)
-    q = _solve_overlaps(alpha, s, tol, "linear data overlap", "alpha")
+    _check_data_args(s, alpha)
+    q = _solve_overlaps(alpha, s, "linear data overlap", "alpha")
     # the tail term at q = 1 is minus the output-entropy term 4 alpha E[Q ln Q]
     rates = np.maximum(0.0, (_free_energy(q, q / (1.0 - q), alpha, s)
                              - _tail_term(alpha, s, 1.0)) / LN2)
     return np.where(s == 0.0, 0.0, rates)
 
 
-def reff_linear(params: SystemParams, overlap: ChannelOverlap, tol: float = 1e-10) -> float:
+def reff_linear(params: SystemParams, overlap: ChannelOverlap) -> float:
     """Per-transmitter rate of the trained system with Gaussian data symbols,
     in bits per channel use."""
-    return float(linear_rates(params.alpha, overlap.snr_eff, tol)[0])
+    return float(linear_rates(params.alpha, overlap.snr_eff)[0])
 
 
-def onebit_rates(alpha, snr_eff, tol: float = 1e-10) -> np.ndarray:
+def onebit_rates(alpha, snr_eff) -> np.ndarray:
     """:func:`reff_onebit` at every (alpha, snr_eff) pair of two broadcast
     arrays, flattened; the data overlaps are solved as one batch."""
     a, s = (v.ravel() for v in np.broadcast_arrays(
         np.asarray(alpha, dtype=float), np.asarray(snr_eff, dtype=float)))
-    _check_data_args(float(s.min()), float(a.min()), tol)
-    _, _, f2 = _onebit_overlaps(a, s, tol)
+    _check_data_args(s, a)
+    _, _, f2 = _onebit_overlaps(a, s)
     # the QPSK input alphabet caps the rate at 2 bits; trim float residue
     rates = np.clip((f2 - _tail_term(a, s, 1.0)) / LN2, 0.0, 2.0)
     return np.where(s == 0.0, 0.0, rates)
 
 
-def reff_onebit(params: SystemParams, overlap: ChannelOverlap, tol: float = 1e-10) -> float:
+def reff_onebit(params: SystemParams, overlap: ChannelOverlap) -> float:
     """Per-transmitter rate of the trained system with one-bit data symbols,
     in bits per channel use.  Capped at 2 bits by the QPSK input alphabet."""
-    return float(onebit_rates(params.alpha, overlap.snr_eff, tol)[0])
+    return float(onebit_rates(params.alpha, overlap.snr_eff)[0])
 
 
-def csir_rate(alpha: float, rho: float, tol: float = 1e-10) -> float:
+def csir_rate(alpha: float, rho: float) -> float:
     """Rate with perfect receiver channel knowledge and Gaussian inputs:
 
         R = (1/ln 2) [ 4 alpha E_u( Q(sqrt(rho) u) ln Q(sqrt(rho) u)
@@ -577,8 +562,8 @@ def csir_rate(alpha: float, rho: float, tol: float = 1e-10) -> float:
     with (q_x, q_x_hat, A) the Gaussian data fixed point at snr_eff = rho.
     Upper reference for every training-based linear-transmitter bound.
     """
-    _check_data_args(rho, alpha, tol)
-    q = float(_solve_overlaps(alpha, rho, tol, "known-channel data overlap", "alpha")[0])
+    _check_data_args(rho, alpha)
+    q = float(_solve_overlaps(alpha, rho, "known-channel data overlap", "alpha")[0])
     q_hat = q / (1.0 - q)
     a_hat = math.sqrt(rho / (1.0 + rho * (1.0 - q)))
     known, data = mean_q_log_q(np.array([math.sqrt(rho), a_hat * math.sqrt(q)]))

@@ -80,7 +80,6 @@ class TestBound:
         "bound --alpha 1 --beta inf --rho 1",
         "bound --alpha inf --beta 2 --rho 1",
         "bound --alpha 1 --beta 2 --rho 1 --grid-step inf",
-        "bound --alpha 4 --beta 2 --rho 10 --tx onebit --grid-step 0.5 --tol inf",
         "compare --alpha 1 --beta 5 --rho-db-min 0 --rho-db-max inf",
     ])
     def test_non_finite_input_exits_one(self, args, capsys):
@@ -324,9 +323,10 @@ class TestFlagGroups:
         "exact --m 1 --n 1 --t 2 --rho 1":
             ["--alpha", "--beta", "--tx", "--grid-step", "--quad-nodes", "--tol"],
         "asymptotics --alpha 1 --beta 10 --rho 0.01": ["--grid-step", "--quad-nodes", "--tol", "--seed"],
-        "figure --which 2 --beta 4": ["--alpha", "--tx", "--seed", "--quad-nodes"],
-        "compare --alpha 1 --beta 5": ["--tx", "--seed", "--rho", "--rho-db", "--quad-nodes"],
-        "bound --alpha 1 --beta 4 --rho 1": ["--seed", "--quad-nodes"],
+        "figure --which 2 --beta 4": ["--alpha", "--tx", "--seed", "--quad-nodes", "--tol"],
+        "compare --alpha 1 --beta 5": ["--tx", "--seed", "--rho", "--rho-db", "--quad-nodes",
+                                       "--tol"],
+        "bound --alpha 1 --beta 4 --rho 1": ["--seed", "--quad-nodes", "--tol"],
     }
 
     @pytest.mark.parametrize("args, flag", [
@@ -376,7 +376,7 @@ class TestConfigFile:
         assert code == 1
         assert "alhpa" in err
 
-    @pytest.mark.parametrize("key", ["workers", "which", "quad_nodes"])
+    @pytest.mark.parametrize("key", ["workers", "which", "quad_nodes", "tol"])
     def test_retired_key_rejected(self, key, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"alpha": 1.0, "beta": 2.0, "rho": 1.0, key: 2}))
@@ -395,11 +395,11 @@ class TestConfigFile:
         assert from_file == from_flags
 
         cfg.write_text(json.dumps({"alpha": 2, "beta": 4.0, "rho": 3.5, "tx": "onebit",
-                                   "grid_step": 0.25, "tol": 1e-9}))
+                                   "grid_step": 0.25}))
         code, from_file, _ = run_cli(["bound", "--config", str(cfg)], capsys)
         assert code == 0
         _, from_flags, _ = run_cli(["bound", "--alpha", "2", "--beta", "4.0", "--rho", "3.5",
-                                    "--tx", "onebit", "--grid-step", "0.25", "--tol", "1e-9"],
+                                    "--tx", "onebit", "--grid-step", "0.25"],
                                    capsys)
         assert from_file == from_flags
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from onebit_bounds import numerics
 from onebit_bounds.numerics import (
     exp_ratio,
     gauss_hermite,
@@ -165,7 +166,8 @@ class TestGaussianTailMeans:
         assert mean_exp_ratio(a) == pytest.approx(exp_ratio_mean, rel=1e-15, abs=0.0)
         assert mean_q_log_q(a) == pytest.approx(q_log_q_mean, rel=1e-15, abs=0.0)
 
-    def test_batch_gives_the_bits_of_each_point(self):
+    def test_batch_gives_the_bits_of_each_point(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_SLAB", 3)  # six slabs, the last partial
         a = np.array([[m[0] for m in self.MPMATH]] * 2)
         assert mean_exp_ratio(a).tolist() == [[float(mean_exp_ratio(v)) for v in a[0]]] * 2
         assert mean_q_log_q(a).tolist() == [[float(mean_q_log_q(v)) for v in a[0]]] * 2

@@ -38,7 +38,7 @@ from onebit_bounds.replica import (
     solve_qx_linear,
     solve_qx_onebit,
 )
-from onebit_bounds.replica import _fixed_points
+from onebit_bounds.replica import _SCAN_Q, _gaussian_g, _roots
 
 
 # --- oracle helpers (independent codings) -----------------------------------
@@ -224,10 +224,18 @@ class TestSolveQh:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             solve_qh(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            solve_qh(1.0, 1.0, tol=0.0)
-        with pytest.raises(ValueError):
-            solve_qh(1.0, 1.0, tol=math.inf)
+        with pytest.raises(ValueError, match="rho must be finite"):
+            solve_qh(math.inf, 1.0)
+        with pytest.raises(ValueError, match="beta_t must be finite"):
+            solve_qh(1.0, math.inf)
+        with pytest.raises(ValueError, match="beta_t must be finite"):
+            solve_qh_grid(1.0, [1.0, math.nan])
+        with pytest.raises(ValueError, match="rho must be finite"):
+            effective_snr(math.inf, 0.5)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            solve_qx_onebit(1.0, math.inf)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            training_grid(math.inf, 0.1)
 
 
 # Gauss-Hermite rules give one root at every point tried.  As the Gaussian-tail
@@ -237,6 +245,11 @@ class TestSolveQh:
 FOLD_RULE = QuadratureRule(nodes=np.array([-1.219, -5.927, 0.438]),
                            weights=np.array([-4.0584, 3.136, 1.9225]), order=3)
 GRID_BETAS = np.array([0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 3.0, 5.0])
+
+
+def gaussian_roots(coef, rho):
+    """Every root of the Gaussian overlap equation at each coef, all at rho."""
+    return _roots(coef, np.full(coef.size, rho), _gaussian_g, _SCAN_Q)
 
 
 @pytest.fixture
@@ -254,7 +267,7 @@ class TestBatchedSolve:
     @pytest.mark.parametrize("rho", [0.01, 1.0, 10.0, 100.0])
     def test_grid_roots_match_scalar_oracle(self, folded, rho, request):
         oracle_rule = request.getfixturevalue("fold") if folded else {}
-        owner, roots, _, _ = _fixed_points(GRID_BETAS, np.full(GRID_BETAS.size, rho))
+        owner, roots, _, _ = gaussian_roots(GRID_BETAS, rho)
         for i, bt in enumerate(GRID_BETAS):
             expected = o_bisect_root(bt, rho, **oracle_rule, width=0.0, every=True)
             assert np.count_nonzero(owner == i) == len(expected), f"beta_t={bt}"
@@ -262,7 +275,7 @@ class TestBatchedSolve:
 
     def test_fold_rule_gives_several_roots(self, fold):
         for rho in (10.0, 100.0):
-            owner, _, _, _ = _fixed_points(GRID_BETAS, np.full(GRID_BETAS.size, rho))
+            owner, _, _, _ = gaussian_roots(GRID_BETAS, rho)
             assert np.bincount(owner).max() == 3
 
     @pytest.mark.parametrize("rho", [10.0, 100.0])
@@ -316,10 +329,10 @@ class TestBatchedSolve:
     @pytest.mark.parametrize("rho", [0.01, 1.0, 10.0, 100.0])
     def test_residual_evaluations_per_root(self, rho, monkeypatch):
         # the scan takes its expectation inline, so _gaussian_rhs sees the
-        # Illinois steps and the tolerance check of each picked root: at
+        # Illinois steps and the residual check of each picked root: at
         # least one of each per root
         grid = training_grid(8.0, 0.1)
-        owner, _, _, _ = _fixed_points(grid, np.full(grid.size, rho))
+        owner, _, _, _ = gaussian_roots(grid, rho)
         assert np.bincount(owner, minlength=grid.size).tolist() == [1] * grid.size
         rhs, sizes = replica._gaussian_rhs, []
         monkeypatch.setattr(replica, "_gaussian_rhs",
@@ -397,11 +410,6 @@ class TestSolveQxLinear:
         d = solve_qx_linear(s, alpha)
         assert d.q_x == pytest.approx(q, abs=1e-8)
         assert d.q_x_hat == pytest.approx(d.q_x / (1 - d.q_x), rel=1e-10)
-
-    def test_a_coeff_invariant(self):
-        d = solve_qx_linear(3.0, 1.5)
-        assert d.a_coeff == pytest.approx(
-            math.sqrt(3.0 / (1.0 + 3.0 * (1.0 - d.q_x))), rel=1e-12)
 
 
 class TestSolveQxOnebit:
@@ -573,7 +581,7 @@ class TestOnebitBatch:
     def test_roots_match_bisection_oracle(self):
         alpha = np.repeat(ONEBIT_ALPHAS, len(ONEBIT_SNRS))
         snr = np.tile(ONEBIT_SNRS, len(ONEBIT_ALPHAS))
-        q, _, _ = replica._onebit_overlaps(alpha, snr, 1e-10)
+        q, _, _ = replica._onebit_overlaps(alpha, snr)
         for i, (a, s) in enumerate(zip(alpha, snr)):
             roots = o_onebit_roots(a, s)
             assert len(roots) == 1, f"alpha={a}, snr={s}"
@@ -582,7 +590,7 @@ class TestOnebitBatch:
     def test_saturated_pairs_give_unit_overlap(self):
         alpha = np.array([64.0, 64.0, 256.0, 256.0, 64.0])
         snr = np.array([10.0, 100.0, 1.0, 10.0, 1.0])
-        q, _, _ = replica._onebit_overlaps(alpha, snr, 1e-10)
+        q, _, _ = replica._onebit_overlaps(alpha, snr)
         assert q[:4].tolist() == [1.0] * 4
         assert all(o_onebit_roots(a, s) == [1.0] for a, s in zip(alpha[:4], snr[:4]))
         assert 0.0 < q[4] < 1.0  # alpha 64 at snr 1 is short of saturation
@@ -595,7 +603,7 @@ class TestOnebitBatch:
 
     def test_zero_snr_pairs_give_zero_overlap(self):
         alpha, snr = np.array([1.0, 4.0, 2.0, 8.0]), np.array([0.0, 1.0, 0.0, 10.0])
-        q, q_hat, f2 = replica._onebit_overlaps(alpha, snr, 1e-10)
+        q, q_hat, f2 = replica._onebit_overlaps(alpha, snr)
         assert q[0] == q[2] == q_hat[0] == q_hat[2] == 0.0
         assert f2[2] == f2_onebit(0.0, 0.0, 2.0, 0.0)
         assert q[1] > 0.0 and q[3] > 0.0
@@ -603,12 +611,12 @@ class TestOnebitBatch:
         assert rates[0] == rates[2] == 0.0 and (rates[[1, 3]] > 0.0).all()
 
     def test_batch_matches_pointwise_solves(self, monkeypatch):
-        monkeypatch.setattr(replica, "_ONEBIT_PAIRS", 5)  # several chunks, the last partial
+        monkeypatch.setattr(numerics, "_SLAB", 5)  # several slabs, the last partial
         overlaps = solve_qh_grid(10.0, GRID_BETAS)
         alphas = (1.0, 8.0)
         snr = np.array([ov.snr_eff for ov in overlaps])
         q, q_hat, f2 = replica._onebit_overlaps(np.repeat(alphas, snr.size),
-                                                np.tile(snr, len(alphas)), 1e-10)
+                                                np.tile(snr, len(alphas)))
         pointwise = [solve_qx_onebit(s, a) for a in alphas for s in snr]
         assert q.tolist() == [d.q_x for d in pointwise]
         assert q_hat.tolist() == [d.q_x_hat for d in pointwise]
@@ -622,7 +630,7 @@ class TestOnebitBatch:
         """The SolverError of a batch whose brackets stay as the scan left
         them; the saturated pairs' roots are scan samples and pass."""
         monkeypatch.setattr(replica, "_MAX_STEPS", 0)
-        monkeypatch.setattr(replica, "_ONEBIT_PAIRS", 2)  # the failing pair in chunk 2
+        monkeypatch.setattr(numerics, "_SLAB", 2)  # the failing pair in slab 2
         with pytest.raises(SolverError) as exc:
             onebit_rates([256.0, 256.0, 8.0], [1.0, 10.0, 100.0])
         return exc.value
@@ -725,10 +733,10 @@ def o_reff_chain(alpha, rho, beta_t, tx):
     return (f2 + ent) / LN2
 
 
-def _csir_at_each(alpha, snr_eff, tol):
+def _csir_at_each(alpha, snr_eff):
     """csir_rate at each rho of snr_eff, for the shared argument checks."""
     for rho in snr_eff:
-        csir_rate(alpha, rho, tol)
+        csir_rate(alpha, rho)
 
 
 class TestRates:
@@ -765,15 +773,17 @@ class TestRates:
 
     @pytest.mark.parametrize("rates", [
         linear_rates, onebit_rates, pytest.param(_csir_at_each, id="csir_rate")])
-    @pytest.mark.parametrize("alpha, snr_eff, tol", [
-        (1.0, [-0.5, 1.0], 1e-10),
-        (-1.0, [0.5], 1e-10),
-        (1.0, [0.5], 0.0),
-        (1.0, [0.5], math.inf),
+    @pytest.mark.parametrize("alpha, snr_eff", [
+        (1.0, [-0.5, 1.0]),
+        (-1.0, [0.5]),
+        (math.inf, [0.5]),
+        (1.0, [math.inf]),
+        (1.0, [0.5, math.inf]),
+        (math.nan, [0.5]),
     ])
-    def test_data_arguments_checked(self, rates, alpha, snr_eff, tol):
+    def test_data_arguments_checked(self, rates, alpha, snr_eff):
         with pytest.raises(ValueError):
-            rates(alpha, snr_eff, tol=tol)
+            rates(alpha, snr_eff)
 
 
 class TestCsirRate:
