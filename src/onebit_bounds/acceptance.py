@@ -140,7 +140,7 @@ _SATURATION_ALPHAS = tuple(float(2 ** k) for k in range(9))
 
 @lru_cache(maxsize=1)
 def _saturation_sweep():
-    return tuple(sweep_onebit_alpha(_SATURATION_ALPHAS, beta=8.0, rho=10.0, refine=True))
+    return tuple(sweep_onebit_alpha(_SATURATION_ALPHAS, beta=8.0, rho=10.0))
 
 
 def criterion_5() -> CriterionResult:
@@ -263,7 +263,7 @@ def criterion_9() -> CriterionResult:
         z = np.array([complex(zre, zim) for zre in (-3.0, -0.7, 0.0, 1.3)
                       for zim in (-2.1, 0.4, 2.8)])
         for s_sq in (0.25, 1.0, 4.0):
-            tot = np.exp(sign_log_likelihoods(z, s_sq)).sum(axis=0)
+            tot = np.exp(sign_log_likelihoods(z / math.sqrt(s_sq))).sum(axis=0)
             for zk, t in zip(z, tot):
                 if abs(t - 1.0) > 1e-12:
                     problems.append(f"likelihood normalization at z={zk}, s_sq={s_sq}: {t!r}")

@@ -178,8 +178,10 @@ def _cmd_compare(args) -> int:
         raise ValueError(f"SNR sweep bounds must be finite: [{lo}, {hi}] step {step}")
     if step <= 0 or hi < lo:
         raise ValueError(f"empty SNR sweep: [{lo}, {hi}] step {step}")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    rho_dbs = [lo + k * step for k in range(n)]
+    n = (hi - lo) / step + 1e-9
+    if not math.isfinite(n):
+        raise ValueError(f"SNR sweep length is not finite: [{lo}, {hi}] step {step}")
+    rho_dbs = [lo + k * step for k in range(int(n) + 1)]
     table = _compare_table(cfg, [cfg.alpha], [cfg.beta], rho_dbs)
     for col in range(3, 6):
         vals = [row[col] for row in table]
@@ -208,7 +210,7 @@ def _cmd_figure(args) -> int:
     betas = (cfg.beta,) if cfg.beta is not None else _FIGURE2_BETAS
     table = []
     for beta in betas:
-        results = sweep_onebit_alpha(_FIGURE_ALPHAS, beta, rho, cfg.grid_step, refine=True)
+        results = sweep_onebit_alpha(_FIGURE_ALPHAS, beta, rho, cfg.grid_step)
         for alpha, (res, _) in zip(_FIGURE_ALPHAS, results):
             table.append([alpha, beta, res.beta_t_opt if args.which == 2 else res.c_bound])
     header = (["alpha", "beta", "beta_t_opt"] if args.which == 2

@@ -55,7 +55,6 @@ from scipy.special import logsumexp
 from .numerics import LN2, gauss_hermite, q_function
 from .optimizer import optimize_training
 from .quantizer import SIGN_OUTPUTS, sign_log_likelihoods
-from .replica import SystemParams
 
 __all__ = [
     "QPSK",
@@ -83,8 +82,6 @@ SIGN_OUT = np.array(SIGN_OUTPUTS)
 #: Cap on 4^(M T_t) * 4^(N T_t), the number of training-block terms.
 ENUMERATION_BUDGET = 10 ** 8
 
-_SIGMA_SQ = 1.0  # noise variance normalization; rho carries all SNR scaling
-
 
 class EnumerationBudgetError(ValueError):
     """The training-block enumeration exceeds the term budget."""
@@ -98,33 +95,30 @@ class EnumerationBudgetError(ValueError):
 class ChannelIntegration:
     """How the expectation over the channel coefficients is evaluated.
 
-    ``kind`` is ``"quadrature"`` (tensor Gauss-Hermite, ``order`` nodes per
-    real dimension) or ``"monte-carlo"`` (``samples`` seeded standard-normal
-    draws).  Monte Carlo streams are derived from ``seed`` per training
-    length and per pipeline, so the d-pipeline and ``mi_direct`` never share
-    draws and repeated runs are bit-reproducible.
+    Tensor Gauss-Hermite quadrature with ``order`` nodes per real dimension
+    when ``samples`` is None, else Monte Carlo over ``samples`` seeded
+    standard-normal draws.  Monte Carlo streams are derived from ``seed`` per
+    training length and per pipeline, so the d-pipeline and ``mi_direct``
+    never share draws and repeated runs are bit-reproducible.
     """
 
-    kind: str
     order: int = 24
-    samples: int = 1_000_000
+    samples: int | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("quadrature", "monte-carlo"):
-            raise ValueError(f"unknown integration kind: {self.kind!r}")
-        if self.kind == "quadrature" and self.order < 2:
+        if self.samples is None and self.order < 2:
             raise ValueError(f"quadrature order must be >= 2, got {self.order}")
-        if self.kind == "monte-carlo" and self.samples < 1:
+        if self.samples is not None and self.samples < 1:
             raise ValueError(f"samples must be positive, got {self.samples}")
 
     @classmethod
-    def quadrature(cls, order: int = 24) -> "ChannelIntegration":
-        return cls(kind="quadrature", order=order)
+    def quadrature(cls, order: int) -> "ChannelIntegration":
+        return cls(order=order)
 
     @classmethod
-    def monte_carlo(cls, samples: int = 1_000_000, seed: int = 0) -> "ChannelIntegration":
-        return cls(kind="monte-carlo", samples=samples, seed=seed)
+    def monte_carlo(cls, samples: int, seed: int = 0) -> "ChannelIntegration":
+        return cls(samples=samples, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -135,7 +129,7 @@ class SmallSystem:
     n: int
     t_total: int
     rho: float
-    integration: ChannelIntegration = ChannelIntegration.quadrature()
+    integration: ChannelIntegration = ChannelIntegration()
 
     def __post_init__(self):
         if not 1 <= self.m <= 2:
@@ -146,7 +140,7 @@ class SmallSystem:
             raise ValueError(f"t_total must lie in 1..5, got {self.t_total}")
         if not 0.0 <= self.rho < math.inf:
             raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
-        if self.integration.kind == "quadrature" and self.integration.order ** (2 * self.m) > 5_000_000:
+        if self.integration.samples is None and self.integration.order ** (2 * self.m) > 5_000_000:
             raise ValueError(
                 f"tensor quadrature with order {self.integration.order} over {2 * self.m} "
                 "real dimensions is too large; lower the order or use Monte Carlo"
@@ -172,7 +166,7 @@ def _channel_nodes(sys_: SmallSystem, t_t: int, stream: int):
     ``stream`` separates the Monte Carlo draws of the two rate pipelines.
     """
     integ = sys_.integration
-    if integ.kind == "quadrature":
+    if integ.samples is None:
         rule = gauss_hermite(integ.order)
         dims = 2 * sys_.m
         grids = np.meshgrid(*([rule.nodes] * dims), indexing="ij")
@@ -204,12 +198,12 @@ def _strings(t_t: int) -> np.ndarray:
 class _Tables:
     """Per-(system, t_t) node tables shared by the d-pipeline operations."""
 
-    def __init__(self, sys_: SmallSystem, t_t: int, stream: int = 0):
-        self.h, self.logw = _channel_nodes(sys_, t_t, stream)
+    def __init__(self, sys_: SmallSystem, t_t: int):
+        self.h, self.logw = _channel_nodes(sys_, t_t, stream=0)
         x_cols = _input_vectors(sys_.m)
         z = math.sqrt(sys_.rho / sys_.m) * (self.h @ x_cols.T)
         # log_g[c, y, k] = ln P(sign(z[k, c] + v) = SIGN_OUT[y])
-        self.log_g = np.ascontiguousarray(sign_log_likelihoods(z, _SIGMA_SQ).transpose(2, 0, 1))
+        self.log_g = np.ascontiguousarray(sign_log_likelihoods(z).transpose(2, 0, 1))
         self.g_lin = np.exp(self.log_g)                     # linear copy for the W contraction
         self.n_inputs = 4 ** sys_.m
         self.strings = _strings(t_t)                        # (S, t_t)
@@ -257,8 +251,8 @@ def _conditional_mi_nats(ld3: np.ndarray) -> np.ndarray:
 
 # --- training-matrix symmetry classes -------------------------------------
 
-@lru_cache(maxsize=8)
-def _phase_perm(m: int) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _phase_perm() -> np.ndarray:
     """perm[k, d]: index of QPSK[d] * j^k in the QPSK alphabet."""
     perm = np.empty((4, 4), dtype=int)
     for k in range(4):
@@ -284,7 +278,7 @@ def _training_classes(m: int, t_t: int, use_symmetry: bool):
         return tuple((cols, 1) for cols in all_mats)
 
     digit_maps = []  # all combined phase/relabel maps, acting on column indices
-    phase = _phase_perm(m)
+    phase = _phase_perm()
     digits = np.array(list(itertools.product(range(4), repeat=m)), dtype=int)  # (n_cols, m)
     weights = 4 ** np.arange(m - 1, -1, -1)
     for perm in itertools.permutations(range(m)):
@@ -372,7 +366,7 @@ def reff_exact(t_t: int, sys_: SmallSystem, *, use_symmetry: bool = True) -> flo
     """Exact per-transmitter rate (bits per channel use) after t_t training
     symbols, averaged over training matrices and training outputs."""
     check_budget(sys_, t_t)
-    tab = _Tables(sys_, t_t, stream=0)
+    tab = _Tables(sys_, t_t)
     s_count = tab.strings.shape[0]
     # every Y_t, one string index per receiver, first receiver slowest
     outputs = np.unravel_index(np.arange(s_count ** sys_.n), (s_count,) * sys_.n)
@@ -401,10 +395,8 @@ def c_bound_exact(sys_: SmallSystem):
         raise ValueError("c_bound_exact needs t_total >= 2 (--t >= 2) to split training and data")
     for t_t in range(1, sys_.t_total):
         check_budget(sys_, t_t)
-    m = sys_.m
-    params = SystemParams(alpha=sys_.n / m, beta=sys_.t_total / m, rho=sys_.rho, tx_type="onebit")
     return optimize_training([reff_exact(t_t, sys_) for t_t in range(1, sys_.t_total)],
-                             params.beta, 1 / m, params=params, method="exact")
+                             sys_.t_total / sys_.m, 1 / sys_.m, method="exact")
 
 
 # --- independent direct mutual-information pipeline ------------------------
@@ -478,7 +470,7 @@ def _direct_likelihoods(sys_: SmallSystem, t_t: int):
     likelihoods g[c, y, k] per node, linear domain, on Monte Carlo stream 1."""
     h, logw = _channel_nodes(sys_, t_t, stream=1)
     z = math.sqrt(sys_.rho / sys_.m) * (h @ _input_vectors(sys_.m).T)   # (nodes, C)
-    a = math.sqrt(2.0 / _SIGMA_SQ)
+    a = math.sqrt(2.0)
     qr_p = q_function(-a * z.real)
     qi_p = q_function(-a * z.imag)
     qr_m = 1.0 - qr_p

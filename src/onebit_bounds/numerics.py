@@ -15,7 +15,7 @@ The Gaussian-tail means E_u[exp_ratio(a u)] and E_u[Q ln Q(a u)] are exact at
 any a: u = w / sqrt(1 + a^2) moves their Gaussian factor into the weight of one
 fixed 48-node rule, within 2.3e-16 of mpmath for a in [0, 1e6] (40 nodes:
 8.9e-15, 32: 5.7e-13; on f(a u) itself, 128 nodes are 100% off from a = 100).
-The one-bit moments E[tanh z] and E[ln cosh z], z ~ N(q, q), take the default
+The one-bit moments E[tanh z] and E[ln cosh z], z ~ N(q, q), take the fixed
 128-node rule in ``replica``, directly for small q and in the Fourier dual above
 (within 5.9e-12 of mpmath for q in [1e-12, 1e3]; on the raw integrand, 1e-7 at q = 10).
 Every expectation goes through ``expect``, which takes at most ``_SLAB``
@@ -59,11 +59,10 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 @lru_cache(maxsize=None)
-def gauss_hermite(order: int = 128) -> QuadratureRule:
+def gauss_hermite(order: int) -> QuadratureRule:
     """Gauss-Hermite rule mapped onto the standard normal measure.
 
     ``roots_hermite`` targets integrals of exp(-t^2) g(t); substituting
@@ -77,7 +76,7 @@ def gauss_hermite(order: int = 128) -> QuadratureRule:
     weights = w / w.sum()
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def q_function(x):
@@ -122,7 +121,7 @@ def expect(f, x, rule: QuadratureRule):
     """E_u[f(x, u)] for each x of an array, u ~ N(0, 1) at ``rule``'s nodes.
 
     f(slab, nodes) takes a column of at most ``_SLAB`` arguments, which bounds
-    every temporary at ``_SLAB`` x ``rule.order`` values.  Each row is its own
+    every temporary at ``_SLAB`` x ``rule.nodes.size`` values.  Each row is its own
     dot product, so a batch gives the same bits as one point at a time (a
     matrix-vector product does not).
     """

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class BoundResult:
     beta_t_opt: float
     c_bound: float
     method: str
-    params: Optional[SystemParams] = None
 
 
 def training_grid(beta: float, grid_step: float) -> np.ndarray:
@@ -86,20 +85,16 @@ def training_grid(beta: float, grid_step: float) -> np.ndarray:
         raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    n = int(math.floor((beta - grid_step) / grid_step + 1e-9))
+    n = (beta - grid_step) / grid_step + 1e-9
+    if not math.isfinite(n):
+        raise ValueError(f"training grid length is not finite: beta={beta}, grid_step={grid_step}")
     if n < 1:
         raise ValueError(f"empty training grid: beta={beta} with grid_step={grid_step}")
-    return np.arange(1, n + 1) * grid_step
+    return np.arange(1, int(n) + 1) * grid_step
 
 
-def optimize_training(
-    rates: np.ndarray,
-    beta: float,
-    grid_step: float,
-    *,
-    params: Optional[SystemParams] = None,
-    method: str = "replica-linear",
-):
+def optimize_training(rates: np.ndarray, beta: float, grid_step: float, *,
+                      method: str = "replica-linear"):
     """Maximize ((beta - beta_t)/beta) * R_eff(beta_t) over the training grid,
     given ``rates``, R_eff at every point of ``training_grid(beta, grid_step)``.
 
@@ -111,8 +106,7 @@ def optimize_training(
         raise ValueError(f"rates of shape {rates.shape} for a training grid of {bts.size} points")
     objective = (beta - bts) / beta * rates
     i = int(np.argmax(objective))  # first maximum == smallest beta_t on ties
-    return (BoundResult(beta_t_opt=float(bts[i]), c_bound=float(objective[i]),
-                        method=method, params=params),
+    return (BoundResult(beta_t_opt=float(bts[i]), c_bound=float(objective[i]), method=method),
             RateCurve(beta=beta, grid_step=grid_step, beta_t=bts, r_eff=rates,
                       objective=objective))
 
@@ -259,8 +253,8 @@ def _grid_bounds(rho, beta, grid_step, jobs, refine=False):
 
     bts = training_grid(beta, grid_step)
     grid_rates = _job_rates(jobs, np.broadcast_to(snr_effs(bts), (len(jobs), bts.size)))
-    out = [optimize_training(rates, beta, grid_step, params=params, method=method)
-           for (params, method), rates in zip(jobs, grid_rates)]
+    out = [optimize_training(rates, beta, grid_step, method=method)
+           for (_, method), rates in zip(jobs, grid_rates)]
     if refine:
         out = _refine(out, lambda ks, xs: _job_rates(
             [jobs[k] for k in ks], snr_effs(xs)[:, None])[:, 0])
@@ -288,14 +282,19 @@ def low_snr_asymptotics(params: SystemParams):
         beta_t_opt ~ beta / 2,
         c_bound    ~ (alpha beta / (pi^2 ln 2)) rho^2.
     """
-    beta_t_opt = params.beta / 2.0
-    c_bound = params.alpha * params.beta * params.rho ** 2 / (math.pi ** 2 * LN2)
-    return beta_t_opt, c_bound
+    try:
+        c_bound = params.alpha * params.beta * params.rho ** 2 / (math.pi ** 2 * LN2)
+    except OverflowError:
+        c_bound = math.inf
+    if not math.isfinite(c_bound):
+        raise ValueError(f"low-SNR closed form is not finite at alpha={params.alpha}, "
+                         f"beta={params.beta}, rho={params.rho}")
+    return params.beta / 2.0, c_bound
 
 
-def sweep_onebit_alpha(alphas: Sequence[float], beta: float, rho: float, grid_step: float = 0.1,
-                       *, refine: bool = False):
-    """One-bit transmitter bounds over a receiver-ratio sweep.
+def sweep_onebit_alpha(alphas: Sequence[float], beta: float, rho: float, grid_step: float = 0.1):
+    """One-bit transmitter bounds over a receiver-ratio sweep, each optimum
+    refined inside its grid bracket.
 
     The training overlap q_h does not depend on alpha, so the grid of
     effective channels is solved once and shared by every alpha.  Returns a
@@ -303,7 +302,7 @@ def sweep_onebit_alpha(alphas: Sequence[float], beta: float, rho: float, grid_st
     """
     jobs = [(SystemParams(alpha=alpha, beta=beta, rho=rho, tx_type="onebit"), "replica-onebit")
             for alpha in alphas]
-    return _grid_bounds(rho, beta, grid_step, jobs, refine)
+    return _grid_bounds(rho, beta, grid_step, jobs, refine=True)
 
 
 @dataclass(frozen=True)

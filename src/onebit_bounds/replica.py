@@ -367,8 +367,9 @@ def f1_value(q: float, q_hat: float, rho: float, beta_t: float) -> float:
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must lie in [0, 1), got {q}")
-    if not q_hat >= 0.0:
-        raise ValueError(f"q_hat must be nonnegative, got {q_hat}")
+    _check_finite("q_hat", q_hat)
+    _check_finite("rho", rho)
+    _check_finite("beta_t", beta_t)
     return float(_free_energy(q, q_hat, beta_t, rho))
 
 
@@ -401,8 +402,7 @@ def solve_qh(rho: float, beta_t: float) -> ChannelOverlap:
 
 def perfect_csi_overlap(rho: float) -> ChannelOverlap:
     """Known-channel limit: q_h = 1, no noise inflation, snr_eff = rho."""
-    if not rho >= 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
+    _check_finite("rho", rho)
     return ChannelOverlap(beta_t=math.inf, q_h=1.0, q_h_hat=math.inf, snr_eff=rho)
 
 
@@ -444,8 +444,8 @@ def f2_onebit(r: float, r_hat: float, alpha: float, snr_eff: float) -> float:
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must lie in [0, 1], got {r}")
-    if not r_hat >= 0.0:
-        raise ValueError(f"r_hat must be nonnegative, got {r_hat}")
+    _check_finite("r_hat", r_hat)
+    _check_data_args(snr_eff, alpha)
     return float(_f2_onebit(r, r_hat, alpha, snr_eff))
 
 

@@ -81,6 +81,12 @@ class TestBound:
         "bound --alpha inf --beta 2 --rho 1",
         "bound --alpha 1 --beta 2 --rho 1 --grid-step inf",
         "compare --alpha 1 --beta 5 --rho-db-min 0 --rho-db-max inf",
+        # finite inputs whose grid length or closed form overflows
+        "asymptotics --alpha 1 --beta 1 --rho 1e200",
+        "asymptotics --alpha 1e300 --beta 1e300 --rho 1",
+        "bound --alpha 1 --beta 1e308 --rho 1 --grid-step 1e-308",
+        "figure --which 3 --beta 1e308 --grid-step 1e-300",
+        "compare --alpha 1 --beta 5 --rho-db-min=-1e308 --rho-db-max=1e308",
     ])
     def test_non_finite_input_exits_one(self, args, capsys):
         code, _, err = run_cli(args.split(), capsys)

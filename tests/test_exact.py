@@ -367,8 +367,8 @@ class TestCBoundExact:
             assert res.beta_t_opt == 1.0 + int(np.argmax(objs))
 
     def test_params_describe_the_system(self):
-        res, curve = c_bound_exact(SmallSystem(2, 2, 3, 10.0, ChannelIntegration.quadrature(8)))
-        assert res.params.alpha == 1.0 and res.params.beta == 1.5
+        _, curve = c_bound_exact(SmallSystem(2, 2, 3, 10.0, ChannelIntegration.quadrature(8)))
+        assert curve.beta == 1.5 and curve.grid_step == 0.5
         assert curve.beta_t.tolist() == [0.5, 1.0]
 
 

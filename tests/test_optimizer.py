@@ -155,7 +155,7 @@ class TestBrent:
     ])
     def test_lockstep_sweep_matches_scipy_per_alpha(self, beta, rho, step, alphas):
         # the oracle: scipy's search, one scalar solve per point
-        swept = sweep_onebit_alpha(alphas, beta, rho, step, refine=True)
+        swept = sweep_onebit_alpha(alphas, beta, rho, step)
         grid = training_grid(beta, step)
         snr_eff = [ov.snr_eff for ov in solve_qh_grid(rho, grid)]
         for alpha, (res, _) in zip(alphas, swept):
@@ -206,7 +206,7 @@ class TestSweeps:
         assert len(out) == 2
         for alpha, (res, curve) in zip(alphas, out):
             params = SystemParams(alpha, 4.0, 10.0, "onebit")
-            direct, _ = replica_bound(params, 0.1)
+            direct, _ = replica_bound(params, 0.1, refine=True)
             assert res.c_bound == pytest.approx(direct.c_bound, rel=1e-12)
             assert res.beta_t_opt == pytest.approx(direct.beta_t_opt, rel=1e-12)
 

@@ -10,7 +10,8 @@ from onebit_bounds.numerics import log_q_function
 
 
 def likelihoods(z, s_sq=1.0):
-    return np.exp(sign_log_likelihoods(z, s_sq))
+    # noise of variance s_sq on z gives the table of unit noise on z / sqrt(s_sq)
+    return np.exp(sign_log_likelihoods(np.asarray(z) / math.sqrt(s_sq)))
 
 
 class TestApply:
@@ -55,14 +56,8 @@ class TestLikelihood:
         rng = np.random.default_rng(3)
         z = rng.standard_normal(20) + 1j * rng.standard_normal(20)
         assert tuple(-y for y in SIGN_OUTPUTS) == SIGN_OUTPUTS[::-1]
-        np.testing.assert_array_equal(sign_log_likelihoods(z, 0.7),
-                                      sign_log_likelihoods(-z, 0.7)[::-1])
-
-    def test_invalid_noise_variance(self):
-        with pytest.raises(ValueError):
-            sign_log_likelihoods(1 + 1j, 0.0)
-        with pytest.raises(ValueError):
-            sign_log_likelihoods(1 + 1j, math.nan)
+        w = z / math.sqrt(0.7)
+        np.testing.assert_array_equal(sign_log_likelihoods(w), sign_log_likelihoods(-w)[::-1])
 
 
 class TestLogLikelihood:
@@ -77,7 +72,7 @@ class TestLogLikelihood:
     def test_additivity_over_components(self):
         z, s_sq = complex(0.8, -1.7), 2.3
         a = math.sqrt(2.0 / s_sq)
-        table = sign_log_likelihoods(z, s_sq)
+        table = sign_log_likelihoods(z / math.sqrt(s_sq))
         for y, got in zip(SIGN_OUTPUTS, table):
             expected = float(log_q_function(-a * z.real * y.real) + log_q_function(-a * z.imag * y.imag))
             assert got == pytest.approx(expected, abs=1e-12)

@@ -236,6 +236,20 @@ class TestSolveQh:
             solve_qx_onebit(1.0, math.inf)
         with pytest.raises(ValueError, match="beta must be finite"):
             training_grid(math.inf, 0.1)
+        with pytest.raises(ValueError, match="rho must be finite"):
+            f1_value(0.5, 1.0, math.inf, 1.0)
+        with pytest.raises(ValueError, match="beta_t must be finite"):
+            f1_value(0.5, 1.0, 1.0, math.nan)
+        with pytest.raises(ValueError, match="q_hat must be finite"):
+            f1_value(0.5, math.inf, 1.0, 1.0)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            f2_onebit(0.5, 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="snr_eff must be finite"):
+            f2_onebit(0.5, 1.0, 1.0, math.inf)
+        with pytest.raises(ValueError, match="r_hat must be finite"):
+            f2_onebit(0.5, math.inf, 1.0, 1.0)
+        with pytest.raises(ValueError, match="rho must be finite"):
+            perfect_csi_overlap(math.inf)
 
 
 # Gauss-Hermite rules give one root at every point tried.  As the Gaussian-tail
@@ -243,7 +257,7 @@ class TestSolveQh:
 # 100 part of the grid below has three roots; at rho = 100, beta_t = 1.75 two
 # of the three lie closer together than the scan's spacing.
 FOLD_RULE = QuadratureRule(nodes=np.array([-1.219, -5.927, 0.438]),
-                           weights=np.array([-4.0584, 3.136, 1.9225]), order=3)
+                           weights=np.array([-4.0584, 3.136, 1.9225]))
 GRID_BETAS = np.array([0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 3.0, 5.0])
 
 
