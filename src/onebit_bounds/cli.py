@@ -30,6 +30,7 @@ from .exact import (
     mi_direct,
 )
 from .optimizer import (
+    check_grid_length,
     compare_sweep,
     low_snr_asymptotics,
     replica_bound,
@@ -181,6 +182,7 @@ def _cmd_compare(args) -> int:
     n = (hi - lo) / step + 1e-9
     if not math.isfinite(n):
         raise ValueError(f"SNR sweep length is not finite: [{lo}, {hi}] step {step}")
+    check_grid_length("SNR sweep", int(n) + 1, f"[{lo}, {hi}] step {step}")
     rho_dbs = [lo + k * step for k in range(int(n) + 1)]
     table = _compare_table(cfg, [cfg.alpha], [cfg.beta], rho_dbs)
     for col in range(3, 6):

@@ -15,15 +15,22 @@ The Gaussian-tail means E_u[exp_ratio(a u)] and E_u[Q ln Q(a u)] are exact at
 any a: u = w / sqrt(1 + a^2) moves their Gaussian factor into the weight of one
 fixed 48-node rule, within 2.3e-16 of mpmath for a in [0, 1e6] (40 nodes:
 8.9e-15, 32: 5.7e-13; on f(a u) itself, 128 nodes are 100% off from a = 100).
+The first depends on a only through c = a / sqrt(2 (1 + a^2)) in [0, 1/sqrt(2)],
+as E_w[2 / erfcx(c w)] / sqrt(1 + a^2), so ``tail_fit`` also gives it from a
+degree-24 Chebyshev interpolant of that 48-node sum in c, with a recorded bound
+on its distance from the sum; ``replica`` reads the overlap scan's signs from
+it where that bound decides them (1.8e-14 of the sum's peak on this rule).
 The one-bit moments E[tanh z] and E[ln cosh z], z ~ N(q, q), take the fixed
 128-node rule in ``replica``, directly for small q and in the Fourier dual above
 (within 5.9e-12 of mpmath for q in [1e-12, 1e3]; on the raw integrand, 1e-7 at q = 10).
 Every expectation goes through ``expect``, which takes at most ``_SLAB``
-arguments at a time: the one bound on the memory of a batched solve.
+arguments at a time, so its node temporaries stay at ``_SLAB`` x nodes values.
+That bounds the quadrature alone: a batched solve also holds arrays of one
+value per pair and scan point, and the one-bit moments' whole-batch temporaries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -40,21 +47,27 @@ __all__ = [
     "expect",
     "mean_exp_ratio",
     "mean_q_log_q",
+    "TailFit",
+    "tail_fit",
 ]
 
 LN2 = float(np.log(2.0))
 _SQRT2 = float(np.sqrt(2.0))
 _TAIL_ORDER = 48  # nodes of the tail means' rule, built on first use (7 MB of RSS at import)
-_SLAB = 128  # arguments per slab of every expectation: the one bound on its memory
+_SLAB = 128  # arguments per slab of every expectation: the bound on its node temporaries
+_C_MAX = float(np.sqrt(0.5))  # c = a / sqrt(2 (1 + a^2)) lies in [0, _C_MAX]
+_FIT_DEGREE = 24  # of the tail mean's Chebyshev interpolant in c
+_FIT_CHECKS = 4097  # equispaced points of c at which the interpolant is checked
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights approximating E[f(u)] for u ~ N(0, 1).
 
     The weights form a probability measure: they are positive and sum to 1,
     so applying the rule to f = 1 returns exactly 1 and to f = u^2 returns 1
-    up to the usual Gauss-Hermite polynomial exactness.
+    up to the usual Gauss-Hermite polynomial exactness.  A rule hashes and
+    compares by identity, so it can key a cache.
     """
 
     nodes: np.ndarray
@@ -133,12 +146,71 @@ def expect(f, x, rule: QuadratureRule):
     return out.reshape(x.shape)
 
 
+def _erfcx_mean(c, rule: QuadratureRule):
+    # E_w[2 / erfcx(c w)] for each c, by ``rule``
+    return expect(lambda b, w: 2.0 / special.erfcx(b * w), c, rule)
+
+
 def mean_exp_ratio(a):
     """E_u[exp_ratio(a u)] = E_w[2 / erfcx(c w)] / sqrt(1 + a^2) for each a,
     with c = a / sqrt(2 (1 + a^2))."""
     a = np.asarray(a, dtype=float)
     s, c = np.sqrt(1.0 + a * a), a / np.sqrt(2.0 * (1.0 + a * a))
-    return expect(lambda b, w: 2.0 / special.erfcx(b * w), c, gauss_hermite(_TAIL_ORDER)) / s
+    return _erfcx_mean(c, gauss_hermite(_TAIL_ORDER)) / s
+
+
+@dataclass(frozen=True)
+class TailFit:
+    """Chebyshev interpolant of M(c) = E_w[2 / erfcx(c w)] on [0, 1/sqrt(2)].
+
+    ``coef`` are its coefficients in x = 2 sqrt(2) c - 1.  ``peak`` is the
+    largest |M| on the check set, and ``error`` bounds |fit(c) - M(c)| /
+    ``peak`` at every c: the worst on the check set, plus the sum's own
+    rounding allowance of one ulp per node, for the points between checks.
+    """
+
+    coef: np.ndarray
+    error: float
+    peak: float
+
+    def __call__(self, c):
+        """The fitted M at each c, by Clenshaw's recurrence."""
+        x = 2.0 * np.asarray(c, dtype=float) / _C_MAX - 1.0
+        b1 = b2 = 0.0
+        for ck in self.coef[:0:-1]:
+            b1, b2 = ck + 2.0 * x * b1 - b2, b1
+        return self.coef[0] + x * b1 - b2
+
+    def mean_exp_ratio(self, a):
+        """``(mean, cap)`` at each a: the fitted E_u[exp_ratio(a u)], and
+        ``peak`` / sqrt(1 + a^2), which is at least the exact mean's size, so
+        ``error`` * cap bounds the fitted mean's distance from the exact one."""
+        a = np.asarray(a, dtype=float)
+        s, c = np.sqrt(1.0 + a * a), a / np.sqrt(2.0 * (1.0 + a * a))
+        return self(c) / s, self.peak / s
+
+
+@lru_cache(maxsize=None)
+def _fit(rule: QuadratureRule) -> TailFit:
+    # interpolate at the first-kind Chebyshev points (cosine sums give the
+    # coefficients), then measure against the sum on an equispaced check set
+    n = _FIT_DEGREE + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    values = _erfcx_mean(0.5 * _C_MAX * (np.cos(theta) + 1.0), rule)
+    coef = 2.0 / n * (np.cos(np.outer(np.arange(n), theta)) @ values)
+    coef[0] *= 0.5
+    coef.setflags(write=False)
+    c = np.linspace(0.0, _C_MAX, _FIT_CHECKS)
+    exact = _erfcx_mean(c, rule)
+    fit = TailFit(coef=coef, error=0.0, peak=float(np.abs(exact).max()))
+    return replace(fit, error=float(np.abs(fit(c) - exact).max()) / fit.peak
+                   + rule.nodes.size * float(np.finfo(float).eps))
+
+
+def tail_fit() -> TailFit:
+    """The :class:`TailFit` of the rule that ``gauss_hermite(_TAIL_ORDER)``
+    returns at the call, built on its first use."""
+    return _fit(gauss_hermite(_TAIL_ORDER))
 
 
 def mean_q_log_q(a):

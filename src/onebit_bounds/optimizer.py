@@ -38,10 +38,12 @@ from .replica import (
     linear_rates,
     onebit_rates,
     snr_from_db,
-    solve_qh_grid,
+    training_overlaps,
 )
 
 __all__ = [
+    "MAX_GRID_POINTS",
+    "check_grid_length",
     "RateCurve",
     "BoundResult",
     "training_grid",
@@ -52,6 +54,11 @@ __all__ = [
     "CompareRow",
     "compare_sweep",
 ]
+
+
+# Longest training grid or SNR sweep accepted: longer ones are refused before
+# anything is allocated.
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,8 @@ class BoundResult:
 
 
 def training_grid(beta: float, grid_step: float) -> np.ndarray:
-    """Grid {step, 2 step, ..., beta - step}; raises on an empty grid."""
+    """Grid {step, 2 step, ..., beta - step}; raises on an empty grid or one
+    of more than ``MAX_GRID_POINTS`` points."""
     if not 0.0 < grid_step < math.inf:
         raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
     if not math.isfinite(beta):
@@ -90,7 +98,16 @@ def training_grid(beta: float, grid_step: float) -> np.ndarray:
         raise ValueError(f"training grid length is not finite: beta={beta}, grid_step={grid_step}")
     if n < 1:
         raise ValueError(f"empty training grid: beta={beta} with grid_step={grid_step}")
+    check_grid_length("training grid", int(n), f"beta={beta}, grid_step={grid_step}")
     return np.arange(1, int(n) + 1) * grid_step
+
+
+def check_grid_length(what: str, points: int, where: str) -> None:
+    """Raise ValueError when a grid of ``points`` points is longer than
+    ``MAX_GRID_POINTS``; call it before building the grid."""
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"{what} of {float(points):.6g} points exceeds the limit of "
+                         f"{MAX_GRID_POINTS} ({where})")
 
 
 def optimize_training(rates: np.ndarray, beta: float, grid_step: float, *,
@@ -249,7 +266,7 @@ def _grid_bounds(rho, beta, grid_step, jobs, refine=False):
     points of all jobs the same way, so a batch of one point per job.
     """
     def snr_effs(bts):
-        return np.array([ov.snr_eff for ov in solve_qh_grid(rho, bts)])
+        return training_overlaps(rho, bts)[1]
 
     bts = training_grid(beta, grid_step)
     grid_rates = _job_rates(jobs, np.broadcast_to(snr_effs(bts), (len(jobs), bts.size)))

@@ -26,7 +26,14 @@ scalar root in [0, 1].  Every overlap equation is solved the same way: one
 residual scan for a whole batch, Illinois steps on every bracket, and the
 closed bracket's midpoint as the root, which must leave a residual within
 1e-10.  The Gaussian-tail expectations (the right-hand side and the Q ln Q
-terms) are the exact means of ``numerics``.
+terms) are the exact means of ``numerics``, except in the Gaussian scans:
+those read their signs from ``numerics.tail_fit``, a Chebyshev fit of the
+right-hand side's mean with a recorded error bound.  A sample's sign counts
+only where |residual| exceeds ``_FIT_MARGIN`` (100) times that bound on the
+scale q + (1 - q) |rhs|, rhs taken at the mean's peak; every other sample,
+and both ends of every bracket, is taken again with the exact mean.  So the
+brackets, the residuals at their ends and the roots are those of an
+all-exact scan.
 
 One-bit moments.  With z = a u + q_hat ~ N(q_hat, q_hat), a = sqrt(q_hat), the
 tanh moment minus 1 is m = E[tanh z], and E[ln cosh z] = q_hat - ln 2 + L in
@@ -59,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LN2, expect, gauss_hermite, mean_exp_ratio, mean_q_log_q
+from .numerics import LN2, expect, gauss_hermite, mean_exp_ratio, mean_q_log_q, tail_fit
 
 __all__ = [
     "SystemParams",
@@ -69,6 +76,7 @@ __all__ = [
     "snr_from_db",
     "solve_qh",
     "solve_qh_grid",
+    "training_overlaps",
     "perfect_csi_overlap",
     "f1_value",
     "effective_snr",
@@ -98,6 +106,9 @@ _MAX_STEPS = 200
 # Residual bound of a chosen root: relative to max(1, q/(1-q)) for the
 # Gaussian overlaps, absolute for the one-bit one.
 _TOL = 1e-10
+# A Gaussian scan sample's sign is read from the tail-mean fit only where
+# |residual| exceeds this many times the fit's error bound (_scan).
+_FIT_MARGIN = 100.0
 # The one-bit moments' rule, and the q_hat above which each takes its dual form.
 _MOMENT_ORDER, _TANH_DUAL_FROM, _LOG1P_DUAL_FROM = 128, math.pi / 2, 2.125
 
@@ -226,23 +237,53 @@ def _illinois(lo, hi, flo, fhi, residual):
     return 0.5 * (lo + hi)
 
 
-def _scan(coef, snr, qs, g):
-    """Sample ``g(q, rhs(q))`` at every q of qs for each (coef, snr) pair.
-    The expectation in rhs does not depend on coef, so it is taken once per
-    distinct snr.  Returns ``(res, owner, j_lo, j_hi)``: the samples, and the
-    row and the columns either side of each sign change or zero (j_lo ==
-    j_hi), by row, then column."""
-    usnr, inv = np.unique(snr, return_inverse=True)
-    ksq = _k_sq(usnr[:, None], qs)
-    mean = mean_exp_ratio(np.sqrt(ksq * qs))
-    res = g(qs, coef[:, None] * ksq[inv] / np.pi * mean[inv])
+def _brackets(res):
+    """``(owner, j_lo, j_hi)``: the row and the columns either side of each
+    sign change or zero (j_lo == j_hi) of the samples ``res``, by row, then
+    column."""
     sign = np.sign(res)
     z_own, z_j = np.nonzero(sign == 0.0)
     b_own, b_j = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
     owner, j_lo = np.concatenate([b_own, z_own]), np.concatenate([b_j, z_j])
     j_hi = np.concatenate([b_j + 1, z_j])
     order = np.lexsort((j_lo, owner))
-    return res, owner[order], j_lo[order], j_hi[order]
+    return owner[order], j_lo[order], j_hi[order]
+
+
+def _scan(coef, snr, qs, g):
+    """Sample ``g(q, rhs(q))`` at every q of qs for each (coef, snr) pair.
+    The expectation in rhs does not depend on coef, so it is taken once per
+    distinct snr.  Returns ``(res, owner, j_lo, j_hi)``: the samples, and
+    their brackets by :func:`_brackets`.
+
+    The one-bit residual takes the exact tail mean.  The Gaussian one first
+    takes it from ``numerics.tail_fit``; a sample's sign counts only where
+    |res| exceeds ``_FIT_MARGIN`` times the fit's error on the scale
+    q + (1 - q) cap, cap >= |rhs|.  Every other sample, and both ends of every
+    bracket, is taken again with the exact mean, so the brackets and the
+    residuals at their ends are those of an all-exact scan, bit for bit.
+    """
+    usnr, inv = np.unique(snr, return_inverse=True)
+    ksq = _k_sq(usnr[:, None], qs)
+    a = np.sqrt(ksq * qs)
+    scale = coef[:, None] * ksq[inv] / np.pi
+    if g is not _gaussian_g:
+        res = g(qs, scale * mean_exp_ratio(a)[inv])
+        return (res,) + _brackets(res)
+    fit = tail_fit()
+    mean, cap = fit.mean_exp_ratio(a)
+    res = g(qs, scale * mean[inv])
+    unsure = ~(np.abs(res) > _FIT_MARGIN * fit.error * (qs + (1.0 - qs) * scale * cap[inv]))
+
+    def take_exact(rows, cols):
+        res[rows, cols] = g(qs[cols], scale[rows, cols] * mean_exp_ratio(a[inv[rows], cols]))
+
+    take_exact(*np.nonzero(unsure))
+    owner, j_lo, j_hi = _brackets(res)
+    ends = np.zeros(res.shape, dtype=bool)
+    ends[owner, j_lo] = ends[owner, j_hi] = True
+    take_exact(*np.nonzero(ends & ~unsure))
+    return res, owner, j_lo, j_hi
 
 
 def _roots(coef: np.ndarray, snr: np.ndarray, g, qs: np.ndarray):
@@ -346,11 +387,14 @@ def _check_finite(name: str, values, positive: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {sign}, got {bad[0]}")
 
 
-def effective_snr(rho: float, q_h: float) -> float:
-    """snr_eff = rho q_h / (1 + rho (1 - q_h)); in [0, rho], increasing in q_h."""
+def effective_snr(rho: float, q_h):
+    """snr_eff = rho q_h / (1 + rho (1 - q_h)) at a q_h or at each of an
+    array; in [0, rho], increasing in q_h."""
     _check_finite("rho", rho)
-    if not 0.0 <= q_h <= 1.0:
-        raise ValueError(f"q_h must lie in [0, 1], got {q_h}")
+    q = np.atleast_1d(np.asarray(q_h, dtype=float))
+    bad = q[~((q >= 0.0) & (q <= 1.0))]
+    if bad.size:
+        raise ValueError(f"q_h must lie in [0, 1], got {bad[0]}")
     return rho * q_h / (1.0 + rho * (1.0 - q_h))
 
 
@@ -373,22 +417,28 @@ def f1_value(q: float, q_hat: float, rho: float, beta_t: float) -> float:
     return float(_free_energy(q, q_hat, beta_t, rho))
 
 
-def solve_qh_grid(rho: float, beta_ts) -> list:
-    """:func:`solve_qh` at every training length of a grid, as one batched solve.
+def training_overlaps(rho: float, beta_ts):
+    """``(q_h, snr_eff)`` at every training length of a grid, as two arrays.
 
     The grid shares one residual scan, since the Gaussian expectation in the
-    residual depends on rho but not on beta_t.  Returns a list of
-    :class:`ChannelOverlap` in grid order.
+    residual depends on rho but not on beta_t.
     """
     bts = np.atleast_1d(np.asarray(beta_ts, dtype=float))
     _check_finite("rho", rho)
     _check_finite("beta_t", bts)
     q_h = _solve_overlaps(bts, rho, "channel overlap", "beta_t")
-    return [
-        ChannelOverlap(beta_t=float(bt), q_h=q, q_h_hat=q / (1.0 - q),
-                       snr_eff=effective_snr(rho, q))
-        for bt, q in zip(bts, q_h.tolist())
-    ]
+    return q_h, effective_snr(rho, q_h)
+
+
+def solve_qh_grid(rho: float, beta_ts) -> list:
+    """:func:`solve_qh` at every training length of a grid, as one batched
+    solve by :func:`training_overlaps`.  Returns a list of
+    :class:`ChannelOverlap` in grid order.
+    """
+    bts = np.atleast_1d(np.asarray(beta_ts, dtype=float))
+    q_h, snr_eff = training_overlaps(rho, bts)
+    return [ChannelOverlap(beta_t=bt, q_h=q, q_h_hat=q / (1.0 - q), snr_eff=s)
+            for bt, q, s in zip(bts.tolist(), q_h.tolist(), snr_eff.tolist())]
 
 
 def solve_qh(rho: float, beta_t: float) -> ChannelOverlap:

@@ -8,9 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from onebit_bounds import replica
+from onebit_bounds import numerics, replica
 from onebit_bounds.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,6 +94,11 @@ class TestBound:
         assert code == 1
         assert "finite" in err
 
+    def test_grid_longer_than_the_limit_exits_one(self, capsys):
+        code, _, err = run_cli("bound --alpha 1 --beta 1e17 --rho 1 --grid-step 1".split(), capsys)
+        assert code == 1
+        assert err.startswith("onebit-bounds: error: training grid of 1e+17 points exceeds")
+
     def test_missing_snr_exits_one(self, capsys):
         code, _, err = run_cli(["bound", "--alpha", "1", "--beta", "8"], capsys)
         assert code == 1
@@ -163,6 +169,26 @@ class TestCompare:
             capsys)
         assert code == 1
         assert "out of range" in err
+
+    def test_sweep_longer_than_the_limit_exits_one(self, capsys):
+        code, _, err = run_cli(
+            ["compare", "--alpha", "1", "--beta", "5",
+             "--rho-db-min", "0", "--rho-db-max", "1", "--rho-db-step", "1e-300"],
+            capsys)
+        assert code == 1
+        assert err.startswith("onebit-bounds: error: SNR sweep of 1e+300 points exceeds")
+
+    def test_point_takes_few_exact_tail_means(self, capsys, monkeypatch):
+        # the overlap scans read their signs from numerics.tail_fit; with the
+        # exact mean at every scan sample this point took 4,029 rows
+        rows, exact = [], numerics.mean_exp_ratio
+        for module in (numerics, replica):
+            monkeypatch.setattr(module, "mean_exp_ratio",
+                                lambda a: rows.append(np.size(a)) or exact(a))
+        code, _, _ = run_cli("compare --alpha 2 --beta 5 --rho-db-min 5.3 --rho-db-max 5.3"
+                             .split(), capsys)
+        assert code == 0
+        assert 0 < sum(rows) <= 1300
 
     def test_workers_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from onebit_bounds import numerics
 from onebit_bounds.numerics import (
@@ -16,6 +16,7 @@ from onebit_bounds.numerics import (
     mean_q_log_q,
     q_function,
     q_log_q,
+    tail_fit,
 )
 
 mp.mp.dps = 40
@@ -171,3 +172,39 @@ class TestGaussianTailMeans:
         a = np.array([[m[0] for m in self.MPMATH]] * 2)
         assert mean_exp_ratio(a).tolist() == [[float(mean_exp_ratio(v)) for v in a[0]]] * 2
         assert mean_q_log_q(a).tolist() == [[float(mean_q_log_q(v)) for v in a[0]]] * 2
+
+
+class TestTailFit:
+    """The Chebyshev fit of M(c) = E_w[2 / erfcx(c w)], the 48-node sum behind
+    mean_exp_ratio, that the Gaussian overlap scan reads its signs from."""
+
+    @staticmethod
+    def node_sum(c):
+        # the 48-node sum coded apart from numerics.expect, 10^4 points at a time
+        rule = gauss_hermite(48)
+        return np.concatenate([(2.0 / special.erfcx(np.outer(part, rule.nodes))) @ rule.weights
+                               for part in np.array_split(c, 11)])
+
+    def test_within_its_bound_on_the_whole_interval(self):
+        fit = tail_fit()
+        c = np.linspace(0.0, math.sqrt(0.5), 100_001)  # both ends included
+        assert c[-1] == numerics._C_MAX
+        assert np.abs(fit(c) - self.node_sum(c)).max() <= fit.error * fit.peak
+        assert fit.error < 1e-13
+
+    @pytest.mark.parametrize("a", [0.0, 1e-8, 1.0, 1e3, 1e6])
+    def test_mean_within_its_bound(self, a):
+        mean, cap = tail_fit().mean_exp_ratio(a)
+        exact = float(mean_exp_ratio(a))
+        assert abs(exact) <= cap
+        assert abs(mean - exact) <= tail_fit().error * cap
+
+    def test_fit_follows_the_rule_in_force(self, monkeypatch):
+        rule = numerics.QuadratureRule(nodes=np.array([-1.0, 1.0]), weights=np.array([0.5, 0.5]))
+        production = tail_fit()
+        monkeypatch.setattr(numerics, "gauss_hermite", lambda order: rule)
+        fit = tail_fit()
+        assert fit is not production and fit is tail_fit()
+        c = np.linspace(0.0, math.sqrt(0.5), 7)
+        exact = 0.5 * (2.0 / special.erfcx(-c) + 2.0 / special.erfcx(c))
+        assert np.abs(fit(c) - exact).max() <= fit.error * fit.peak

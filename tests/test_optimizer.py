@@ -9,6 +9,7 @@ from scipy import optimize
 
 from onebit_bounds.numerics import LN2
 from onebit_bounds.optimizer import (
+    MAX_GRID_POINTS,
     _brent,
     _refine,
     bussgang_inner_rate,
@@ -39,6 +40,11 @@ class TestTrainingGrid:
             training_grid(0.1, 0.1)
         with pytest.raises(ValueError):
             training_grid(1.0, -0.5)
+
+    def test_grid_longer_than_the_limit_rejected(self):
+        assert training_grid(MAX_GRID_POINTS + 1.0, 1.0).size == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            training_grid(MAX_GRID_POINTS + 2.0, 1.0)
 
 
 class TestOptimizeTraining:

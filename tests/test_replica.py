@@ -37,8 +37,9 @@ from onebit_bounds.replica import (
     solve_qh_grid,
     solve_qx_linear,
     solve_qx_onebit,
+    training_overlaps,
 )
-from onebit_bounds.replica import _SCAN_Q, _gaussian_g, _roots
+from onebit_bounds.replica import _SCAN_Q, _gaussian_g, _illinois, _roots
 
 
 # --- oracle helpers (independent codings) -----------------------------------
@@ -301,6 +302,13 @@ class TestBatchedSolve:
             energy = [o_f1(q, ov.beta_t, rho, **fold) for q in roots]
             assert ov.q_h == pytest.approx(roots[int(np.argmin(energy))], rel=1e-12)
 
+    @pytest.mark.parametrize("rho", [0.01, 1.0, 10.0, 100.0])
+    def test_snr_eff_has_the_bits_of_effective_snr(self, rho):
+        for bts in (GRID_BETAS, training_grid(8.0, 0.1)):
+            q_h, snr_eff = training_overlaps(rho, bts)
+            assert [v.hex() for v in snr_eff.tolist()] == \
+                   [effective_snr(rho, q).hex() for q in q_h.tolist()]
+
     def test_grid_matches_pointwise_solves(self):
         grid = solve_qh_grid(10.0, GRID_BETAS)
         assert grid == [solve_qh(10.0, float(bt)) for bt in GRID_BETAS]
@@ -353,6 +361,57 @@ class TestBatchedSolve:
                             lambda q, *args: sizes.append(np.size(q)) or rhs(q, *args))
         solve_qh_grid(rho, grid)
         assert 2 * grid.size <= sum(sizes) <= 10 * grid.size
+
+
+def exact_scan(coef, snr, qs=_SCAN_Q):
+    """The Gaussian residual at every (pair, q) sample with the exact tail
+    mean, in _scan's operations, and its brackets ``(owner, j_lo, j_hi)``
+    found row by row."""
+    ksq = snr[:, None] / (1.0 + snr[:, None] * (1.0 - qs))
+    rhs = coef[:, None] * ksq / np.pi * numerics.mean_exp_ratio(np.sqrt(ksq * qs))
+    res = (qs / (1.0 - qs) - rhs) * (1.0 - qs)
+    brackets = []
+    for i, row in enumerate(res):
+        brackets += [(i, j, j) for j in np.flatnonzero(row == 0.0)]
+        brackets += [(i, j, j + 1) for j in range(qs.size - 1) if row[j] * row[j + 1] < 0.0]
+    owner, j_lo, j_hi = (np.array(v, dtype=int) for v in zip(*sorted(brackets)))
+    return res, owner, j_lo, j_hi
+
+
+class TestCertifiedScan:
+    """The Gaussian scan reads its signs from numerics.tail_fit and takes the
+    exact mean where the fit cannot decide a sign and at every bracket end;
+    brackets, end residuals and roots must be those of an all-exact scan."""
+
+    PAIRS = [(c, s) for c in np.geomspace(1e-3, 1e4, 8) for s in np.geomspace(1e-10, 1e9, 20)]
+
+    def check_against_exact(self, coef, snr):
+        res, owner, j_lo, j_hi = replica._scan(coef, snr, _SCAN_Q, _gaussian_g)
+        e_res, e_owner, e_lo, e_hi = exact_scan(coef, snr)
+        assert owner.tolist() == e_owner.tolist()
+        assert (j_lo.tolist(), j_hi.tolist()) == (e_lo.tolist(), e_hi.tolist())
+        for j in (j_lo, j_hi):
+            assert [v.hex() for v in res[owner, j].tolist()] == \
+                   [v.hex() for v in e_res[owner, j].tolist()]
+        _, roots, _, _ = _roots(coef, snr, _gaussian_g, _SCAN_Q)
+        c, s = coef[owner], snr[owner]
+        e_roots = _illinois(_SCAN_Q[e_lo], _SCAN_Q[e_hi], e_res[e_owner, e_lo],
+                            e_res[e_owner, e_hi],
+                            lambda x, k: _gaussian_g(x, replica._gaussian_rhs(x, c[k], s[k])))
+        assert [v.hex() for v in roots.tolist()] == [v.hex() for v in e_roots.tolist()]
+        return owner
+
+    def test_matches_exact_scan(self):
+        coef, snr = (np.array(v) for v in zip(*self.PAIRS))
+        self.check_against_exact(coef, snr)
+
+    @pytest.mark.parametrize("rho", [10.0, 100.0])
+    def test_matches_exact_scan_with_three_roots(self, rho, fold):
+        owner = self.check_against_exact(GRID_BETAS, np.full(GRID_BETAS.size, rho))
+        assert np.bincount(owner).max() == 3
+
+    def test_margin_is_a_hundred_times_the_fit_bound(self):
+        assert replica._FIT_MARGIN >= 100.0
 
 
 class TestF1:
