@@ -17,21 +17,24 @@ fixed 48-node rule, within 2.3e-16 of mpmath for a in [0, 1e6] (40 nodes:
 8.9e-15, 32: 5.7e-13; on f(a u) itself, 128 nodes are 100% off from a = 100).
 The first depends on a only through c = a / sqrt(2 (1 + a^2)) in [0, 1/sqrt(2)],
 as E_w[2 / erfcx(c w)] / sqrt(1 + a^2), so ``tail_fit`` also gives it from a
-degree-24 Chebyshev interpolant of that 48-node sum in c, with a recorded bound
-on its distance from the sum; ``replica`` reads the overlap scan's signs from
-it where that bound decides them (1.8e-14 of the sum's peak on this rule).
+degree-24 Chebyshev interpolant of that 48-node sum in t = sqrt(2) c, a
+``TailFit`` with a recorded bound on its distance from the sum (1.8e-14 of the
+sum's peak on this rule); ``replica`` fits its tanh moment with the same type,
+and reads the overlap scans' signs from fits where their bounds decide them.
 The one-bit moments E[tanh z] and E[ln cosh z], z ~ N(q, q), take the fixed
 128-node rule in ``replica``, directly for small q and in the Fourier dual above
 (within 5.9e-12 of mpmath for q in [1e-12, 1e3]; on the raw integrand, 1e-7 at q = 10).
 Every expectation goes through ``expect``, which takes at most ``_SLAB``
-arguments at a time, so its node temporaries stay at ``_SLAB`` x nodes values.
-That bounds the quadrature alone: a batched solve also holds arrays of one
-value per pair and scan point, and the one-bit moments' whole-batch temporaries.
+arguments at a time, so its node temporaries stay at ``_SLAB`` x nodes values;
+a fit takes ``_SLAB``^2.  That bounds the quadrature and fits alone: a batched
+solve also holds a few arrays of one value per pair and scan point, and the
+one-bit moments' temporaries grow with the samples that no fit decides.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -56,8 +59,8 @@ _SQRT2 = float(np.sqrt(2.0))
 _TAIL_ORDER = 48  # nodes of the tail means' rule, built on first use (7 MB of RSS at import)
 _SLAB = 128  # arguments per slab of every expectation: the bound on its node temporaries
 _C_MAX = float(np.sqrt(0.5))  # c = a / sqrt(2 (1 + a^2)) lies in [0, _C_MAX]
-_FIT_DEGREE = 24  # of the tail mean's Chebyshev interpolant in c
-_FIT_CHECKS = 4097  # equispaced points of c at which the interpolant is checked
+_FIT_DEGREE = 24  # of the tail mean's Chebyshev interpolant in t = c / _C_MAX
+_FIT_CHECKS = 4097  # equispaced points of t at which the interpolant is checked
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,56 +164,71 @@ def mean_exp_ratio(a):
 
 @dataclass(frozen=True)
 class TailFit:
-    """Chebyshev interpolant of M(c) = E_w[2 / erfcx(c w)] on [0, 1/sqrt(2)].
+    """Chebyshev interpolant of f on [0, 1], in x = 2 t - 1.
 
-    ``coef`` are its coefficients in x = 2 sqrt(2) c - 1.  ``peak`` is the
-    largest |M| on the check set, and ``error`` bounds |fit(c) - M(c)| /
-    ``peak`` at every c: the worst on the check set, plus the sum's own
-    rounding allowance of one ulp per node, for the points between checks.
-    """
+    ``domain`` maps an argument v to ``(t, factor)``, the fitted quantity
+    being factor f(t).  ``error`` bounds |fit(t) - f(t)| / ``peak`` at every t:
+    the worst on the check set, where ``peak`` is the largest |f|, plus one ulp
+    per node of f's rule for the points between checks."""
 
     coef: np.ndarray
+    domain: Callable
     error: float
     peak: float
 
-    def __call__(self, c):
-        """The fitted M at each c, by Clenshaw's recurrence."""
-        x = 2.0 * np.asarray(c, dtype=float) / _C_MAX - 1.0
-        b1 = b2 = 0.0
-        for ck in self.coef[:0:-1]:
-            b1, b2 = ck + 2.0 * x * b1 - b2, b1
-        return self.coef[0] + x * b1 - b2
+    def __call__(self, t):
+        """The fitted f at each t, by Clenshaw's recurrence, ``_SLAB``^2 at a time."""
+        t = np.asarray(t, dtype=float)
+        flat, out = t.reshape(-1), np.empty(t.size)
+        for i in range(0, t.size, _SLAB * _SLAB):
+            x = 2.0 * flat[i:i + _SLAB * _SLAB] - 1.0
+            b1 = b2 = 0.0
+            for ck in self.coef[:0:-1]:
+                b1, b2 = ck + 2.0 * x * b1 - b2, b1
+            out[i:i + x.size] = self.coef[0] + x * b1 - b2
+        return out.reshape(t.shape)
 
-    def mean_exp_ratio(self, a):
-        """``(mean, cap)`` at each a: the fitted E_u[exp_ratio(a u)], and
-        ``peak`` / sqrt(1 + a^2), which is at least the exact mean's size, so
-        ``error`` * cap bounds the fitted mean's distance from the exact one."""
-        a = np.asarray(a, dtype=float)
-        s, c = np.sqrt(1.0 + a * a), a / np.sqrt(2.0 * (1.0 + a * a))
-        return self(c) / s, self.peak / s
+    def at(self, v):
+        """``(value, cap)`` at each argument v: the fitted factor f(t), and
+        ``peak`` factor, so that ``error`` * cap bounds value's distance from exact."""
+        t, factor = self.domain(np.asarray(v, dtype=float))
+        value = self(t)
+        value *= factor
+        factor *= self.peak
+        return value, factor
 
 
 @lru_cache(maxsize=None)
-def _fit(rule: QuadratureRule) -> TailFit:
-    # interpolate at the first-kind Chebyshev points (cosine sums give the
-    # coefficients), then measure against the sum on an equispaced check set
-    n = _FIT_DEGREE + 1
+def chebyshev_fit(f, domain, degree, checks, rule: QuadratureRule) -> TailFit:
+    """The :class:`TailFit` of ``f(t, rule)`` at ``degree``, built once per set of
+    arguments: interpolated at the first-kind Chebyshev points (cosine sums give
+    the coefficients), then checked on ``checks`` equispaced t of [0, 1]."""
+    n = degree + 1
     theta = np.pi * (np.arange(n) + 0.5) / n
-    values = _erfcx_mean(0.5 * _C_MAX * (np.cos(theta) + 1.0), rule)
-    coef = 2.0 / n * (np.cos(np.outer(np.arange(n), theta)) @ values)
+    coef = 2.0 / n * (np.cos(np.outer(np.arange(n), theta)) @ f(0.5 * (np.cos(theta) + 1.0), rule))
     coef[0] *= 0.5
     coef.setflags(write=False)
-    c = np.linspace(0.0, _C_MAX, _FIT_CHECKS)
-    exact = _erfcx_mean(c, rule)
-    fit = TailFit(coef=coef, error=0.0, peak=float(np.abs(exact).max()))
-    return replace(fit, error=float(np.abs(fit(c) - exact).max()) / fit.peak
+    t = np.linspace(0.0, 1.0, checks)
+    exact = f(t, rule)
+    fit = TailFit(coef=coef, domain=domain, error=0.0, peak=float(np.abs(exact).max()))
+    return replace(fit, error=float(np.abs(fit(t) - exact).max()) / fit.peak
                    + rule.nodes.size * float(np.finfo(float).eps))
 
 
+def _tail_sum(t, rule: QuadratureRule):  # M(c) at c = _C_MAX t: what the tail fit interpolates
+    return _erfcx_mean(_C_MAX * t, rule)
+
+
+def _tail_domain(a):
+    # a -> (t, 1 / sqrt(1 + a^2)), t = c / _C_MAX: E_u[exp_ratio(a u)] = M(c) / sqrt(1 + a^2)
+    return a / np.sqrt(1.0 + a * a), 1.0 / np.sqrt(1.0 + a * a)
+
+
 def tail_fit() -> TailFit:
-    """The :class:`TailFit` of the rule that ``gauss_hermite(_TAIL_ORDER)``
-    returns at the call, built on its first use."""
-    return _fit(gauss_hermite(_TAIL_ORDER))
+    """The :class:`TailFit` of M whose ``at(a)`` is E_u[exp_ratio(a u)], for
+    the rule that ``gauss_hermite(_TAIL_ORDER)`` returns, built on first use."""
+    return chebyshev_fit(_tail_sum, _tail_domain, _FIT_DEGREE, _FIT_CHECKS,
+                         gauss_hermite(_TAIL_ORDER))
 
 
 def mean_q_log_q(a):

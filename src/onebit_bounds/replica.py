@@ -25,15 +25,13 @@ and putting q_x_hat equal to the Gaussian-tail right-hand side leaves one
 scalar root in [0, 1].  Every overlap equation is solved the same way: one
 residual scan for a whole batch, Illinois steps on every bracket, and the
 closed bracket's midpoint as the root, which must leave a residual within
-1e-10.  The Gaussian-tail expectations (the right-hand side and the Q ln Q
-terms) are the exact means of ``numerics``, except in the Gaussian scans:
-those read their signs from ``numerics.tail_fit``, a Chebyshev fit of the
-right-hand side's mean with a recorded error bound.  A sample's sign counts
-only where |residual| exceeds ``_FIT_MARGIN`` (100) times that bound on the
-scale q + (1 - q) |rhs|, rhs taken at the mean's peak; every other sample,
-and both ends of every bracket, is taken again with the exact mean.  So the
-brackets, the residuals at their ends and the roots are those of an
-all-exact scan.
+1e-10.  The Gaussian-tail expectations and the one-bit moments are exact, but
+scans of ``_FIT_MIN_ROWS`` values or more read their signs from a checked
+``numerics.TailFit`` of the right-hand side's mean or of the tanh moment: a
+sign counts only where |residual| exceeds ``_FIT_MARGIN`` (100) times the
+fit's error bound on the residual's scale, and every other sample and both
+ends of every bracket are taken again exactly.  So the brackets, the
+residuals at their ends and the roots are those of an all-exact scan.
 
 One-bit moments.  With z = a u + q_hat ~ N(q_hat, q_hat), a = sqrt(q_hat), the
 tanh moment minus 1 is m = E[tanh z], and E[ln cosh z] = q_hat - ln 2 + L in
@@ -50,6 +48,8 @@ that over 1 + t^2 for h.  m switches at pi/2, where both forms' nearest
 singularity is sqrt(pi/2) off the real axis, L at 2.125, where its two forms'
 errors cross.  Against mpmath for q_hat in [1e-12, 1e3], m is within 2.6e-12
 relative, 1 - m within 5.9e-12 and L within 1.5e-12, worst next to a switch.
+The one-bit scan's fit interpolates m (1 + q_hat) / q_hat, which is 1 at both
+ends of s = q_hat / (2 + q_hat) in [0, 1], at degree 64 (4.0e-12 of its peak).
 
 Fixed points may be non-unique; the admissible solution minimizes the free
 energies F1 (training) / F2 (data), whose stationary points the equations
@@ -66,7 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LN2, expect, gauss_hermite, mean_exp_ratio, mean_q_log_q, tail_fit
+from .numerics import (LN2, chebyshev_fit, expect, gauss_hermite, mean_exp_ratio,
+                       mean_q_log_q, tail_fit)
 
 __all__ = [
     "SystemParams",
@@ -106,11 +107,13 @@ _MAX_STEPS = 200
 # Residual bound of a chosen root: relative to max(1, q/(1-q)) for the
 # Gaussian overlaps, absolute for the one-bit one.
 _TOL = 1e-10
-# A Gaussian scan sample's sign is read from the tail-mean fit only where
-# |residual| exceeds this many times the fit's error bound (_scan).
-_FIT_MARGIN = 100.0
-# The one-bit moments' rule, and the q_hat above which each takes its dual form.
+# A scan sample's sign is read from a checked fit only where |residual| exceeds
+# this many times its error bound, in scans of at least _FIT_MIN_ROWS values (_scan).
+_FIT_MARGIN, _FIT_MIN_ROWS = 100.0, 192
+# The one-bit moments' rule, the q_hat above which each takes its dual form,
+# and the degree and equispaced check points of the tanh moment's fit.
 _MOMENT_ORDER, _TANH_DUAL_FROM, _LOG1P_DUAL_FROM = 128, math.pi / 2, 2.125
+_TANH_DEGREE, _TANH_CHECKS = 64, 20001
 
 
 class SolverError(RuntimeError):
@@ -200,7 +203,7 @@ def _gaussian_g(q, q_hat):
 
 def _onebit_g(q, q_hat):
     # tanh_moment(q_hat) - 1 - q, the "- 1" already taken inside _tanh_moment
-    return _tanh_moment(q_hat) - q
+    return _tanh_moment(q_hat, gauss_hermite(_MOMENT_ORDER)) - q
 
 
 def _illinois(lo, hi, flo, fhi, residual):
@@ -256,33 +259,45 @@ def _scan(coef, snr, qs, g):
     distinct snr.  Returns ``(res, owner, j_lo, j_hi)``: the samples, and
     their brackets by :func:`_brackets`.
 
-    The one-bit residual takes the exact tail mean.  The Gaussian one first
-    takes it from ``numerics.tail_fit``; a sample's sign counts only where
-    |res| exceeds ``_FIT_MARGIN`` times the fit's error on the scale
-    q + (1 - q) cap, cap >= |rhs|.  Every other sample, and both ends of every
-    bracket, is taken again with the exact mean, so the brackets and the
-    residuals at their ends are those of an all-exact scan, bit for bit.
+    A scan of at least ``_FIT_MIN_ROWS`` fitted values takes its tail mean
+    (Gaussian) or tanh moment (one-bit) from a fit first.  A sample's sign
+    counts where |res| exceeds ``_FIT_MARGIN`` times the fit's error on the
+    scale q + (1 - q) cap (cap >= |rhs|) or cap (>= |m|); the other samples
+    and every bracket's ends are taken again exactly, so the brackets and
+    their end residuals are those of an all-exact scan, bit for bit.
     """
     usnr, inv = np.unique(snr, return_inverse=True)
     ksq = _k_sq(usnr[:, None], qs)
     a = np.sqrt(ksq * qs)
     scale = coef[:, None] * ksq[inv] / np.pi
-    if g is not _gaussian_g:
-        res = g(qs, scale * mean_exp_ratio(a)[inv])
-        return (res,) + _brackets(res)
-    fit = tail_fit()
-    mean, cap = fit.mean_exp_ratio(a)
-    res = g(qs, scale * mean[inv])
-    unsure = ~(np.abs(res) > _FIT_MARGIN * fit.error * (qs + (1.0 - qs) * scale * cap[inv]))
+    if g is _gaussian_g:
+        def exact(rows, cols):
+            return g(qs[cols], scale[rows, cols] * mean_exp_ratio(a[inv[rows], cols]))
+        if a.size < _FIT_MIN_ROWS:
+            res = g(qs, scale * mean_exp_ratio(a)[inv])
+            return (res,) + _brackets(res)
+        mean, cap = (fit := tail_fit()).at(a)
+        res, bound = g(qs, scale * mean[inv]), qs + (1.0 - qs) * scale * cap[inv]
+    else:
+        assert g is _onebit_g, "the one-bit scan's fit is of the tanh moment"
+        q_hat = scale  # in place: the scale is not needed again
+        q_hat *= mean_exp_ratio(a)[inv]
 
-    def take_exact(rows, cols):
-        res[rows, cols] = g(qs[cols], scale[rows, cols] * mean_exp_ratio(a[inv[rows], cols]))
-
-    take_exact(*np.nonzero(unsure))
+        def exact(rows, cols):
+            return g(qs[cols], q_hat[rows, cols])
+        if q_hat.size < _FIT_MIN_ROWS:
+            res = g(qs, q_hat)
+            return (res,) + _brackets(res)
+        res, bound = (fit := _tanh_fit()).at(q_hat)
+        res -= qs
+    bound *= _FIT_MARGIN * fit.error
+    unsure = ~(np.abs(res) > bound)
+    res[unsure] = exact(*np.nonzero(unsure))
     owner, j_lo, j_hi = _brackets(res)
     ends = np.zeros(res.shape, dtype=bool)
     ends[owner, j_lo] = ends[owner, j_hi] = True
-    take_exact(*np.nonzero(ends & ~unsure))
+    ends &= ~unsure
+    res[ends] = exact(*np.nonzero(ends))
     return res, owner, j_lo, j_hi
 
 
@@ -456,12 +471,11 @@ def perfect_csi_overlap(rho: float) -> ChannelOverlap:
     return ChannelOverlap(beta_t=math.inf, q_h=1.0, q_h_hat=math.inf, snr_eff=rho)
 
 
-def _dual_mean(q_hat, g=lambda y: 1.0):
+def _dual_mean(q_hat, rule, g=lambda y: 1.0):
     """e^(-q_hat/2) sqrt(pi/2) / a E_v[sech(pi y / 2) g(y)], y = v / a, for each
-    q_hat of a 1-d array: 1 - m as it stands, L with g(y) = 1 / (1 + y^2)."""
+    q_hat of a 1-d array by ``rule``: 1 - m as it stands, L with g(y) = 1 / (1 + y^2)."""
     a = np.sqrt(q_hat)
-    mean = expect(lambda r, v: g(v / r) / np.cosh(0.5 * np.pi * (v / r)), a,
-                  gauss_hermite(_MOMENT_ORDER))
+    mean = expect(lambda r, v: g(v / r) / np.cosh(0.5 * np.pi * (v / r)), a, rule)
     return np.exp(-0.5 * q_hat) * np.sqrt(0.5 * np.pi) / a * mean
 
 
@@ -471,11 +485,10 @@ def _log1p_moment(q_hat):
         x = np.abs(r * w)
         return np.cosh(x) * np.log1p(np.exp(-2.0 * x)) + x * np.exp(-x)
 
-    low = q_hat <= _LOG1P_DUAL_FROM
+    low, rule = q_hat <= _LOG1P_DUAL_FROM, gauss_hermite(_MOMENT_ORDER)
     out = np.empty(q_hat.shape)
-    out[low] = np.exp(-0.5 * q_hat[low]) * expect(h, np.sqrt(q_hat[low]),
-                                                  gauss_hermite(_MOMENT_ORDER))
-    out[~low] = _dual_mean(q_hat[~low], lambda y: 1.0 / (1.0 + y * y))
+    out[low] = np.exp(-0.5 * q_hat[low]) * expect(h, np.sqrt(q_hat[low]), rule)
+    out[~low] = _dual_mean(q_hat[~low], rule, lambda y: 1.0 / (1.0 + y * y))
     return out
 
 
@@ -518,9 +531,9 @@ def solve_qx_linear(snr_eff: float, alpha: float) -> DataOverlap:
     return DataOverlap(q_x=q, q_x_hat=q_hat, f2_value=f1_value(q, q_hat, snr_eff, alpha))
 
 
-def _tanh_moment(q_hat):
-    """m = E_u[tanh(a u + q_hat) (2 + u / a)] - 1 for each q_hat of an array;
-    it never exceeds 1 and keeps its relative accuracy as q_hat -> 0."""
+def _tanh_moment(q_hat, rule):
+    """m = E_u[tanh(a u + q_hat) (2 + u / a)] - 1 for each q_hat of an array, by
+    ``rule``; it never exceeds 1 and keeps its relative accuracy as q_hat -> 0."""
     def f(r, w):
         t = np.tanh(r * w)
         return 2.0 * t * t / (1.0 + t * t)
@@ -528,9 +541,28 @@ def _tanh_moment(q_hat):
     low = q_hat <= _TANH_DUAL_FROM
     m = np.empty(q_hat.shape)
     m[low] = (-np.expm1(-0.5 * q_hat[low]) + np.exp(-0.5 * q_hat[low])
-              * expect(f, 0.5 * np.sqrt(q_hat[low]), gauss_hermite(_MOMENT_ORDER)))
-    m[~low] = 1.0 - _dual_mean(q_hat[~low])
+              * expect(f, 0.5 * np.sqrt(q_hat[low]), rule))
+    m[~low] = 1.0 - _dual_mean(q_hat[~low], rule)
     return m
+
+
+def _moment_ratio(s, rule):
+    # m (1 + q_hat) / q_hat at each s = q_hat / (2 + q_hat) of [0, 1]; 1 at both ends
+    out, inner = np.ones(s.shape), (s > 0.0) & (s < 1.0)
+    s = s[inner]
+    out[inner] = _tanh_moment(2.0 * s / (1.0 - s), rule) * (1.0 + s) / (2.0 * s)
+    return out
+
+
+def _tanh_domain(q_hat):
+    # q_hat -> (s, q_hat / (1 + q_hat)), the factor that turns the ratio into m
+    return q_hat / (2.0 + q_hat), q_hat / (1.0 + q_hat)
+
+
+def _tanh_fit():
+    """The fit whose ``at(q_hat)`` is m (module docstring), on the rule in force."""
+    return chebyshev_fit(_moment_ratio, _tanh_domain, _TANH_DEGREE, _TANH_CHECKS,
+                         gauss_hermite(_MOMENT_ORDER))
 
 
 def _onebit_overlaps(alpha, snr):

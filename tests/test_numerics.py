@@ -187,14 +187,15 @@ class TestTailFit:
 
     def test_within_its_bound_on_the_whole_interval(self):
         fit = tail_fit()
-        c = np.linspace(0.0, math.sqrt(0.5), 100_001)  # both ends included
+        t = np.linspace(0.0, 1.0, 100_001)  # both ends included
+        c = numerics._C_MAX * t
         assert c[-1] == numerics._C_MAX
-        assert np.abs(fit(c) - self.node_sum(c)).max() <= fit.error * fit.peak
+        assert np.abs(fit(t) - self.node_sum(c)).max() <= fit.error * fit.peak
         assert fit.error < 1e-13
 
     @pytest.mark.parametrize("a", [0.0, 1e-8, 1.0, 1e3, 1e6])
     def test_mean_within_its_bound(self, a):
-        mean, cap = tail_fit().mean_exp_ratio(a)
+        mean, cap = tail_fit().at(a)
         exact = float(mean_exp_ratio(a))
         assert abs(exact) <= cap
         assert abs(mean - exact) <= tail_fit().error * cap
@@ -205,6 +206,7 @@ class TestTailFit:
         monkeypatch.setattr(numerics, "gauss_hermite", lambda order: rule)
         fit = tail_fit()
         assert fit is not production and fit is tail_fit()
-        c = np.linspace(0.0, math.sqrt(0.5), 7)
+        t = np.linspace(0.0, 1.0, 7)
+        c = numerics._C_MAX * t
         exact = 0.5 * (2.0 / special.erfcx(-c) + 2.0 / special.erfcx(c))
-        assert np.abs(fit(c) - exact).max() <= fit.error * fit.peak
+        assert np.abs(fit(t) - exact).max() <= fit.error * fit.peak

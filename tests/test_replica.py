@@ -18,7 +18,7 @@ import pytest
 from scipy import integrate, optimize, special
 
 from onebit_bounds import numerics, replica
-from onebit_bounds.numerics import LN2, QuadratureRule
+from onebit_bounds.numerics import LN2, QuadratureRule, gauss_hermite
 from onebit_bounds.optimizer import training_grid
 from onebit_bounds.replica import (
     SolverError,
@@ -39,7 +39,10 @@ from onebit_bounds.replica import (
     solve_qx_onebit,
     training_overlaps,
 )
-from onebit_bounds.replica import _SCAN_Q, _gaussian_g, _illinois, _roots
+from onebit_bounds.replica import _ONEBIT_Q, _SCAN_Q, _gaussian_g, _illinois, _onebit_g, _roots
+
+# the package's one-bit moment rule, which the moments take as an argument
+MOMENT_RULE = gauss_hermite(replica._MOMENT_ORDER)
 
 
 # --- oracle helpers (independent codings) -----------------------------------
@@ -363,13 +366,12 @@ class TestBatchedSolve:
         assert 2 * grid.size <= sum(sizes) <= 10 * grid.size
 
 
-def exact_scan(coef, snr, qs=_SCAN_Q):
-    """The Gaussian residual at every (pair, q) sample with the exact tail
-    mean, in _scan's operations, and its brackets ``(owner, j_lo, j_hi)``
-    found row by row."""
+def exact_scan(coef, snr, qs=_SCAN_Q, g=lambda q, rhs: (q / (1.0 - q) - rhs) * (1.0 - q)):
+    """The residual ``g`` (by default the Gaussian one) at every (pair, q)
+    sample with the exact tail mean, in _scan's operations, and its brackets
+    ``(owner, j_lo, j_hi)`` found row by row."""
     ksq = snr[:, None] / (1.0 + snr[:, None] * (1.0 - qs))
-    rhs = coef[:, None] * ksq / np.pi * numerics.mean_exp_ratio(np.sqrt(ksq * qs))
-    res = (qs / (1.0 - qs) - rhs) * (1.0 - qs)
+    res = g(qs, coef[:, None] * ksq / np.pi * numerics.mean_exp_ratio(np.sqrt(ksq * qs)))
     brackets = []
     for i, row in enumerate(res):
         brackets += [(i, j, j) for j in np.flatnonzero(row == 0.0)]
@@ -385,8 +387,15 @@ class TestCertifiedScan:
 
     PAIRS = [(c, s) for c in np.geomspace(1e-3, 1e4, 8) for s in np.geomspace(1e-10, 1e9, 20)]
 
-    def check_against_exact(self, coef, snr):
+    def check_against_exact(self, coef, snr, monkeypatch):
+        # every scan through the fit, a single-rho one too
+        monkeypatch.setattr(replica, "_FIT_MIN_ROWS", 0)
+        rows, mean = [], replica.mean_exp_ratio
+        monkeypatch.setattr(replica, "mean_exp_ratio",
+                            lambda a: rows.append(np.size(a)) or mean(a))
         res, owner, j_lo, j_hi = replica._scan(coef, snr, _SCAN_Q, _gaussian_g)
+        monkeypatch.setattr(replica, "mean_exp_ratio", mean)
+        assert 0 < sum(rows) < res.size  # the fit decided some signs
         e_res, e_owner, e_lo, e_hi = exact_scan(coef, snr)
         assert owner.tolist() == e_owner.tolist()
         assert (j_lo.tolist(), j_hi.tolist()) == (e_lo.tolist(), e_hi.tolist())
@@ -401,17 +410,107 @@ class TestCertifiedScan:
         assert [v.hex() for v in roots.tolist()] == [v.hex() for v in e_roots.tolist()]
         return owner
 
-    def test_matches_exact_scan(self):
+    def test_matches_exact_scan(self, monkeypatch):
         coef, snr = (np.array(v) for v in zip(*self.PAIRS))
-        self.check_against_exact(coef, snr)
+        self.check_against_exact(coef, snr, monkeypatch)
 
     @pytest.mark.parametrize("rho", [10.0, 100.0])
-    def test_matches_exact_scan_with_three_roots(self, rho, fold):
-        owner = self.check_against_exact(GRID_BETAS, np.full(GRID_BETAS.size, rho))
+    def test_matches_exact_scan_with_three_roots(self, rho, fold, monkeypatch):
+        owner = self.check_against_exact(GRID_BETAS, np.full(GRID_BETAS.size, rho), monkeypatch)
         assert np.bincount(owner).max() == 3
 
     def test_margin_is_a_hundred_times_the_fit_bound(self):
         assert replica._FIT_MARGIN >= 100.0
+
+    def test_small_scans_take_no_fit(self, monkeypatch):
+        # a single-rho training grid and the known channel scan 64 means, a
+        # one-point one-bit solve 66 moments: the exact terms are faster there
+        def refuse():
+            raise AssertionError("fit used")
+
+        monkeypatch.setattr(replica, "tail_fit", refuse)
+        monkeypatch.setattr(replica, "_tanh_fit", refuse)
+        assert 66 < replica._FIT_MIN_ROWS
+        solve_qh_grid(10.0, GRID_BETAS)
+        csir_rate(2.0, 10.0)
+        solve_qx_onebit(10.0, 4.0)
+
+
+class TestCertifiedOnebitScan:
+    """The one-bit scan reads its signs from the tanh moment's fit and takes
+    the exact moment where the fit cannot decide a sign and at every bracket
+    end; brackets, end residuals and roots must be those of an all-exact
+    scan, which the test codes with the exact moment at every sample."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(21)
+        alpha = np.exp(rng.uniform(math.log(0.5), math.log(4096.0), 120))
+        snr = np.exp(rng.uniform(math.log(1e-4), math.log(1e4), 120))
+        # the ends of both ranges; 4096 at 1e4 saturates, q = 1 an exact zero
+        return np.append(alpha, [0.5, 0.5, 4096.0, 4096.0]), np.append(snr, [1e-4, 1e4, 1e-4, 1e4])
+
+    def test_matches_exact_scan(self, monkeypatch):
+        alpha, snr = self.pairs()
+        replica._tanh_fit()  # built first, so that only the scan's rows count
+        rows, moment = [], replica._tanh_moment
+        monkeypatch.setattr(replica, "_tanh_moment",
+                            lambda q, rule: rows.append(np.size(q)) or moment(q, rule))
+        res, owner, j_lo, j_hi = replica._scan(alpha, snr, _ONEBIT_Q, _onebit_g)
+        assert 0 < sum(rows) < 0.2 * res.size  # the fit decided most signs
+        monkeypatch.setattr(replica, "_tanh_moment", moment)
+        e_res, e_owner, e_lo, e_hi = exact_scan(alpha, snr, _ONEBIT_Q,
+                                                lambda q, rhs: moment(rhs, MOMENT_RULE) - q)
+        last, end = alpha.size - 1, _ONEBIT_Q.size - 1
+        assert e_res[last, end] == 0.0  # the saturated pair's q = 1 sample
+        assert (e_owner[-1], e_lo[-1], e_hi[-1]) == (last, end, end)
+        assert owner.tolist() == e_owner.tolist()
+        assert (j_lo.tolist(), j_hi.tolist()) == (e_lo.tolist(), e_hi.tolist())
+        for j in (j_lo, j_hi):
+            assert [v.hex() for v in res[owner, j].tolist()] == \
+                   [v.hex() for v in e_res[owner, j].tolist()]
+        _, roots, _, _ = _roots(alpha, snr, _onebit_g, _ONEBIT_Q)
+        a, s = alpha[owner], snr[owner]
+        e_roots = _illinois(_ONEBIT_Q[e_lo], _ONEBIT_Q[e_hi], e_res[e_owner, e_lo],
+                            e_res[e_owner, e_hi],
+                            lambda x, k: _onebit_g(x, replica._gaussian_rhs(x, a[k], s[k])))
+        assert [v.hex() for v in roots.tolist()] == [v.hex() for v in e_roots.tolist()]
+
+
+def moment_ratio(s, rule=MOMENT_RULE):
+    """m (1 + q_hat) / q_hat at each s = q_hat / (2 + q_hat) in (0, 1), from
+    the exact moment by ``rule``, and 1 at s = 0 and s = 1."""
+    out, inner = np.ones(s.shape), (s > 0.0) & (s < 1.0)
+    q_hat = 2.0 * s[inner] / (1.0 - s[inner])
+    out[inner] = replica._tanh_moment(q_hat, rule) * (1.0 + q_hat) / q_hat
+    return out
+
+
+class TestTanhFit:
+    """The Chebyshev fit of the tanh moment that the one-bit scan reads its
+    signs from: m (1 + q_hat) / q_hat in s = q_hat / (2 + q_hat)."""
+
+    def test_within_its_bound_on_the_whole_interval(self):
+        fit = replica._tanh_fit()
+        s = np.linspace(0.0, 1.0, 100_001)  # both ends included
+        assert np.abs(fit(s) - moment_ratio(s)).max() <= fit.error * fit.peak
+        assert fit.error < 1e-11
+
+    @pytest.mark.parametrize("q_hat", [0.0, 1e-12, 1e-3, 1.0, math.pi / 2, 1.6, 30.0, 1e8])
+    def test_moment_within_its_bound(self, q_hat):
+        m, cap = replica._tanh_fit().at(q_hat)
+        exact = float(replica._tanh_moment(np.array([q_hat]), MOMENT_RULE)[0])
+        assert abs(exact) <= cap
+        assert abs(m - exact) <= replica._tanh_fit().error * cap
+
+    def test_fit_follows_the_rule_in_force(self, monkeypatch):
+        production = replica._tanh_fit()
+        monkeypatch.setattr(replica, "gauss_hermite", lambda order: gauss_hermite(16))
+        fit = replica._tanh_fit()
+        assert fit is not production and fit is replica._tanh_fit()
+        s = np.linspace(0.0, 1.0, 7)
+        assert np.abs(fit(s) - moment_ratio(s, gauss_hermite(16))).max() <= fit.error * fit.peak
+        assert np.abs(fit(s) - production(s)).max() > 1e3 * production.error * production.peak
 
 
 class TestF1:
@@ -624,10 +723,10 @@ class TestOnebitMoments:
     def test_against_mpmath(self, q_hat, expected):
         m, gap, log1p = expected
         q = np.array([q_hat])
-        got = replica._tanh_moment(q)[0]
+        got = replica._tanh_moment(q, MOMENT_RULE)[0]
         assert got == pytest.approx(m, rel=5e-12, abs=0.0)
         if q_hat > math.pi / 2:
-            got = replica._dual_mean(q)[0]
+            got = replica._dual_mean(q, MOMENT_RULE)[0]
         else:
             got = 1.0 - got
         assert got == pytest.approx(gap, rel=1e-11, abs=0.0)
@@ -640,7 +739,8 @@ class TestOnebitMoments:
     def test_fold_leaves_the_moments(self, fold):
         # the fold fixture swaps the Gaussian-tail rule only
         q = np.array(MOMENT_Q)
-        assert replica._tanh_moment(q) == pytest.approx([m for m, _, _ in MP_MOMENTS], rel=5e-12)
+        assert replica._tanh_moment(q, MOMENT_RULE) == \
+            pytest.approx([m for m, _, _ in MP_MOMENTS], rel=5e-12)
         assert replica._log1p_moment(q) == pytest.approx([v for _, _, v in MP_MOMENTS], rel=3e-12)
 
 
