@@ -182,9 +182,9 @@ class TailFit:
         flat, out = t.reshape(-1), np.empty(t.size)
         for i in range(0, t.size, _SLAB * _SLAB):
             x = 2.0 * flat[i:i + _SLAB * _SLAB] - 1.0
-            b1 = b2 = 0.0
+            b1, b2, two_x = 0.0, 0.0, 2.0 * x
             for ck in self.coef[:0:-1]:
-                b1, b2 = ck + 2.0 * x * b1 - b2, b1
+                b1, b2 = ck + two_x * b1 - b2, b1
             out[i:i + x.size] = self.coef[0] + x * b1 - b2
         return out.reshape(t.shape)
 

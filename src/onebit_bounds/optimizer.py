@@ -34,8 +34,7 @@ import numpy as np
 from .numerics import LN2
 from .replica import (
     SystemParams,
-    csir_rate,
-    linear_rates,
+    _linear_rates,
     onebit_rates,
     snr_from_db,
     training_overlaps,
@@ -239,23 +238,25 @@ def _refine(found, rates_at):
     return out
 
 
-def _job_rates(jobs, snr_eff):
+def _job_rates(jobs, snr_eff, csir=False):
     """Rate of every ``(params, method)`` job at each effective SNR of its
-    row of ``snr_eff``; the one-bit jobs' data overlaps are one batch."""
-    rates = np.empty(snr_eff.shape)
+    row of ``snr_eff``, and with ``csir`` every linear job's ``csir_rate``
+    at its rho; the one-bit jobs' data overlaps are one batch."""
+    rates, csir_rates = np.empty(snr_eff.shape), []
     onebit = [k for k, (_, method) in enumerate(jobs) if method == "replica-onebit"]
     if onebit:
         alphas = np.array([jobs[k][0].alpha for k in onebit])[:, None]
         rates[onebit] = onebit_rates(alphas, snr_eff[onebit]).reshape(len(onebit), -1)
     for k, (params, method) in enumerate(jobs):
         if method == "replica-linear":
-            rates[k] = linear_rates(params.alpha, snr_eff[k])
+            rates[k], r = _linear_rates(params.alpha, snr_eff[k], params.rho if csir else None)
+            csir_rates += [r] if csir else []
         elif method == "bussgang":
             rates[k] = [bussgang_inner_rate(params.alpha, s) for s in snr_eff[k]]
-    return rates
+    return rates, csir_rates
 
 
-def _grid_bounds(rho, beta, grid_step, jobs, refine=False):
+def _grid_bounds(rho, beta, grid_step, jobs, refine=False, csir=False):
     """Solve the training grid at ``rho`` once and optimize every
     ``(params, method)`` job on it; one ``(BoundResult, RateCurve)`` per job.
 
@@ -263,19 +264,21 @@ def _grid_bounds(rho, beta, grid_step, jobs, refine=False):
     from one more per linear job, and the one-bit data overlaps of every
     one-bit job from one more over alpha x grid, so all rates are arrays.
     The refinement keeps that shape: each search step solves the current
-    points of all jobs the same way, so a batch of one point per job.
+    points of all jobs the same way, so a batch of one point per job.  With
+    ``csir``, the list ends with every linear job's ``csir_rate``.
     """
     def snr_effs(bts):
         return training_overlaps(rho, bts)[1]
 
     bts = training_grid(beta, grid_step)
-    grid_rates = _job_rates(jobs, np.broadcast_to(snr_effs(bts), (len(jobs), bts.size)))
+    grid_rates, csir_rates = _job_rates(
+        jobs, np.broadcast_to(snr_effs(bts), (len(jobs), bts.size)), csir)
     out = [optimize_training(rates, beta, grid_step, method=method)
            for (_, method), rates in zip(jobs, grid_rates)]
     if refine:
         out = _refine(out, lambda ks, xs: _job_rates(
-            [jobs[k] for k in ks], snr_effs(xs)[:, None])[:, 0])
-    return out
+            [jobs[k] for k in ks], snr_effs(xs)[:, None])[0][:, 0])
+    return out + csir_rates
 
 
 def replica_bound(params: SystemParams, grid_step: float = 0.1, *, refine: bool = False):
@@ -343,15 +346,15 @@ def compare_sweep(
     """Replica vs Bussgang vs known-channel rates over an SNR sweep.
 
     Each SNR point solves the training grid once and reuses it for both
-    optimized bounds.
+    optimized bounds; the replica data batch also solves r_csir's overlap.
     """
     rho_dbs = [float(d) for d in rho_db_values]
     rhos = [snr_from_db(d) for d in rho_dbs]  # every point checked before any solve
     rows = []
     for rho_db, rho in zip(rho_dbs, rhos):
         params = SystemParams(alpha=alpha, beta=beta, rho=rho, tx_type="linear")
-        (rep, _), (bus, _) = _grid_bounds(rho, beta, grid_step,
-                                          [(params, "replica-linear"), (params, "bussgang")])
+        (rep, _), (bus, _), r_csir = _grid_bounds(
+            rho, beta, grid_step, [(params, "replica-linear"), (params, "bussgang")], csir=True)
         rows.append(CompareRow(rho_db=rho_db, alpha=alpha, beta=beta, c_bound_replica=rep.c_bound,
-                               c_bound_bussgang=bus.c_bound, r_csir=csir_rate(alpha, rho)))
+                               c_bound_bussgang=bus.c_bound, r_csir=r_csir))
     return rows

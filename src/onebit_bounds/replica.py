@@ -329,43 +329,46 @@ def overlap_fixed_points(coef: float, snr: float):
     return [float(r) for r in roots], [(float(a), float(b)) for a, b in zip(lo, hi) if a < b]
 
 
-def _choose(found, pairs: int, energy, resid, allowed, what: str, label) -> np.ndarray:
+def _choose(found, groups, energy, resid, allowed, label) -> np.ndarray:
     """Index into the roots of ``found = (owner, roots, lo, hi)`` of each
     pair's admissible root: its only one, or the one of least ``energy(k)``
     (the first on ties), which must have ``resid <= allowed``.  Raises
-    :class:`SolverError` naming pair i by ``label(i)``."""
+    :class:`SolverError` naming pair i by ``label(i)``, checking each ``(what,
+    pairs)`` of ``groups``, pairs a slice, in turn: brackets, then residuals."""
     owner, roots, lo, hi = found
-    count = np.bincount(owner, minlength=pairs)
-    if not count.all():
-        raise SolverError(f"no {what} fixed point bracketed ({label(int(np.argmin(count)))})")
+    count = np.bincount(owner, minlength=groups[-1][1].stop)
     pick = np.cumsum(count) - count
     multi = np.flatnonzero(count[owner] > 1)
     if multi.size:
         order = multi[np.lexsort((energy(multi), owner[multi]))]
         owners, first = np.unique(owner[order], return_index=True)
         pick[owners] = order[first]
-    bad = np.flatnonzero(~(resid[pick] <= allowed[pick]))
-    if bad.size:
-        i = int(bad[0])
-        k, mine = pick[i], owner == i
-        raise SolverError(
-            f"{what} fixed point residual {resid[k]:.3e} exceeds {allowed[k]:.3e} at "
-            f"q={float(roots[k])!r} ({label(i)})",
-            brackets=[(float(a), float(b)) for a, b in zip(lo[mine], hi[mine]) if a < b],
-            diagnostics={"roots": [float(r) for r in roots[mine]], "residual": float(resid[k])},
-        )
+    for what, g in groups:
+        if not count[g].all():
+            i = g.start + int(np.argmin(count[g]))
+            raise SolverError(f"no {what} fixed point bracketed ({label(i)})")
+        bad = g.start + np.flatnonzero(~(resid[pick[g]] <= allowed[pick[g]]))
+        if bad.size:
+            i = int(bad[0])
+            k, mine = pick[i], owner == i
+            raise SolverError(
+                f"{what} fixed point residual {resid[k]:.3e} exceeds {allowed[k]:.3e} at "
+                f"q={float(roots[k])!r} ({label(i)})",
+                brackets=[(float(a), float(b)) for a, b in zip(lo[mine], hi[mine]) if a < b],
+                diagnostics={"roots": roots[mine].tolist(), "residual": float(resid[k])})
     return pick
 
 
-def _solve_overlaps(coef, snr, what: str, coef_name: str) -> np.ndarray:
+def _solve_overlaps(coef, snr, what: str, coef_name: str, known=None) -> np.ndarray:
     """The admissible overlap at every (coef, snr) pair, solved as one batch.
 
     Pairs with coef * snr == 0 give q = 0.  Where a pair has several roots
     the one of least free energy wins; every chosen root must leave a
-    residual within ``_TOL`` max(1, q/(1-q)).
+    residual within ``_TOL`` max(1, q/(1-q)).  A ``known`` SNR appends the
+    pair (coef, known), the known-channel data overlap, checked last.
     """
     coef, snr = np.broadcast_arrays(np.atleast_1d(np.asarray(coef, dtype=float)),
-                                    np.asarray(snr, dtype=float))
+                                    np.append(snr, [] if known is None else known))
     q = np.zeros(coef.shape)
     live = np.flatnonzero(coef * snr > 0.0)
     if live.size == 0:
@@ -373,11 +376,12 @@ def _solve_overlaps(coef, snr, what: str, coef_name: str) -> np.ndarray:
     c, s = coef[live], snr[live]
     found = owner, roots, _, _ = _roots(c, s, _gaussian_g, _SCAN_Q)
     c_o, s_o = c[owner], s[owner]
+    split = np.searchsorted(live, snr.size - (known is not None))
     q[live] = roots[_choose(
-        found, live.size,
+        found, [(what, slice(0, split)), ("known-channel data overlap", slice(split, live.size))],
         lambda k: _free_energy(roots[k], roots[k] / (1.0 - roots[k]), c_o[k], s_o[k]),
         np.abs(roots / (1.0 - roots) - _gaussian_rhs(roots, c_o, s_o)),
-        _TOL * np.maximum(1.0, roots / (1.0 - roots)), what,
+        _TOL * np.maximum(1.0, roots / (1.0 - roots)),
         lambda i: f"{coef_name}={c[i]:g}, snr={s[i]:g}")]
     return q
 
@@ -578,8 +582,8 @@ def _onebit_overlaps(alpha, snr):
     a, s = alpha[owner], snr[owner]
     q_hat = _gaussian_rhs(roots, a, s)
     f2 = _f2_onebit(roots, q_hat, a, s)
-    pick = _choose(found, alpha.size, lambda k: f2[k], np.abs(_onebit_g(roots, q_hat)),
-                   np.full(roots.size, _TOL), "one-bit data overlap",
+    pick = _choose(found, [("one-bit data overlap", slice(0, alpha.size))], lambda k: f2[k],
+                   np.abs(_onebit_g(roots, q_hat)), np.full(roots.size, _TOL),
                    lambda i: f"snr_eff={snr[i]:g}, alpha={alpha[i]:g}")
     return roots[pick], q_hat[pick], f2[pick]
 
@@ -601,13 +605,27 @@ def solve_qx_onebit(snr_eff: float, alpha: float) -> DataOverlap:
 def linear_rates(alpha: float, snr_eff) -> np.ndarray:
     """:func:`reff_linear` at every effective SNR of an array; the data
     overlaps are solved as one batch."""
+    return _linear_rates(alpha, snr_eff)[0]
+
+
+def _linear_rates(alpha, snr_eff, known=None):
+    """:func:`linear_rates`, and :func:`csir_rate` at a ``known`` SNR (else None)."""
     s = np.atleast_1d(np.asarray(snr_eff, dtype=float))
-    _check_data_args(s, alpha)
-    q = _solve_overlaps(alpha, s, "linear data overlap", "alpha")
+    _check_data_args(np.append(s, [] if known is None else known), alpha)
+    q = _solve_overlaps(alpha, s, "linear data overlap", "alpha", known)
+    q, q_known = q[:s.size], q[s.size:]
     # the tail term at q = 1 is minus the output-entropy term 4 alpha E[Q ln Q]
     rates = np.maximum(0.0, (_free_energy(q, q / (1.0 - q), alpha, s)
                              - _tail_term(alpha, s, 1.0)) / LN2)
-    return np.where(s == 0.0, 0.0, rates)
+    rates = np.where(s == 0.0, 0.0, rates)
+    if known is None:
+        return rates, None
+    q = float(q_known[0])
+    q_hat = q / (1.0 - q)
+    a_hat = math.sqrt(known / (1.0 + known * (1.0 - q)))
+    output, data = mean_q_log_q(np.array([math.sqrt(known), a_hat * math.sqrt(q)]))
+    tails = 4.0 * alpha * float(output - data)
+    return rates, max(0.0, (tails + math.log1p(q_hat) - q_hat + q * q_hat) / LN2)
 
 
 def reff_linear(params: SystemParams, overlap: ChannelOverlap) -> float:
@@ -644,11 +662,5 @@ def csir_rate(alpha: float, rho: float) -> float:
     with (q_x, q_x_hat, A) the Gaussian data fixed point at snr_eff = rho.
     Upper reference for every training-based linear-transmitter bound.
     """
-    _check_data_args(rho, alpha)
-    q = float(_solve_overlaps(alpha, rho, "known-channel data overlap", "alpha")[0])
-    q_hat = q / (1.0 - q)
-    a_hat = math.sqrt(rho / (1.0 + rho * (1.0 - q)))
-    known, data = mean_q_log_q(np.array([math.sqrt(rho), a_hat * math.sqrt(q)]))
-    tails = 4.0 * alpha * float(known - data)
-    return max(0.0, (tails + math.log1p(q_hat) - q_hat + q * q_hat) / LN2)
+    return _linear_rates(alpha, (), rho)[1]
 

@@ -190,6 +190,14 @@ class TestCompare:
         assert code == 0
         assert 0 < sum(rows) <= 1300
 
+    def test_data_overlap_fails_before_the_known_channel(self, capsys):
+        # the known channel is the data batch's last pair, checked last
+        code, out, err = run_cli("compare --alpha 0.001 --beta 5 --rho-db-min -100 "
+                                 "--rho-db-max -100".split(), capsys)
+        assert (code, out) == (2, "")
+        assert err == ("onebit-bounds: solver error: no linear data overlap fixed point "
+                       "bracketed (alpha=0.001, snr=6.3662e-22)\n")
+
     def test_workers_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--alpha", "1", "--beta", "10", "--workers", "2"])

@@ -18,6 +18,7 @@ from onebit_bounds.numerics import (
     q_log_q,
     tail_fit,
 )
+from onebit_bounds.replica import _tanh_fit
 
 mp.mp.dps = 40
 
@@ -199,6 +200,18 @@ class TestTailFit:
         exact = float(mean_exp_ratio(a))
         assert abs(exact) <= cap
         assert abs(mean - exact) <= tail_fit().error * cap
+
+    def test_clenshaw_bits(self, monkeypatch):
+        # the textbook recurrence, 2 x taken at every step, on both fits and
+        # in slabs of 9 values, the last one partial
+        fits = tail_fit(), _tanh_fit()  # built before the slab shrinks
+        monkeypatch.setattr(numerics, "_SLAB", 3)
+        t = np.linspace(0.0, 1.0, 1001)
+        for fit in fits:
+            x, b1, b2 = 2.0 * t - 1.0, 0.0, 0.0
+            for ck in fit.coef[:0:-1]:
+                b1, b2 = ck + 2.0 * x * b1 - b2, b1
+            assert fit(t).tolist() == (fit.coef[0] + x * b1 - b2).tolist()
 
     def test_fit_follows_the_rule_in_force(self, monkeypatch):
         rule = numerics.QuadratureRule(nodes=np.array([-1.0, 1.0]), weights=np.array([0.5, 0.5]))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from onebit_bounds import replica
 from onebit_bounds.numerics import LN2
 from onebit_bounds.optimizer import (
     MAX_GRID_POINTS,
@@ -22,8 +23,10 @@ from onebit_bounds.optimizer import (
 )
 from onebit_bounds.replica import (
     SystemParams,
+    csir_rate,
     onebit_rates,
     reff_onebit,
+    snr_from_db,
     solve_qh,
     solve_qh_grid,
 )
@@ -222,3 +225,23 @@ class TestSweeps:
         for r in rows:
             assert r.c_bound_bussgang <= r.c_bound_replica + 1e-12
             assert r.c_bound_replica <= r.r_csir + 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 2.05, 16.0])
+    def test_compare_rows_are_each_point_solved_alone(self, alpha):
+        # compare solves the known channel's overlap as one more pair of its
+        # data batch, with a fitted scan; csir_rate alone scans it exactly
+        rows = compare_sweep(alpha, 5.0, [-40.0, -10.0, 5.3, 30.0, 60.0])
+        for r in rows:
+            rho = snr_from_db(r.rho_db)
+            assert r.r_csir == csir_rate(alpha, rho)
+            params = SystemParams(alpha, 5.0, rho, "linear")
+            assert r.c_bound_replica == replica_bound(params)[0].c_bound
+
+    def test_compare_point_takes_two_overlap_solves(self, monkeypatch):
+        # the training grid's 49 roots, then the data grid's 49 with the
+        # known channel's as the 50th
+        brackets, illinois = [], replica._illinois
+        monkeypatch.setattr(replica, "_illinois",
+                            lambda *args: brackets.append(args[0].size) or illinois(*args))
+        compare_sweep(2.0, 5.0, [5.3])
+        assert brackets == [49, 50]

@@ -351,6 +351,17 @@ class TestBatchedSolve:
         assert residual > 1e-10
         assert residual == pytest.approx(abs(o_residual(0.5 * (lo + hi), 1.0, 1.0)), rel=1e-9)
 
+    def test_known_channel_is_checked_after_the_data_pairs(self, monkeypatch):
+        # the known channel at snr 1e-20 has its root below the scan, so no
+        # bracket; that error comes only after every data pair's checks pass
+        with pytest.raises(SolverError, match=r"^no known-channel data overlap fixed point "
+                                              r"bracketed \(alpha=1, snr=1e-20\)$"):
+            replica._linear_rates(1.0, [1.0, 2.0], 1e-20)
+        monkeypatch.setattr(replica, "_MAX_STEPS", 0)  # every data bracket stays open
+        with pytest.raises(SolverError, match=r"^linear data overlap fixed point residual .*"
+                                              r"\(alpha=1, snr=1\)$"):
+            replica._linear_rates(1.0, [1.0, 2.0], 1e-20)
+
     @pytest.mark.parametrize("rho", [0.01, 1.0, 10.0, 100.0])
     def test_residual_evaluations_per_root(self, rho, monkeypatch):
         # the scan takes its expectation inline, so _gaussian_rhs sees the
@@ -423,8 +434,9 @@ class TestCertifiedScan:
         assert replica._FIT_MARGIN >= 100.0
 
     def test_small_scans_take_no_fit(self, monkeypatch):
-        # a single-rho training grid and the known channel scan 64 means, a
-        # one-point one-bit solve 66 moments: the exact terms are faster there
+        # a single-rho training grid and a standalone csir_rate scan 64 means,
+        # a one-point one-bit solve 66 moments: the exact terms are faster
+        # there (compare's known channel is one more pair of its data batch)
         def refuse():
             raise AssertionError("fit used")
 
