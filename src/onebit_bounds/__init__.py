@@ -24,7 +24,6 @@ from .replica import (
     effective_snr,
     f1_value,
     f2_onebit,
-    perfect_csi_overlap,
     reff_linear,
     reff_onebit,
     solve_qh,
@@ -42,7 +41,6 @@ from .optimizer import (
     training_grid,
 )
 from .exact import (
-    ChannelIntegration,
     EnumerationBudgetError,
     SmallSystem,
     c_bound_exact,

@@ -20,15 +20,15 @@ from typing import Callable, List
 import numpy as np
 from scipy import integrate, special
 
-from .exact import ChannelIntegration, SmallSystem, mi_direct, reff_exact
+from .exact import SmallSystem, mi_direct, reff_exact
 from .numerics import LN2, gauss_hermite, q_function
 from .optimizer import compare_sweep, replica_bound, sweep_onebit_alpha
 from .replica import (
+    ChannelOverlap,
     SystemParams,
     csir_rate,
     f1_value,
     f2_onebit,
-    perfect_csi_overlap,
     reff_linear,
     solve_qh,
     solve_qx_linear,
@@ -194,7 +194,7 @@ def criterion_7() -> CriterionResult:
         for alpha in (0.5, 1.0, 4.0):
             for rho in (0.5, 2.0, 10.0):
                 params = SystemParams(alpha, 10.0, rho, "linear")
-                r_forced = reff_linear(params, perfect_csi_overlap(rho))
+                r_forced = reff_linear(params, ChannelOverlap(math.inf, 1.0, math.inf, rho))
                 r_csir = csir_rate(alpha, rho)
                 if abs(r_forced - r_csir) > 1e-8 * max(abs(r_csir), 1e-30):
                     problems.append(f"alpha={alpha}, rho={rho}: {r_forced!r} vs {r_csir!r}")
@@ -211,7 +211,7 @@ def criterion_8() -> CriterionResult:
         problems = []
         for t_total in (2, 3, 4):
             for rho in (1.0, 10.0):
-                sys_ = SmallSystem(1, 1, t_total, rho, ChannelIntegration.quadrature(24))
+                sys_ = SmallSystem(1, 1, t_total, rho)
                 for t_t in range(1, t_total):
                     r = reff_exact(t_t, sys_)
                     m = mi_direct(t_t, sys_)
@@ -222,8 +222,7 @@ def criterion_8() -> CriterionResult:
         for t_t in (1, 2):
             r_vals, m_vals = [], []
             for k in range(batches):
-                sys_ = SmallSystem(2, 2, 3, 10.0,
-                                   ChannelIntegration.monte_carlo(samples, seed=k))
+                sys_ = SmallSystem(2, 2, 3, 10.0, samples=samples, seed=k)
                 r_vals.append(reff_exact(t_t, sys_))
                 m_vals.append(mi_direct(t_t, sys_))
             r_mean, m_mean = np.mean(r_vals), np.mean(m_vals)
@@ -338,7 +337,7 @@ def criterion_9() -> CriterionResult:
         # d2 / d3 normalization on enumerable systems
         import itertools
         from .exact import QPSK, SIGN_OUT, d2 as d2_fn, d3 as d3_fn
-        sys_a = SmallSystem(1, 1, 3, 10.0, ChannelIntegration.quadrature(16))
+        sys_a = SmallSystem(1, 1, 3, 10.0, order=16)
         x_t = QPSK[[0, 2]].reshape(1, 2)
         tot = sum(d2_fn(x_t, SIGN_OUT[list(ys)].reshape(1, 2), 2, sys_a)
                   for ys in itertools.product(range(4), repeat=2))
@@ -349,7 +348,7 @@ def criterion_9() -> CriterionResult:
             tot = sum(d3_fn(QPSK[[xi]], SIGN_OUT[[yi]], x_t, y_t, 2, sys_a) for yi in range(4))
             if abs(tot - 1.0) > 1e-8:
                 problems.append(f"sum d3 (x={xi}) = {tot!r}")
-        sys_b = SmallSystem(2, 2, 2, 5.0, ChannelIntegration.quadrature(12))
+        sys_b = SmallSystem(2, 2, 2, 5.0, order=12)
         x_t2 = QPSK[[1, 2]].reshape(2, 1)
         tot = sum(d2_fn(x_t2, SIGN_OUT[list(ys)].reshape(2, 1), 1, sys_b)
                   for ys in itertools.product(range(4), repeat=2))

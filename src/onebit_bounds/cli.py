@@ -22,13 +22,7 @@ import json
 import math
 import sys
 
-from .exact import (
-    ChannelIntegration,
-    EnumerationBudgetError,
-    SmallSystem,
-    c_bound_exact,
-    mi_direct,
-)
+from .exact import SmallSystem, c_bound_exact, mi_direct
 from .optimizer import (
     check_grid_length,
     compare_sweep,
@@ -227,11 +221,8 @@ def _cmd_exact(args) -> int:
     if m is None or n is None or t is None:
         raise ValueError("--m, --n and --t are required")
     rho = _resolved_rho(cfg)
-    if cfg.mc_samples is not None:
-        integration = ChannelIntegration.monte_carlo(cfg.mc_samples, cfg.seed)
-    else:
-        integration = ChannelIntegration.quadrature(cfg.channel_order)
-    system = SmallSystem(m=m, n=n, t_total=t, rho=rho, integration=integration)
+    system = SmallSystem(m=m, n=n, t_total=t, rho=rho, order=cfg.channel_order,
+                         samples=cfg.mc_samples, seed=cfg.seed)
     result, curve = c_bound_exact(system)
     rows = []
     for beta_t, r, obj in curve.rows():
@@ -359,13 +350,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except EnumerationBudgetError as exc:
-        print(f"onebit-bounds: error: {exc}", file=sys.stderr)
-        return 1
     except SolverError as exc:
         print(f"onebit-bounds: solver error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"onebit-bounds: error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,7 +62,6 @@ __all__ = [
     "ENUMERATION_BUDGET",
     "EnumerationBudgetError",
     "check_budget",
-    "ChannelIntegration",
     "SmallSystem",
     "d1",
     "d2",
@@ -92,16 +91,21 @@ class EnumerationBudgetError(ValueError):
 
 
 @dataclass(frozen=True)
-class ChannelIntegration:
-    """How the expectation over the channel coefficients is evaluated.
+class SmallSystem:
+    """An enumerable system: m transmitters, n receivers, block length t_total.
 
-    Tensor Gauss-Hermite quadrature with ``order`` nodes per real dimension
-    when ``samples`` is None, else Monte Carlo over ``samples`` seeded
-    standard-normal draws.  Monte Carlo streams are derived from ``seed`` per
-    training length and per pipeline, so the d-pipeline and ``mi_direct``
-    never share draws and repeated runs are bit-reproducible.
+    The expectation over the channel coefficients runs over a tensor
+    Gauss-Hermite grid with ``order`` nodes per real dimension when
+    ``samples`` is None, else over ``samples`` seeded standard-normal draws.
+    Monte Carlo streams are derived from ``seed`` per training length and per
+    pipeline, so the d-pipeline and ``mi_direct`` never share draws and
+    repeated runs are bit-reproducible.
     """
 
+    m: int
+    n: int
+    t_total: int
+    rho: float
     order: int = 24
     samples: int | None = None
     seed: int = 0
@@ -111,27 +115,8 @@ class ChannelIntegration:
             raise ValueError(f"quadrature order must be >= 2, got {self.order}")
         if self.samples is not None and self.samples < 1:
             raise ValueError(f"samples must be positive, got {self.samples}")
-
-    @classmethod
-    def quadrature(cls, order: int) -> "ChannelIntegration":
-        return cls(order=order)
-
-    @classmethod
-    def monte_carlo(cls, samples: int, seed: int = 0) -> "ChannelIntegration":
-        return cls(samples=samples, seed=seed)
-
-
-@dataclass(frozen=True)
-class SmallSystem:
-    """An enumerable system: m transmitters, n receivers, block length t_total."""
-
-    m: int
-    n: int
-    t_total: int
-    rho: float
-    integration: ChannelIntegration = ChannelIntegration()
-
-    def __post_init__(self):
+        if self.samples is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 1 <= self.m <= 2:
             raise ValueError(f"m must be 1 or 2, got {self.m}")
         if not 1 <= self.n <= 2:
@@ -140,9 +125,9 @@ class SmallSystem:
             raise ValueError(f"t_total must lie in 1..5, got {self.t_total}")
         if not 0.0 <= self.rho < math.inf:
             raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
-        if self.integration.samples is None and self.integration.order ** (2 * self.m) > 5_000_000:
+        if self.samples is None and self.order ** (2 * self.m) > 5_000_000:
             raise ValueError(
-                f"tensor quadrature with order {self.integration.order} over {2 * self.m} "
+                f"tensor quadrature with order {self.order} over {2 * self.m} "
                 "real dimensions is too large; lower the order or use Monte Carlo"
             )
 
@@ -165,19 +150,18 @@ def _channel_nodes(sys_: SmallSystem, t_t: int, stream: int):
 
     ``stream`` separates the Monte Carlo draws of the two rate pipelines.
     """
-    integ = sys_.integration
-    if integ.samples is None:
-        rule = gauss_hermite(integ.order)
+    if sys_.samples is None:
+        rule = gauss_hermite(sys_.order)
         dims = 2 * sys_.m
         grids = np.meshgrid(*([rule.nodes] * dims), indexing="ij")
         g = np.stack([a.reshape(-1) for a in grids], axis=1)
         w = reduce(np.multiply.outer, [rule.weights] * dims).reshape(-1)
         logw = np.log(w)
     else:
-        ss = np.random.SeedSequence(entropy=integ.seed, spawn_key=(t_t, stream))
+        ss = np.random.SeedSequence(entropy=sys_.seed, spawn_key=(t_t, stream))
         rng = np.random.default_rng(ss)
-        g = rng.standard_normal((integ.samples, 2 * sys_.m))
-        logw = np.full(integ.samples, -math.log(integ.samples))
+        g = rng.standard_normal((sys_.samples, 2 * sys_.m))
+        logw = np.full(sys_.samples, -math.log(sys_.samples))
     h = (g[:, : sys_.m] + 1j * g[:, sys_.m:]) / math.sqrt(2.0)
     return h, logw
 

@@ -76,9 +76,7 @@ __all__ = [
     "SolverError",
     "snr_from_db",
     "solve_qh",
-    "solve_qh_grid",
     "training_overlaps",
-    "perfect_csi_overlap",
     "f1_value",
     "effective_snr",
     "solve_qx_linear",
@@ -322,7 +320,8 @@ def overlap_fixed_points(coef: float, snr: float):
     Samples the residual at log-spaced points and refines every sign-change
     bracket.  Returns ``(roots, brackets)`` so callers can inspect
     multiplicity.  With coef * snr > 0 the residual is negative at 0+ and
-    positive at 1-, so at least one root is always bracketed.
+    positive at 1-, so a root exists; but the scan starts at q = 1e-12, and a
+    root below that (the root is about 2 coef snr / pi) is not bracketed.
     """
     _, roots, lo, hi = _roots(np.array([float(coef)]), np.array([float(snr)]),
                               _gaussian_g, _SCAN_Q)
@@ -410,11 +409,11 @@ def effective_snr(rho: float, q_h):
     """snr_eff = rho q_h / (1 + rho (1 - q_h)) at a q_h or at each of an
     array; in [0, rho], increasing in q_h."""
     _check_finite("rho", rho)
-    q = np.atleast_1d(np.asarray(q_h, dtype=float))
+    q = np.asarray(q_h, dtype=float)
     bad = q[~((q >= 0.0) & (q <= 1.0))]
     if bad.size:
         raise ValueError(f"q_h must lie in [0, 1], got {bad[0]}")
-    return rho * q_h / (1.0 + rho * (1.0 - q_h))
+    return rho * q / (1.0 + rho * (1.0 - q))
 
 
 def f1_value(q: float, q_hat: float, rho: float, beta_t: float) -> float:
@@ -449,30 +448,16 @@ def training_overlaps(rho: float, beta_ts):
     return q_h, effective_snr(rho, q_h)
 
 
-def solve_qh_grid(rho: float, beta_ts) -> list:
-    """:func:`solve_qh` at every training length of a grid, as one batched
-    solve by :func:`training_overlaps`.  Returns a list of
-    :class:`ChannelOverlap` in grid order.
-    """
-    bts = np.atleast_1d(np.asarray(beta_ts, dtype=float))
-    q_h, snr_eff = training_overlaps(rho, bts)
-    return [ChannelOverlap(beta_t=bt, q_h=q, q_h_hat=q / (1.0 - q), snr_eff=s)
-            for bt, q, s in zip(bts.tolist(), q_h.tolist(), snr_eff.tolist())]
-
-
 def solve_qh(rho: float, beta_t: float) -> ChannelOverlap:
     """Solve the training-phase overlap equation and build the effective channel.
 
     beta_t = 0 (or rho = 0) degenerates to q_h = 0: no estimate, snr_eff = 0.
     Among multiple fixed points the F1 minimizer is returned.
     """
-    return solve_qh_grid(rho, beta_t)[0]
-
-
-def perfect_csi_overlap(rho: float) -> ChannelOverlap:
-    """Known-channel limit: q_h = 1, no noise inflation, snr_eff = rho."""
-    _check_finite("rho", rho)
-    return ChannelOverlap(beta_t=math.inf, q_h=1.0, q_h_hat=math.inf, snr_eff=rho)
+    q_h, snr_eff = training_overlaps(rho, beta_t)
+    q = float(q_h[0])
+    return ChannelOverlap(beta_t=float(beta_t), q_h=q, q_h_hat=q / (1.0 - q),
+                          snr_eff=float(snr_eff[0]))
 
 
 def _dual_mean(q_hat, rule, g=lambda y: 1.0):

@@ -310,6 +310,13 @@ class TestExact:
         assert code == 1 and out == ""
         assert "samples must be positive" in err
 
+    def test_negative_seed_exits_one_naming_the_seed(self, capsys):
+        args = ["exact", "--m", "1", "--n", "1", "--t", "2", "--rho", "1", "--seed", "-1"]
+        code, out, err = run_cli(args + ["--mc-samples", "10"], capsys)
+        assert (code, out, err) == (1, "", "onebit-bounds: error: seed must be nonnegative, got -1\n")
+        code, _, _ = run_cli(args, capsys)  # quadrature never reads the seed
+        assert code == 0
+
     def test_monte_carlo_is_seeded(self, capsys):
         args = ["exact", "--m", "1", "--n", "1", "--t", "2", "--rho", "10",
                 "--mc-samples", "5000", "--seed", "7"]
@@ -426,6 +433,16 @@ class TestConfigFile:
                                 "--beta", "4", "--rho", "1"], capsys)
         assert code == 1
         assert "alhpa" in err
+
+    @pytest.mark.parametrize("text", ["{\"alpha\": 1.0,", None], ids=["not-json", "missing"])
+    def test_unreadable_config_exits_one(self, text, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run_cli(["bound", "--config", str(cfg), "--alpha", "1",
+                                  "--beta", "4", "--rho", "1"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("onebit-bounds: error: ")
 
     @pytest.mark.parametrize("key", ["workers", "which", "quad_nodes", "tol"])
     def test_retired_key_rejected(self, key, tmp_path, capsys):

@@ -12,7 +12,6 @@ from onebit_bounds import exact
 from onebit_bounds.exact import (
     QPSK,
     SIGN_OUT,
-    ChannelIntegration,
     EnumerationBudgetError,
     SmallSystem,
     c_bound_exact,
@@ -34,11 +33,8 @@ from onebit_bounds.exact import (
 )
 from onebit_bounds.numerics import q_function
 
-QUAD24 = ChannelIntegration.quadrature(24)
-
-
-def sys11(t_total=3, rho=10.0, integ=QUAD24):
-    return SmallSystem(1, 1, t_total, rho, integ)
+def sys11(t_total=3, rho=10.0):
+    return SmallSystem(1, 1, t_total, rho)
 
 
 class TestD1:
@@ -50,7 +46,7 @@ class TestD1:
         assert val == pytest.approx(0.25 ** 3, rel=1e-12)
 
     def test_zero_snr_two_receivers(self):
-        s = SmallSystem(2, 2, 2, 0.0, ChannelIntegration.quadrature(8))
+        s = SmallSystem(2, 2, 2, 0.0, order=8)
         x_t = QPSK[[0, 3]].reshape(2, 1)
         y_t = SIGN_OUT[[1, 2]].reshape(2, 1)
         val = d1(QPSK[[0, 1]], SIGN_OUT[[1, 2]], x_t, y_t, 1, s)
@@ -119,7 +115,7 @@ class TestD2D3:
         # d2 over the 16 training outputs of one pilot matrix, for one
         # receiver with t_t = 2 and for two receivers with t_t = 1; each
         # value is p(Y_t) as the batched rate pipeline computes it
-        for s, t_t in ((sys11(), 2), (SmallSystem(1, 2, 2, 10.0, QUAD24), 1)):
+        for s, t_t in ((sys11(), 2), (SmallSystem(1, 2, 2, 10.0), 1)):
             x_t = QPSK[[0, 2][:t_t]].reshape(1, t_t)
             outputs = list(itertools.product(range(4), repeat=s.n * t_t))
             vals = [d2(x_t, SIGN_OUT[list(ys)].reshape(s.n, t_t), t_t, s) for ys in outputs]
@@ -207,7 +203,7 @@ class TestD4AndRates:
     def test_direct_pipeline_survives_underflow_at_high_snr(self):
         # at rho = 1e4 the products p(x) p(y) of some outputs underflow;
         # mi_direct once summed an infinite log and clamped the result to 0
-        s = SmallSystem(2, 2, 3, 1e4, ChannelIntegration.monte_carlo(2_000, seed=0))
+        s = SmallSystem(2, 2, 3, 1e4, samples=2_000, seed=0)
         direct = mi_direct(2, s)
         assert direct > 0.0
         assert abs(direct - reff_exact(2, s)) < 0.02
@@ -230,7 +226,7 @@ class TestD4AndRates:
             a = reff_exact(t_t, s, use_symmetry=True)
             b = reff_exact(t_t, s, use_symmetry=False)
             assert a == pytest.approx(b, abs=1e-12)
-        s2 = SmallSystem(2, 2, 2, 5.0, ChannelIntegration.quadrature(8))
+        s2 = SmallSystem(2, 2, 2, 5.0, order=8)
         assert reff_exact(1, s2, use_symmetry=True) == pytest.approx(
             reff_exact(1, s2, use_symmetry=False), abs=1e-12)
 
@@ -303,14 +299,14 @@ class TestBatchedPipelines:
     # joint law, which both pipelines sum as 0 ln 0 = 0; the last case changes
     # reff_exact's last bit if p(Y_t) is taken with np.exp
     @pytest.mark.parametrize("s, t_t", [
-        (SmallSystem(1, 1, 4, 10.0, QUAD24), 1),
-        (SmallSystem(1, 1, 4, 10.0, QUAD24), 3),
-        (SmallSystem(1, 2, 3, 5.0, QUAD24), 2),
-        (SmallSystem(2, 1, 3, 10 ** 2.5, ChannelIntegration.quadrature(8)), 2),
-        (SmallSystem(2, 2, 2, 10.0, ChannelIntegration.monte_carlo(2_000, seed=7)), 1),
-        (SmallSystem(2, 2, 3, 10 ** 2.5, ChannelIntegration.monte_carlo(20_000, seed=0)), 1),
-        (SmallSystem(2, 2, 3, 10.0, ChannelIntegration.monte_carlo(500, seed=5)), 2),
-        (SmallSystem(2, 2, 2, 10 ** 2.5, ChannelIntegration.quadrature(6)), 1),
+        (SmallSystem(1, 1, 4, 10.0), 1),
+        (SmallSystem(1, 1, 4, 10.0), 3),
+        (SmallSystem(1, 2, 3, 5.0), 2),
+        (SmallSystem(2, 1, 3, 10 ** 2.5, order=8), 2),
+        (SmallSystem(2, 2, 2, 10.0, samples=2_000, seed=7), 1),
+        (SmallSystem(2, 2, 3, 10 ** 2.5, samples=20_000, seed=0), 1),
+        (SmallSystem(2, 2, 3, 10.0, samples=500, seed=5), 2),
+        (SmallSystem(2, 2, 2, 10 ** 2.5, order=6), 1),
     ], ids=["m1n1-t1", "m1n1-t3", "m1n2-t2", "m2n1-25dB-t2", "m2n2-mc-t1", "m2n2-mc-25dB-t1",
             "m2n2-mc-t2", "m2n2-o6-25dB-t1"])
     def test_rates_equal_the_per_output_loop(self, s, t_t):
@@ -321,7 +317,7 @@ class TestBatchedPipelines:
         # the law of (x, y_d, Y_t) at M=1, N=2, T_t=3 has 4^3 * 4^3 * 4 * 16
         # entries, 4x the law of (y_d, Y_t); a pass over it peaked at 3.6
         # times its size, the receiver factorization at 1.2
-        s = SmallSystem(1, 2, 4, 5.0, QUAD24)
+        s = SmallSystem(1, 2, 4, 5.0)
         mi_direct(3, s)  # fill the caches first
         tracemalloc.start()
         try:
@@ -367,34 +363,53 @@ class TestCBoundExact:
             assert res.beta_t_opt == 1.0 + int(np.argmax(objs))
 
     def test_params_describe_the_system(self):
-        _, curve = c_bound_exact(SmallSystem(2, 2, 3, 10.0, ChannelIntegration.quadrature(8)))
+        _, curve = c_bound_exact(SmallSystem(2, 2, 3, 10.0, order=8))
         assert curve.beta == 1.5 and curve.grid_step == 0.5
         assert curve.beta_t.tolist() == [0.5, 1.0]
 
 
 class TestMonteCarlo:
     def test_bit_reproducible_for_fixed_seed(self):
-        s = SmallSystem(1, 1, 3, 10.0, ChannelIntegration.monte_carlo(20_000, seed=42))
+        s = SmallSystem(1, 1, 3, 10.0, samples=20_000, seed=42)
         assert reff_exact(1, s) == reff_exact(1, s)
         assert mi_direct(1, s) == mi_direct(1, s)
 
     def test_seed_changes_the_estimate(self):
-        a = SmallSystem(1, 1, 2, 10.0, ChannelIntegration.monte_carlo(5_000, seed=0))
-        b = SmallSystem(1, 1, 2, 10.0, ChannelIntegration.monte_carlo(5_000, seed=1))
+        a = SmallSystem(1, 1, 2, 10.0, samples=5_000, seed=0)
+        b = SmallSystem(1, 1, 2, 10.0, samples=5_000, seed=1)
         assert reff_exact(1, a) != reff_exact(1, b)
 
     def test_pipelines_use_independent_streams(self):
-        s = SmallSystem(1, 1, 2, 10.0, ChannelIntegration.monte_carlo(5_000, seed=0))
+        s = SmallSystem(1, 1, 2, 10.0, samples=5_000, seed=0)
         assert reff_exact(1, s) != mi_direct(1, s)
 
     def test_converges_to_quadrature_value(self):
         quad = reff_exact(1, sys11(t_total=2, rho=10.0))
-        mc = reff_exact(1, SmallSystem(1, 1, 2, 10.0,
-                                       ChannelIntegration.monte_carlo(400_000, seed=3)))
+        mc = reff_exact(1, SmallSystem(1, 1, 2, 10.0, samples=400_000, seed=3))
         assert mc == pytest.approx(quad, abs=5e-3)
 
 
 class TestValidationAndBudget:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(order=1), "quadrature order must be >= 2, got 1"),
+        (dict(samples=0), "samples must be positive, got 0"),
+        (dict(samples=10, seed=-1), "seed must be nonnegative, got -1"),
+        (dict(m=3), "m must be 1 or 2, got 3"),
+        (dict(n=0), "n must be 1 or 2, got 0"),
+        (dict(t_total=6), "t_total must lie in 1..5, got 6"),
+        (dict(rho=-1.0), "rho must be finite and nonnegative, got -1.0"),
+        (dict(order=48), "tensor quadrature with order 48 over 4 real dimensions is too "
+                         "large; lower the order or use Monte Carlo"),
+        # the settings of the channel expectation are checked first
+        (dict(m=3, order=1), "quadrature order must be >= 2, got 1"),
+        (dict(m=3, samples=0), "samples must be positive, got 0"),
+    ], ids=["order", "samples", "seed", "m", "n", "t_total", "rho", "tensor-size",
+            "m-and-order", "m-and-samples"])
+    def test_each_bad_field_is_named(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            SmallSystem(**{**dict(m=2, n=2, t_total=3, rho=5.0), **fields})
+        assert str(exc.value) == message
+
     def test_antenna_counts_capped(self):
         with pytest.raises(ValueError):
             SmallSystem(3, 1, 3, 1.0)
@@ -411,7 +426,7 @@ class TestValidationAndBudget:
             SmallSystem(1, 1, 6, 1.0)
 
     def test_enumeration_budget_enforced(self):
-        s = SmallSystem(2, 2, 5, 1.0, ChannelIntegration.quadrature(8))
+        s = SmallSystem(2, 2, 5, 1.0, order=8)
         with pytest.raises(EnumerationBudgetError) as exc:
             reff_exact(4, s)
         assert exc.value.terms == 4 ** 8 * 4 ** 8
@@ -433,7 +448,7 @@ class TestValidationAndBudget:
     def test_alphabet_membership_checked_per_entry(self, entry, value):
         # each entry's first symbol is index 0 of its alphabet, the index a
         # nearest-symbol search returns for NaN
-        s = SmallSystem(1, 2, 3, 10.0, ChannelIntegration.quadrature(8))
+        s = SmallSystem(1, 2, 3, 10.0, order=8)
         block = {"x_t": QPSK[[0, 1]].reshape(1, 2), "y_t": SIGN_OUT[[0, 2, 1, 3]].reshape(2, 2),
                  "x_d": QPSK[[0]], "y_d": SIGN_OUT[[0, 1]]}
         block[entry] = block[entry].copy()

@@ -28,7 +28,7 @@ from onebit_bounds.replica import (
     reff_onebit,
     snr_from_db,
     solve_qh,
-    solve_qh_grid,
+    training_overlaps,
 )
 
 
@@ -102,7 +102,7 @@ class TestOptimizeTraining:
         params = SystemParams(8.0, 8.0, 10.0, "onebit")
         res, _ = replica_bound(params, 0.1)
         fine_grid = training_grid(8.0, 0.001)
-        snr_eff = [ov.snr_eff for ov in solve_qh_grid(10.0, fine_grid)]
+        _, snr_eff = training_overlaps(10.0, fine_grid)
         objective = (8.0 - fine_grid) / 8.0 * onebit_rates(params.alpha, snr_eff)
         bt_fine = float(fine_grid[int(np.argmax(objective))])
         assert abs(res.beta_t_opt - bt_fine) <= 0.1 + 1e-9
@@ -166,7 +166,7 @@ class TestBrent:
         # the oracle: scipy's search, one scalar solve per point
         swept = sweep_onebit_alpha(alphas, beta, rho, step)
         grid = training_grid(beta, step)
-        snr_eff = [ov.snr_eff for ov in solve_qh_grid(rho, grid)]
+        _, snr_eff = training_overlaps(rho, grid)
         for alpha, (res, _) in zip(alphas, swept):
             params = SystemParams(alpha, beta, rho, "onebit")
             objective = (beta - grid) / beta * onebit_rates(alpha, snr_eff)

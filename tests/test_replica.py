@@ -21,6 +21,7 @@ from onebit_bounds import numerics, replica
 from onebit_bounds.numerics import LN2, QuadratureRule, gauss_hermite
 from onebit_bounds.optimizer import training_grid
 from onebit_bounds.replica import (
+    ChannelOverlap,
     SolverError,
     SystemParams,
     csir_rate,
@@ -30,11 +31,9 @@ from onebit_bounds.replica import (
     linear_rates,
     onebit_rates,
     overlap_fixed_points,
-    perfect_csi_overlap,
     reff_linear,
     reff_onebit,
     solve_qh,
-    solve_qh_grid,
     solve_qx_linear,
     solve_qx_onebit,
     training_overlaps,
@@ -233,7 +232,7 @@ class TestSolveQh:
         with pytest.raises(ValueError, match="beta_t must be finite"):
             solve_qh(1.0, math.inf)
         with pytest.raises(ValueError, match="beta_t must be finite"):
-            solve_qh_grid(1.0, [1.0, math.nan])
+            training_overlaps(1.0, [1.0, math.nan])
         with pytest.raises(ValueError, match="rho must be finite"):
             effective_snr(math.inf, 0.5)
         with pytest.raises(ValueError, match="alpha must be finite"):
@@ -252,8 +251,6 @@ class TestSolveQh:
             f2_onebit(0.5, 1.0, 1.0, math.inf)
         with pytest.raises(ValueError, match="r_hat must be finite"):
             f2_onebit(0.5, math.inf, 1.0, 1.0)
-        with pytest.raises(ValueError, match="rho must be finite"):
-            perfect_csi_overlap(math.inf)
 
 
 # Gauss-Hermite rules give one root at every point tried.  As the Gaussian-tail
@@ -300,10 +297,11 @@ class TestBatchedSolve:
     def test_grid_picks_least_free_energy(self, rho, fold):
         # where there are three roots (beta_t >= 3 at rho = 10, >= 2 at
         # rho = 100) the pick is the middle one
-        for ov in solve_qh_grid(rho, GRID_BETAS):
-            roots = o_bisect_root(ov.beta_t, rho, **fold, width=0.0, every=True)
-            energy = [o_f1(q, ov.beta_t, rho, **fold) for q in roots]
-            assert ov.q_h == pytest.approx(roots[int(np.argmin(energy))], rel=1e-12)
+        q_h, _ = training_overlaps(rho, GRID_BETAS)
+        for bt, q in zip(GRID_BETAS.tolist(), q_h.tolist()):
+            roots = o_bisect_root(bt, rho, **fold, width=0.0, every=True)
+            energy = [o_f1(r, bt, rho, **fold) for r in roots]
+            assert q == pytest.approx(roots[int(np.argmin(energy))], rel=1e-12)
 
     @pytest.mark.parametrize("rho", [0.01, 1.0, 10.0, 100.0])
     def test_snr_eff_has_the_bits_of_effective_snr(self, rho):
@@ -313,8 +311,10 @@ class TestBatchedSolve:
                    [effective_snr(rho, q).hex() for q in q_h.tolist()]
 
     def test_grid_matches_pointwise_solves(self):
-        grid = solve_qh_grid(10.0, GRID_BETAS)
-        assert grid == [solve_qh(10.0, float(bt)) for bt in GRID_BETAS]
+        q_h, snr_eff = training_overlaps(10.0, GRID_BETAS)
+        pointwise = [solve_qh(10.0, float(bt)) for bt in GRID_BETAS]
+        assert q_h.tolist() == [ov.q_h for ov in pointwise]
+        assert snr_eff.tolist() == [ov.snr_eff for ov in pointwise]
 
     @pytest.mark.xfail(strict=True, reason="the 64-point scan puts both roots of a close "
                        "pair in one interval, so neither is bracketed")
@@ -322,16 +322,22 @@ class TestBatchedSolve:
         roots, _ = overlap_fixed_points(1.75, 100.0)
         assert len(roots) == len(o_bisect_root(1.75, 100.0, **fold, every=True))
 
+    @pytest.mark.xfail(strict=True, reason="the scan starts at q = 1e-12, above this root")
+    def test_root_below_the_first_scan_point_is_bracketed(self):
+        roots, _ = overlap_fixed_points(4.0, 6.36618e-14)
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(2.0 * 4.0 * 6.36618e-14 / math.pi, rel=1e-3)
+
     def test_point_without_bracket_names_its_training_length(self):
         with pytest.raises(SolverError, match=r"beta_t=1e-13\b"):
-            solve_qh_grid(1.0, [1.0, 1e-13, 2.0])
+            training_overlaps(1.0, [1.0, 1e-13, 2.0])
 
     @pytest.fixture
     def unrefined(self, monkeypatch):
         """The SolverError of a grid whose brackets stay as the scan left them."""
         monkeypatch.setattr(replica, "_MAX_STEPS", 0)
         with pytest.raises(SolverError) as exc:
-            solve_qh_grid(1.0, [1.0, 2.0])
+            training_overlaps(1.0, [1.0, 2.0])
         return exc.value
 
     def test_open_bracket_names_its_training_length(self, unrefined):
@@ -373,7 +379,7 @@ class TestBatchedSolve:
         rhs, sizes = replica._gaussian_rhs, []
         monkeypatch.setattr(replica, "_gaussian_rhs",
                             lambda q, *args: sizes.append(np.size(q)) or rhs(q, *args))
-        solve_qh_grid(rho, grid)
+        training_overlaps(rho, grid)
         assert 2 * grid.size <= sum(sizes) <= 10 * grid.size
 
 
@@ -443,7 +449,7 @@ class TestCertifiedScan:
         monkeypatch.setattr(replica, "tail_fit", refuse)
         monkeypatch.setattr(replica, "_tanh_fit", refuse)
         assert 66 < replica._FIT_MIN_ROWS
-        solve_qh_grid(10.0, GRID_BETAS)
+        training_overlaps(10.0, GRID_BETAS)
         csir_rate(2.0, 10.0)
         solve_qx_onebit(10.0, 4.0)
 
@@ -567,6 +573,18 @@ class TestEffectiveSnr:
     def test_domain(self):
         with pytest.raises(ValueError):
             effective_snr(1.0, 1.5)
+
+    def test_list_has_the_bits_of_an_array(self):
+        qs = [0.5, 0.6, 1e-12, 0.999]
+        from_list = effective_snr(2.0, qs).tolist()
+        assert [v.hex() for v in from_list] == \
+               [v.hex() for v in effective_snr(2.0, np.array(qs)).tolist()]
+        assert [v.hex() for v in from_list] == \
+               [float.hex(2.0 * q / (1.0 + 2.0 * (1.0 - q))) for q in qs]
+
+    def test_scalar_keeps_its_value(self):
+        assert float.hex(float(effective_snr(2.0, 0.6))) == \
+               float.hex(2.0 * 0.6 / (1.0 + 2.0 * (1.0 - 0.6)))
 
 
 # --- data-phase overlaps -------------------------------------------------------
@@ -797,7 +815,7 @@ class TestOnebitBatch:
 
     def test_batch_matches_pointwise_solves(self, monkeypatch):
         monkeypatch.setattr(numerics, "_SLAB", 5)  # several slabs, the last partial
-        overlaps = solve_qh_grid(10.0, GRID_BETAS)
+        overlaps = [solve_qh(10.0, bt) for bt in GRID_BETAS.tolist()]
         alphas = (1.0, 8.0)
         snr = np.array([ov.snr_eff for ov in overlaps])
         q, q_hat, f2 = replica._onebit_overlaps(np.repeat(alphas, snr.size),
@@ -999,7 +1017,7 @@ class TestCsirRate:
         for alpha in (0.5, 1.0, 4.0):
             for rho in (0.5, 2.0, 10.0):
                 p = SystemParams(alpha, 10.0, rho, "linear")
-                forced = reff_linear(p, perfect_csi_overlap(rho))
+                forced = reff_linear(p, ChannelOverlap(math.inf, 1.0, math.inf, rho))
                 assert forced == pytest.approx(csir_rate(alpha, rho), rel=1e-8)
 
 
