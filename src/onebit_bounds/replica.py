@@ -92,12 +92,13 @@ __all__ = [
 
 TX_TYPES = ("linear", "onebit")
 
-# Residual sampling grid for the overlap equations: log-spaced so that
-# roots of order snr (low-SNR regime, down to ~1e-10) are still bracketed.
-_SCAN_Q = np.geomspace(1e-12, 1.0 - 1e-9, 64)
+# Residual sampling grid for the overlap equations: q = 0, where the Gaussian
+# residual is -rhs(0) <= 0 (exactly 0 where coef snr is 0 or underflows), then
+# log-spaced points, so that roots of order snr at low SNR are still bracketed.
+_SCAN_Q = np.append(0.0, np.geomspace(1e-12, 1.0 - 1e-9, 64))
 # The one-bit residual has no pole and is >= 0 at q = 0, <= 0 at q = 1: its
-# scan takes both ends, so every pair has a bracket (q = 1: saturated root).
-_ONEBIT_Q = np.concatenate([[0.0], _SCAN_Q, [1.0]])
+# scan adds q = 1, so every pair has a bracket (q = 1: saturated root).
+_ONEBIT_Q = np.append(_SCAN_Q, 1.0)
 # Refined brackets close at _ROOT_ULPS ulp, or stay open after _MAX_STEPS
 # (then _choose's residual check fails); each root is its bracket's midpoint.
 _ROOT_ULPS = 4
@@ -315,13 +316,13 @@ def _roots(coef: np.ndarray, snr: np.ndarray, g, qs: np.ndarray):
 
 
 def overlap_fixed_points(coef: float, snr: float):
-    """All roots in (0, 1) of  q/(1-q) = (coef K^2/pi) E_u exp(-K^2 q u^2)/Q(K sqrt(q) u).
+    """All roots in [0, 1) of  q/(1-q) = (coef K^2/pi) E_u exp(-K^2 q u^2)/Q(K sqrt(q) u).
 
-    Samples the residual at log-spaced points and refines every sign-change
-    bracket.  Returns ``(roots, brackets)`` so callers can inspect
-    multiplicity.  With coef * snr > 0 the residual is negative at 0+ and
-    positive at 1-, so a root exists; but the scan starts at q = 1e-12, and a
-    root below that (the root is about 2 coef snr / pi) is not bracketed.
+    Samples the residual at q = 0 and at log-spaced points up to 1 - 1e-9,
+    and refines every sign-change bracket.  Returns ``(roots, brackets)`` so
+    callers can inspect multiplicity.  With coef * snr > 0 the residual is
+    negative at 0 and positive at 1-, so a root exists; it is bracketed
+    unless it lies above the scan's last point (large coef * snr).
     """
     _, roots, lo, hi = _roots(np.array([float(coef)]), np.array([float(snr)]),
                               _gaussian_g, _SCAN_Q)
@@ -361,28 +362,23 @@ def _choose(found, groups, energy, resid, allowed, label) -> np.ndarray:
 def _solve_overlaps(coef, snr, what: str, coef_name: str, known=None) -> np.ndarray:
     """The admissible overlap at every (coef, snr) pair, solved as one batch.
 
-    Pairs with coef * snr == 0 give q = 0.  Where a pair has several roots
-    the one of least free energy wins; every chosen root must leave a
-    residual within ``_TOL`` max(1, q/(1-q)).  A ``known`` SNR appends the
-    pair (coef, known), the known-channel data overlap, checked last.
+    Pairs with coef * snr == 0 give q = 0, the scan's exact zero.  Where a
+    pair has several roots the one of least free energy wins; every chosen
+    root must leave a residual within ``_TOL`` max(1, q/(1-q)).  A ``known``
+    SNR appends the pair (coef, known), the known-channel data overlap,
+    checked last.
     """
     coef, snr = np.broadcast_arrays(np.atleast_1d(np.asarray(coef, dtype=float)),
                                     np.append(snr, [] if known is None else known))
-    q = np.zeros(coef.shape)
-    live = np.flatnonzero(coef * snr > 0.0)
-    if live.size == 0:
-        return q
-    c, s = coef[live], snr[live]
-    found = owner, roots, _, _ = _roots(c, s, _gaussian_g, _SCAN_Q)
-    c_o, s_o = c[owner], s[owner]
-    split = np.searchsorted(live, snr.size - (known is not None))
-    q[live] = roots[_choose(
-        found, [(what, slice(0, split)), ("known-channel data overlap", slice(split, live.size))],
+    found = owner, roots, _, _ = _roots(coef, snr, _gaussian_g, _SCAN_Q)
+    c_o, s_o = coef[owner], snr[owner]
+    split = snr.size - (known is not None)
+    return roots[_choose(
+        found, [(what, slice(0, split)), ("known-channel data overlap", slice(split, snr.size))],
         lambda k: _free_energy(roots[k], roots[k] / (1.0 - roots[k]), c_o[k], s_o[k]),
         np.abs(roots / (1.0 - roots) - _gaussian_rhs(roots, c_o, s_o)),
         _TOL * np.maximum(1.0, roots / (1.0 - roots)),
-        lambda i: f"{coef_name}={c[i]:g}, snr={s[i]:g}")]
-    return q
+        lambda i: f"{coef_name}={coef[i]:g}, snr={snr[i]:g}")]
 
 
 def _tail_term(coef, snr, q):
@@ -558,10 +554,10 @@ def _onebit_overlaps(alpha, snr):
     """q_x, q_x_hat and F2_O at every (alpha, snr) pair.
 
     q_x is a root of g(q) = tanh_moment(rhs(q)) - 1 - q found by
-    :func:`_roots` on ``_ONEBIT_Q`` (snr == 0 gives the root q_x = 0).  Where
-    a pair has several roots the least F2_O wins; every chosen root must
-    meet |g| <= ``_TOL``, or :class:`SolverError` carries its brackets and
-    roots.
+    :func:`_roots` on ``_ONEBIT_Q`` (snr == 0 gives the exact zero q_x = 0).
+    Where a pair has several roots the least F2_O wins; every chosen root
+    must meet |g| <= ``_TOL``, or :class:`SolverError` carries its brackets
+    and roots.
     """
     found = owner, roots, _, _ = _roots(alpha, snr, _onebit_g, _ONEBIT_Q)
     a, s = alpha[owner], snr[owner]
@@ -602,7 +598,6 @@ def _linear_rates(alpha, snr_eff, known=None):
     # the tail term at q = 1 is minus the output-entropy term 4 alpha E[Q ln Q]
     rates = np.maximum(0.0, (_free_energy(q, q / (1.0 - q), alpha, s)
                              - _tail_term(alpha, s, 1.0)) / LN2)
-    rates = np.where(s == 0.0, 0.0, rates)
     if known is None:
         return rates, None
     q = float(q_known[0])
@@ -627,8 +622,7 @@ def onebit_rates(alpha, snr_eff) -> np.ndarray:
     _check_data_args(s, a)
     _, _, f2 = _onebit_overlaps(a, s)
     # the QPSK input alphabet caps the rate at 2 bits; trim float residue
-    rates = np.clip((f2 - _tail_term(a, s, 1.0)) / LN2, 0.0, 2.0)
-    return np.where(s == 0.0, 0.0, rates)
+    return np.clip((f2 - _tail_term(a, s, 1.0)) / LN2, 0.0, 2.0)
 
 
 def reff_onebit(params: SystemParams, overlap: ChannelOverlap) -> float:

@@ -62,6 +62,17 @@ class TestBound:
         beta_t_opt = float(out.splitlines()[1].split(",")[0])
         assert abs(beta_t_opt - 5.0) <= 0.1 + 1e-9
 
+    @pytest.mark.parametrize("tx", ["linear", "onebit"])
+    def test_low_snr_law_at_minus_sixty_db(self, tx, capsys):
+        # c_bound ~ alpha beta rho^2 / (pi^2 ln 2) at beta_t = beta / 2; the
+        # linear data overlap, about 2 alpha snr_eff / pi, lies below q = 1e-12
+        code, out, _ = run_cli(
+            ["bound", "--tx", tx, "--alpha", "4", "--beta", "8", "--rho-db", "-60"], capsys)
+        assert code == 0
+        beta_t_opt, c_bound = (float(v) for v in out.splitlines()[1].split(",")[:2])
+        assert abs(beta_t_opt - 4.0) <= 0.1 + 1e-9
+        assert c_bound == pytest.approx(4.0 * 8.0 * 1e-12 / (np.pi ** 2 * np.log(2.0)), rel=1e-3)
+
     def test_missing_alpha_exits_one_with_usage(self, capsys):
         code, out, err = run_cli(["bound", "--beta", "8", "--rho", "1"], capsys)
         assert code == 1
@@ -154,6 +165,14 @@ class TestCompare:
         vals = [float(v) for v in out.strip().splitlines()[1].split(",")]
         assert 0.99 <= vals[4] / vals[3] <= 1.01
 
+    def test_low_snr_sweep_solves_every_point(self, capsys):
+        code, out, _ = run_cli(
+            ["compare", "--alpha", "1", "--beta", "20", "--rho-db-min", "-56",
+             "--rho-db-max", "-50", "--rho-db-step", "2"],
+            capsys)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 4
+
     def test_empty_sweep_exits_one(self, capsys):
         code, _, err = run_cli(
             ["compare", "--alpha", "1", "--beta", "20",
@@ -192,11 +211,13 @@ class TestCompare:
 
     def test_data_overlap_fails_before_the_known_channel(self, capsys):
         # the known channel is the data batch's last pair, checked last
-        code, out, err = run_cli("compare --alpha 0.001 --beta 5 --rho-db-min -100 "
-                                 "--rho-db-max -100".split(), capsys)
+        # (csir_rate(1e6, 1e8) alone has no bracket)
+        code, out, err = run_cli("compare --alpha 1e6 --beta 5 --rho-db-min 80 "
+                                 "--rho-db-max 80".split(), capsys)
         assert (code, out) == (2, "")
-        assert err == ("onebit-bounds: solver error: no linear data overlap fixed point "
-                       "bracketed (alpha=0.001, snr=6.3662e-22)\n")
+        assert err == ("onebit-bounds: solver error: linear data overlap fixed point residual "
+                       "1.983e-04 exceeds 1.451e-04 at q=0.9999993107204601 "
+                       "(alpha=1e+06, snr=5.04178)\n")
 
     def test_workers_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

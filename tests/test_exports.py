@@ -1,6 +1,8 @@
-"""Every name a module of the package exports is used by the package itself."""
+"""Every name a module of the package exports is used by the package itself,
+and every function the benchmark tracer wraps by name still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "onebit_bounds"
@@ -67,3 +69,25 @@ def test_every_export_is_used_in_src():
 
 def test_allowlist_names_only_unused_exports():
     assert sorted(ALLOWED.keys() - _unused_exports()) == []
+
+
+
+def _tracer_tables():
+    """perfbench's SPANS and LEAVES by name, each a tuple of ``(module,
+    attribute, span name)``, read from its source without importing it."""
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    return {t.id: ast.literal_eval(stmt.value) for stmt in tree.body
+            if isinstance(stmt, ast.Assign) for t in stmt.targets
+            if isinstance(t, ast.Name) and t.id in ("SPANS", "LEAVES")}
+
+
+def test_tracer_names_resolve_to_callables():
+    # the tracer looks each name up with getattr only in a traced run, so a
+    # deleted or renamed function would otherwise fail only there
+    tables = _tracer_tables()
+    assert sorted(tables) == ["LEAVES", "SPANS"]
+    for module, attr, _ in tables["SPANS"] + tables["LEAVES"]:
+        owner = importlib.import_module(f"onebit_bounds.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{module}.{attr}"

@@ -181,6 +181,11 @@ class TestSolveQh:
     def test_no_training_degenerates(self):
         ov = solve_qh(1.0, 0.0)
         assert ov.q_h == 0.0 and ov.snr_eff == 0.0
+        # in one batch with beta_t = 1e-13, whose root 2 beta_t rho / (pi (1 + rho))
+        # lies below the scan's first point after q = 0
+        q_h, _ = training_overlaps(1.0, [0.0, 1e-13])
+        assert q_h[0] == 0.0
+        assert q_h[1] == pytest.approx(1e-13 / math.pi, rel=1e-3)
 
     def test_zero_snr_degenerates(self):
         ov = solve_qh(0.0, 3.0)
@@ -322,15 +327,16 @@ class TestBatchedSolve:
         roots, _ = overlap_fixed_points(1.75, 100.0)
         assert len(roots) == len(o_bisect_root(1.75, 100.0, **fold, every=True))
 
-    @pytest.mark.xfail(strict=True, reason="the scan starts at q = 1e-12, above this root")
     def test_root_below_the_first_scan_point_is_bracketed(self):
         roots, _ = overlap_fixed_points(4.0, 6.36618e-14)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(2.0 * 4.0 * 6.36618e-14 / math.pi, rel=1e-3)
 
     def test_point_without_bracket_names_its_training_length(self):
-        with pytest.raises(SolverError, match=r"beta_t=1e-13\b"):
-            training_overlaps(1.0, [1.0, 1e-13, 2.0])
+        # at beta_t rho = 1e14 the root lies above the scan's last point, 1 - 1e-9
+        with pytest.raises(SolverError, match=r"^no channel overlap fixed point bracketed "
+                                              r"\(beta_t=1e\+06, snr=1e\+08\)$"):
+            training_overlaps(1e8, [1.0, 1e6, 2.0])
 
     @pytest.fixture
     def unrefined(self, monkeypatch):
@@ -358,15 +364,15 @@ class TestBatchedSolve:
         assert residual == pytest.approx(abs(o_residual(0.5 * (lo + hi), 1.0, 1.0)), rel=1e-9)
 
     def test_known_channel_is_checked_after_the_data_pairs(self, monkeypatch):
-        # the known channel at snr 1e-20 has its root below the scan, so no
-        # bracket; that error comes only after every data pair's checks pass
+        # the known channel at alpha snr = 1e14 has its root above the scan, so
+        # no bracket; that error comes only after every data pair's checks pass
         with pytest.raises(SolverError, match=r"^no known-channel data overlap fixed point "
-                                              r"bracketed \(alpha=1, snr=1e-20\)$"):
-            replica._linear_rates(1.0, [1.0, 2.0], 1e-20)
+                                              r"bracketed \(alpha=1e\+06, snr=1e\+08\)$"):
+            replica._linear_rates(1e6, [1e-6, 2e-6], 1e8)
         monkeypatch.setattr(replica, "_MAX_STEPS", 0)  # every data bracket stays open
         with pytest.raises(SolverError, match=r"^linear data overlap fixed point residual .*"
-                                              r"\(alpha=1, snr=1\)$"):
-            replica._linear_rates(1.0, [1.0, 2.0], 1e-20)
+                                              r"\(alpha=1e\+06, snr=1e-06\)$"):
+            replica._linear_rates(1e6, [1e-6, 2e-6], 1e8)
 
     @pytest.mark.parametrize("rho", [0.01, 1.0, 10.0, 100.0])
     def test_residual_evaluations_per_root(self, rho, monkeypatch):
@@ -948,6 +954,13 @@ class TestRates:
         p = SystemParams(2.0, 8.0, 10.0, "linear")
         assert reff_linear(p, ov) == 0.0
         assert reff_onebit(SystemParams(2.0, 8.0, 10.0, "onebit"), ov) == 0.0
+        for alpha in (1e-3, 1.0, 2.0, 256.0, 1e9):
+            assert linear_rates(alpha, [0.0]).tolist() == [0.0]
+            assert onebit_rates(alpha, 0.0).tolist() == [0.0]
+            assert csir_rate(alpha, 0.0) == 0.0
+        # snr_eff = 1e-320 makes coef K^2 subnormal; the scan still brackets it
+        rates = linear_rates(1.0, [0.0, 1e-320, 1e-300])
+        assert (np.isfinite(rates) & (rates >= 0.0)).all()
 
     def test_linear_against_independent_chain(self):
         p = SystemParams(1.0, 10.0, 10.0, "linear")
