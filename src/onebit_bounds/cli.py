@@ -253,16 +253,12 @@ def _cmd_selftest(args) -> int:
     from . import acceptance
 
     results = acceptance.run_all()
-    failed = 0
-    total = 0.0
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        total += res.seconds
-        print(f"criterion-{res.number} {status} {res.name} [{res.seconds:.1f}s] {res.detail}")
-        failed += 0 if res.passed else 1
-    print(f"selftest: {len(results) - failed}/{len(results)} criteria passed "
-          f"in {total:.1f}s")
-    return 0 if failed == 0 else 1
+        print(res.line())
+    passed = sum(res.passed for res in results)
+    print(f"selftest: {passed}/{len(results)} criteria passed "
+          f"in {sum(res.seconds for res in results):.1f}s")
+    return 0 if passed == len(results) else 1
 
 
 # --- parser -------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
-Each test prints one pass/fail line (visible with ``pytest -s`` or in the
-captured output of a failure) and asserts the criterion, including its
-stated runtime bound where one exists.
+Each criterion test prints its ``CriterionResult.line()``, the line
+``selftest`` prints (visible with ``pytest -s`` or in the captured output of
+a failure), and asserts the criterion, including its stated runtime bound
+where one exists.  Two more tests guard the registry and the line format
+without running any criterion.
 """
 
 from onebit_bounds import acceptance
@@ -12,12 +14,24 @@ _RESULTS = []
 
 def _report(res, time_limit=None):
     _RESULTS.append(res)
-    status = "PASS" if res.passed else "FAIL"
-    print(f"criterion-{res.number} {status} {res.name} [{res.seconds:.1f}s] {res.detail}")
+    print(res.line())
     assert res.passed, f"criterion-{res.number}: {res.detail}"
     if time_limit is not None:
         assert res.seconds < time_limit, (
             f"criterion-{res.number} took {res.seconds:.1f}s, limit {time_limit}s")
+
+
+def test_registry_holds_the_nine_criteria_in_order():
+    # run_all runs _CRITERIA, so each criterion_N the tests below call is the
+    # one selftest runs, at its place in the list
+    assert [c.__name__ for c in acceptance._CRITERIA] == [
+        f"criterion_{n}" for n in range(1, 10)]
+    assert all(c is getattr(acceptance, c.__name__) for c in acceptance._CRITERIA)
+
+
+def test_report_line_format():
+    res = acceptance.CriterionResult(3, "x", False, "bad", 1.26)
+    assert res.line() == "criterion-3 FAIL x [1.3s] bad"
 
 
 def test_criterion_1_low_snr_closed_form():

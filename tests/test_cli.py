@@ -368,8 +368,8 @@ class TestSelftest:
         code, out, _ = run_cli(["selftest"], capsys)
         assert code == 0
         lines = out.strip().splitlines()
+        assert lines[:9] == [res.line() for res in fake]
         assert len(lines) == 10
-        assert all(l.startswith("criterion-") and " PASS " in l for l in lines[:9])
         assert lines[9].startswith("selftest: 9/9")
 
     def test_failure_exits_nonzero(self, capsys, monkeypatch):
@@ -552,14 +552,17 @@ class TestStartup:
     @pytest.fixture(scope="class")
     def probe(self):
         """One fresh process: after the import, whether scipy.optimize is
-        loaded and how many checked fits are built; then the exit code of a
-        refined one-bit bound and whether scipy.optimize is loaded."""
+        loaded, how many checked fits are built, and whether acceptance and
+        scipy.integrate are loaded; then the exit code of a refined one-bit
+        bound and whether scipy.optimize is loaded."""
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         probe = ("import contextlib, io, sys, onebit_bounds.cli as cli\n"
                  "print('scipy.optimize' in sys.modules)\n"
                  "fits = sys.modules['onebit_bounds.numerics'].chebyshev_fit\n"
                  "print(fits.cache_info().currsize)\n"
+                 "print('onebit_bounds.acceptance' in sys.modules, "
+                 "'scipy.integrate' in sys.modules)\n"
                  "with contextlib.redirect_stdout(io.StringIO()):\n"
                  "    code = cli.main('bound --alpha 4 --beta 8 --rho 10 --tx onebit --refine'"
                  ".split())\n"
@@ -571,12 +574,17 @@ class TestStartup:
     def test_import_skips_scipy_optimize(self, probe):
         # the refinement is the package's own search, so neither the import
         # nor a refined bound loads scipy.optimize
-        assert probe[:1] + probe[2:] == ["False", "0", "False"]
+        assert probe[:1] + probe[4:] == ["False", "0", "False"]
 
     def test_import_builds_no_fit(self, probe):
         # the tail-mean and tanh-moment fits are built on first use, so the
         # import behind the benchmark's setup_s does not pay for them
         assert probe[1] == "0"
+
+    def test_import_skips_acceptance(self, probe):
+        # selftest imports the acceptance module, and with it scipy.integrate,
+        # only when it runs, so the import behind setup_s pays for neither
+        assert probe[2:4] == ["False", "False"]
 
     def test_benchmark_tracer_finds_its_names(self):
         # perfbench/tracing.py wraps package functions by name: a renamed or
