@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -166,17 +167,16 @@ def _channel_nodes(sys_: SmallSystem, t_t: int, stream: int):
     return h, logw
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
+def _strings(k: int) -> np.ndarray:
+    """All 4^k strings of k base-4 digits, first digit slowest: one receiver's
+    training outputs (k = t_t) or an input column's QPSK indices (k = m)."""
+    return np.array(list(itertools.product(range(4), repeat=k)), dtype=int).reshape(4 ** k, k)
+
+
 def _input_vectors(m: int) -> np.ndarray:
     """All 4^m input columns over the QPSK alphabet, first transmitter slowest."""
-    idx = np.array(list(itertools.product(range(4), repeat=m)), dtype=int)
-    return QPSK[idx]
-
-
-@lru_cache(maxsize=16)
-def _strings(t_t: int) -> np.ndarray:
-    """All 4^t_t per-receiver output strings, first training symbol slowest."""
-    return np.array(list(itertools.product(range(4), repeat=t_t)), dtype=int).reshape(4 ** t_t, t_t)
+    return QPSK[_strings(m)]
 
 
 class _Tables:
@@ -235,48 +235,24 @@ def _conditional_mi_nats(ld3: np.ndarray) -> np.ndarray:
 
 # --- training-matrix symmetry classes -------------------------------------
 
-@lru_cache(maxsize=1)
-def _phase_perm() -> np.ndarray:
-    """perm[k, d]: index of QPSK[d] * j^k in the QPSK alphabet."""
-    perm = np.empty((4, 4), dtype=int)
-    for k in range(4):
-        rotated = QPSK * (1j ** k)
-        for d in range(4):
-            perm[k, d] = int(np.argmin(np.abs(QPSK - rotated[d])))
-    return perm
-
-
 @lru_cache(maxsize=32)
-def _training_classes(m: int, t_t: int, use_symmetry: bool):
+def _training_classes(m: int, t_t: int):
     """Canonical training matrices with multiplicities.
 
     A training matrix is a tuple of t_t column indices in 0..4^m-1.  Rate
     contributions are invariant under per-transmitter phase rotations by
     powers of j (absorbed by the channel phase), transmitter relabeling, and
     training-symbol reordering, so matrices are grouped by the minimum of
-    their orbit under that group.
+    their orbit under that group.  Each group element acts on the column
+    indices as the map read back with :func:`_encode` from the input columns
+    with their transmitters permuted and each multiplied by its power of j.
     """
-    n_cols = 4 ** m
-    all_mats = list(itertools.product(range(n_cols), repeat=t_t))
-    if not use_symmetry or t_t == 0:
-        return tuple((cols, 1) for cols in all_mats)
-
-    digit_maps = []  # all combined phase/relabel maps, acting on column indices
-    phase = _phase_perm()
-    digits = np.array(list(itertools.product(range(4), repeat=m)), dtype=int)  # (n_cols, m)
-    weights = 4 ** np.arange(m - 1, -1, -1)
-    for perm in itertools.permutations(range(m)):
-        permuted = digits[:, perm]
-        for ks in itertools.product(range(4), repeat=m):
-            mapped = np.empty_like(permuted)
-            for i, k in enumerate(ks):
-                mapped[:, i] = phase[k, permuted[:, i]]
-            digit_maps.append(mapped @ weights)
-
-    counts = {}
-    for cols in all_mats:
-        key = min(tuple(sorted(mp[list(cols)])) for mp in digit_maps)
-        counts[key] = counts.get(key, 0) + 1
+    x = _input_vectors(m)
+    maps = [_encode(x[:, perm] * 1j ** np.array(ks), QPSK, x.shape, "rotated column")
+            for perm in itertools.permutations(range(m))
+            for ks in itertools.product(range(4), repeat=m)]
+    counts = Counter(min(tuple(sorted(mp[list(cols)])) for mp in maps)
+                     for cols in itertools.product(range(4 ** m), repeat=t_t))
     return tuple(sorted(counts.items()))
 
 
@@ -346,7 +322,7 @@ def _stack_receivers(v_log, w_log, s_idx):
     return v_log[s1] + v_log[s2], ld1.reshape(len(s1), -1, 16)
 
 
-def reff_exact(t_t: int, sys_: SmallSystem, *, use_symmetry: bool = True) -> float:
+def reff_exact(t_t: int, sys_: SmallSystem) -> float:
     """Exact per-transmitter rate (bits per channel use) after t_t training
     symbols, averaged over training matrices and training outputs."""
     check_budget(sys_, t_t)
@@ -355,7 +331,7 @@ def reff_exact(t_t: int, sys_: SmallSystem, *, use_symmetry: bool = True) -> flo
     # every Y_t, one string index per receiver, first receiver slowest
     outputs = np.unravel_index(np.arange(s_count ** sys_.n), (s_count,) * sys_.n)
     total = 0.0
-    for cols, count in _training_classes(sys_.m, t_t, use_symmetry):
+    for cols, count in _training_classes(sys_.m, t_t):
         v_log, w_log = tab.receiver_tables(cols)
         ld2, ld1 = _stack_receivers(v_log, w_log, outputs)
         # libm's exp, which differs from np.exp in the last bit on some inputs

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onebit_bounds import numerics, replica
+from onebit_bounds import cli, numerics, replica
 from onebit_bounds.cli import build_parser, main
+from onebit_bounds.optimizer import CompareRow
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -219,6 +220,23 @@ class TestCompare:
                        "1.983e-04 exceeds 1.451e-04 at q=0.9999993107204601 "
                        "(alpha=1e+06, snr=5.04178)\n")
 
+    def test_falling_column_warns_on_stderr_only(self, capsys, monkeypatch):
+        # replica falls by 0.25, Bussgang and r_csir rise
+        monkeypatch.setattr(cli, "compare_sweep", lambda alpha, beta, rho_dbs, grid_step: [
+            CompareRow(rho_dbs[0], alpha, beta, 0.5, 0.1, 1.0),
+            CompareRow(rho_dbs[1], alpha, beta, 0.25, 0.2, 2.0)])
+        code, out, err = run_cli("compare --alpha 2 --beta 5 --rho-db-min 0 --rho-db-max 1"
+                                 .split(), capsys)
+        assert code == 0
+        assert err == "warning: column c_bound_replica is not nondecreasing in rho\n"
+        assert out == ("rho_db,alpha,beta,c_bound_replica,c_bound_bussgang,r_csir\n"
+                       "0,2,5,0.5,0.1,1\n"
+                       "1,2,5,0.25,0.2,2\n")
+
+    def test_missing_alpha_exits_one(self, capsys):
+        code, out, err = run_cli("compare --beta 5".split(), capsys)
+        assert (code, out, err) == (1, "", "onebit-bounds: error: --alpha and --beta are required\n")
+
     def test_workers_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--alpha", "1", "--beta", "10", "--workers", "2"])
@@ -318,6 +336,10 @@ class TestExact:
                                 "--rho", "1", "--channel-order", "4"], capsys)
         assert code == 1
         assert str(4 ** 8 * 4 ** 8) in err
+
+    def test_missing_block_length_exits_one(self, capsys):
+        code, out, err = run_cli("exact --m 1 --n 1 --rho 1".split(), capsys)
+        assert (code, out, err) == (1, "", "onebit-bounds: error: --m, --n and --t are required\n")
 
     def test_single_symbol_block_exits_one(self, capsys):
         code, out, err = run_cli(["exact", "--m", "1", "--n", "1", "--t", "1",
@@ -464,6 +486,14 @@ class TestConfigFile:
                                   "--beta", "4", "--rho", "1"], capsys)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("onebit-bounds: error: ")
+
+    def test_config_file_not_an_object_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1, 2]")
+        code, out, err = run_cli(["bound", "--config", str(cfg), "--alpha", "1",
+                                  "--beta", "2", "--rho", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"onebit-bounds: error: config file {cfg} must hold a JSON object\n"
 
     @pytest.mark.parametrize("key", ["workers", "which", "quad_nodes", "tol"])
     def test_retired_key_rejected(self, key, tmp_path, capsys):

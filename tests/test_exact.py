@@ -1,5 +1,6 @@
 """Enumerable small systems: probability tables, rate pipelines, budget."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -220,15 +221,35 @@ class TestD4AndRates:
         with pytest.raises(FloatingPointError):
             mi_direct(1, sys11(t_total=2))
 
-    def test_symmetry_reduction_matches_full_enumeration(self):
-        s = sys11(t_total=3, rho=10.0)
-        for t_t in (1, 2):
-            a = reff_exact(t_t, s, use_symmetry=True)
-            b = reff_exact(t_t, s, use_symmetry=False)
-            assert a == pytest.approx(b, abs=1e-12)
-        s2 = SmallSystem(2, 2, 2, 5.0, order=8)
-        assert reff_exact(1, s2, use_symmetry=True) == pytest.approx(
-            reff_exact(1, s2, use_symmetry=False), abs=1e-12)
+    def test_symmetry_reduction_matches_full_enumeration(self, monkeypatch):
+        cases = [(1, sys11(t_total=3, rho=10.0)), (2, sys11(t_total=3, rho=10.0)),
+                 (1, SmallSystem(2, 2, 2, 5.0, order=8))]
+        reduced = [reff_exact(t_t, s) for t_t, s in cases]
+        monkeypatch.setattr(exact, "_training_classes", lambda m, t_t: [
+            (cols, 1) for cols in itertools.product(range(4 ** m), repeat=t_t)])
+        for (t_t, s), a in zip(cases, reduced):
+            assert a == pytest.approx(reff_exact(t_t, s), abs=1e-12)
+
+
+# sha256 of repr([(tuple(map(int, key)), count), ...]) of each class list:
+# reff_exact sums the classes in this order, so keys, counts and order are pinned
+@pytest.mark.parametrize("m, t_t, n_classes, digest", [
+    (1, 0, 1, "b94b1cb7d1cbc4e4791574cd93e5514a2b093fe640d2f7d3843a71615941f761"),
+    (1, 1, 1, "fef20611d5c5bf8ab12be7b6cc3fd187781d09fcfd3acaf2566416177f62b49f"),
+    (1, 2, 3, "d83143723ca351e87657a109a3dfd42d7a0d563ca42dc5e4e9cefd2504a5e299"),
+    (1, 3, 5, "613c6c05a9fd47d75272a7e17e156d7c397664901f788eadaadb1f01a00ee0d7"),
+    (1, 4, 10, "53912a128d2a667ab0c7904c40fe19eb8627e13fc6fe8174c53570b59a2f0072"),
+    (2, 0, 1, "b94b1cb7d1cbc4e4791574cd93e5514a2b093fe640d2f7d3843a71615941f761"),
+    (2, 1, 1, "4f3bd31c157d29598a451476772384ca8a950f02a9d6ae7d8d0500a16e6d7827"),
+    (2, 2, 7, "5a59a7c6ce95a64bccb96212a439a8c29afd0804ba1d719c57861cf426f37e6a"),
+    (2, 3, 31, "892d52e7a9665b3b7c873afe8b1e5e7e7d6a33d0ac41e9b35327c9919e84dcc7"),
+])
+def test_symmetry_classes_are_pinned(m, t_t, n_classes, digest):
+    classes = _training_classes(m, t_t)
+    assert len(classes) == n_classes
+    assert sum(count for _, count in classes) == 4 ** (m * t_t)
+    listed = [(tuple(map(int, key)), count) for key, count in classes]
+    assert hashlib.sha256(repr(listed).encode()).hexdigest() == digest
 
 
 def loop_reff_exact(t_t, s):
@@ -237,7 +258,7 @@ def loop_reff_exact(t_t, s):
     tab = _Tables(s, t_t)
     n_inputs = 4 ** s.m
     total = 0.0
-    for cols, count in _training_classes(s.m, t_t, True):
+    for cols, count in _training_classes(s.m, t_t):
         v_log, w_log = tab.receiver_tables(cols)
         contrib = 0.0
         for yt in itertools.product(range(4 ** t_t), repeat=s.n):

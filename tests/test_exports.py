@@ -1,8 +1,11 @@
 """Every name a module of the package exports is used by the package itself,
-and every function the benchmark tracer wraps by name still exists."""
+every defaulted parameter of an exported function is passed by some call in
+the package (a default that only tests override is a test-only switch), and
+every function the benchmark tracer wraps by name still exists."""
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "onebit_bounds"
@@ -41,15 +44,23 @@ def _loads(node, aliases):
             yield sub.attr
 
 
+def _parsed():
+    """The package's module trees by module name, and its import aliases,
+    alias -> name."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    aliases = {a.asname: a.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
+    return trees, aliases
+
+
 def _unused_exports():
     """Exported names that no code in the package reads, leaving out reads in a
     name's own definition and in the definitions of other unused exports."""
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
-    aliases = {a.asname: a.name for tree in trees for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
-    exported = {name for tree in trees for name in _exports(tree)}
+    trees, aliases = _parsed()
+    exported = {name for tree in trees.values() for name in _exports(tree)}
     top_level, by_def = set(), []
-    for tree in trees:
+    for tree in trees.values():
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 by_def.append((stmt.name, set(_loads(stmt, aliases)) - {stmt.name}))
@@ -70,6 +81,46 @@ def test_every_export_is_used_in_src():
 
 def test_allowlist_names_only_unused_exports():
     assert sorted(ALLOWED.keys() - _unused_exports()) == []
+
+
+def _unpassed_defaults():
+    """``module.function.parameter`` for each defaulted parameter of an
+    exported function that no call in the package passes, by keyword or by
+    position; a ``*`` argument counts as passing every positional parameter,
+    a ``**`` argument as passing every parameter."""
+    trees, aliases = _parsed()
+    calls = {}  # callee name -> [(positional count, keyword names)]
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = aliases.get(func.id, func.id) if isinstance(func, ast.Name) else (
+                    func.attr if isinstance(func, ast.Attribute) else None)
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (math.inf if star else len(node.args),
+                     {k.arg for k in node.keywords}))
+    unpassed = []
+    for module, tree in trees.items():
+        exported = set(_exports(tree))
+        for stmt in tree.body:
+            if not (isinstance(stmt, ast.FunctionDef) and stmt.name in exported):
+                continue
+            args = stmt.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(a.arg, i) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(a.arg, math.inf) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for param, position in defaulted:
+                if not any(position < n or param in kw or None in kw
+                           for n, kw in calls.get(stmt.name, [])):
+                    unpassed.append(f"{module}.{stmt.name}.{param}")
+    return unpassed
+
+
+def test_every_default_is_overridden_in_src():
+    assert _unpassed_defaults() == []
 
 
 

@@ -43,6 +43,16 @@ def test_low_snr_law(rho_db, tx, capsys):
     assert abs(beta_t_opt - beta_t) <= 0.1 + 1e-9
 
 
+@_xfail(1, "rates below about 1e-15 alpha are rounding residue of F2 - tail(1)")
+@pytest.mark.parametrize("alpha, beta, rho_db", [(2, 5, -42), (4, 8, -48)])
+def test_bussgang_not_above_replica_at_low_snr(alpha, beta, rho_db, capsys):
+    code, rows = _run(f"compare --alpha {alpha} --beta {beta} --rho-db-min {rho_db} "
+                      f"--rho-db-max {rho_db}", capsys)
+    assert code == 0 and len(rows) == 2
+    vals = [float(v) for v in rows[1].split(",")]
+    assert vals[4] <= vals[3] * (1.0 + _PRINTED)      # bussgang <= replica
+
+
 @_xfail(12, "the Gaussian overlap solve in q loses 1 - q near q = 1")
 def test_compare_at_large_receiver_ratio_and_snr(capsys):
     code, rows = _run("compare --alpha 1e4 --beta 5 --rho-db-min 60 --rho-db-max 60", capsys)

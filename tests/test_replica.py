@@ -257,6 +257,17 @@ class TestSolveQh:
         with pytest.raises(ValueError, match="r_hat must be finite"):
             f2_onebit(0.5, math.inf, 1.0, 1.0)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SystemParams(1.0, 1.0, -1.0), "rho must be finite and nonnegative, got -1.0"),
+        (lambda: SystemParams(1.0, 1.0, 1.0, "qam"),
+         "tx_type must be one of ('linear', 'onebit'), got 'qam'"),
+        (lambda: f2_onebit(1.5, 1.0, 2.0, 1.0), "r must lie in [0, 1], got 1.5"),
+    ], ids=["negative-rho", "unknown-tx", "r-above-one"])
+    def test_rejection_message(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
 
 # Gauss-Hermite rules give one root at every point tried.  As the Gaussian-tail
 # rule, this signed rule folds the right-hand side back, so at rho = 10 and
