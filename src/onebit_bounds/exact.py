@@ -61,6 +61,7 @@ __all__ = [
     "QPSK",
     "SIGN_OUT",
     "ENUMERATION_BUDGET",
+    "NODE_CAP",
     "EnumerationBudgetError",
     "check_budget",
     "SmallSystem",
@@ -81,6 +82,11 @@ SIGN_OUT = np.array(SIGN_OUTPUTS)
 
 #: Cap on 4^(M T_t) * 4^(N T_t), the number of training-block terms.
 ENUMERATION_BUDGET = 10 ** 8
+
+#: Cap on the channel nodes, order^(2M) under quadrature or the Monte Carlo
+#: samples.  Per node the d-pipeline keeps two tables of 4^M * 4 float64 (log
+#: and linear likelihoods) and ``mi_direct`` one.
+NODE_CAP = 5_000_000
 
 
 class EnumerationBudgetError(ValueError):
@@ -126,11 +132,10 @@ class SmallSystem:
             raise ValueError(f"t_total must lie in 1..5, got {self.t_total}")
         if not 0.0 <= self.rho < math.inf:
             raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
-        if self.samples is None and self.order ** (2 * self.m) > 5_000_000:
-            raise ValueError(
-                f"tensor quadrature with order {self.order} over {2 * self.m} "
-                "real dimensions is too large; lower the order or use Monte Carlo"
-            )
+        nodes = self.order ** (2 * self.m) if self.samples is None else self.samples
+        if nodes > NODE_CAP:
+            raise ValueError(f"{nodes} channel nodes exceed the cap of {NODE_CAP}; lower the "
+                             "quadrature order or use fewer Monte Carlo samples")
 
 
 def check_budget(sys_: SmallSystem, t_t: int) -> None:
@@ -183,13 +188,15 @@ class _Tables:
     """Per-(system, t_t) node tables shared by the d-pipeline operations."""
 
     def __init__(self, sys_: SmallSystem, t_t: int):
-        self.h, self.logw = _channel_nodes(sys_, t_t, stream=0)
-        x_cols = _input_vectors(sys_.m)
-        z = math.sqrt(sys_.rho / sys_.m) * (self.h @ x_cols.T)
-        # log_g[c, y, k] = ln P(sign(z[k, c] + v) = SIGN_OUT[y])
-        self.log_g = np.ascontiguousarray(sign_log_likelihoods(z).transpose(2, 0, 1))
-        self.g_lin = np.exp(self.log_g)                     # linear copy for the W contraction
+        h, self.logw = _channel_nodes(sys_, t_t, stream=0)
         self.n_inputs = 4 ** sys_.m
+        z = math.sqrt(sys_.rho / sys_.m) * (h @ _input_vectors(sys_.m).T)
+        # log_g[c, y, k] = ln P(sign(z[k, c] + v) = SIGN_OUT[y]), one column at a time
+        self.log_g = np.empty((self.n_inputs, 4, len(self.logw)))
+        for c in range(self.n_inputs):
+            self.log_g[c] = sign_log_likelihoods(z[:, c])
+        del z
+        self.g_lin = np.exp(self.log_g)                     # linear copy for the W contraction
         self.strings = _strings(t_t)                        # (S, t_t)
 
     def receiver_tables(self, cols):
@@ -206,20 +213,23 @@ class _Tables:
         """
         n_nodes = self.logw.shape[0]
         s_count = self.strings.shape[0]
+        t_t = self.strings.shape[1]
         acc = np.tile(self.logw, (s_count, 1))
+        grid = acc.reshape((4,) * t_t + (n_nodes,))      # one axis per training symbol
         for p, c in enumerate(cols):
-            acc += self.log_g[c, self.strings[:, p], :]
+            grid += self.log_g[c].reshape((4,) + (1,) * (t_t - 1 - p) + (n_nodes,))
         shift = acc.max(axis=1, keepdims=True)
         np.maximum(shift, -1e300, out=shift)  # all-(-inf) rows stay harmless
-        e = np.exp(acc - shift)
+        acc -= shift
+        np.exp(acc, out=acc)
         with np.errstate(divide="ignore"):
-            v_log = np.log(e.sum(axis=1)) + shift[:, 0]
-            w = e @ self.g_lin.reshape(self.n_inputs * 4, n_nodes).T
+            v_log = np.log(acc.sum(axis=1)) + shift[:, 0]
+            w = acc @ self.g_lin.reshape(self.n_inputs * 4, n_nodes).T
             w_log = np.log(w).reshape(s_count, self.n_inputs, 4) + shift[:, :, None]
         return v_log, w_log
 
 
-_block_tables = lru_cache(maxsize=4)(_Tables)  # d1-d4 build one per (system, t_t)
+_block_tables = lru_cache(maxsize=1)(_Tables)  # d1-d4 keep the last (system, t_t)'s tables
 
 
 def _conditional_mi_nats(ld3: np.ndarray) -> np.ndarray:
@@ -431,12 +441,14 @@ def _direct_likelihoods(sys_: SmallSystem, t_t: int):
     h, logw = _channel_nodes(sys_, t_t, stream=1)
     z = math.sqrt(sys_.rho / sys_.m) * (h @ _input_vectors(sys_.m).T)   # (nodes, C)
     a = math.sqrt(2.0)
-    qr_p = q_function(-a * z.real)
-    qi_p = q_function(-a * z.imag)
-    qr_m = 1.0 - qr_p
-    qi_m = 1.0 - qi_p
-    g = np.stack([qr_p * qi_p, qr_p * qi_m, qr_m * qi_p, qr_m * qi_m], axis=0).transpose(2, 0, 1)
-    return np.exp(logw), np.ascontiguousarray(g)
+    g = np.empty((z.shape[1], 4, z.shape[0]))
+    for c, zc in enumerate(z.T):
+        qr_p = q_function(-a * zc.real)
+        qi_p = q_function(-a * zc.imag)
+        qr_m = 1.0 - qr_p
+        qi_m = 1.0 - qi_p
+        g[c] = qr_p * qi_p, qr_p * qi_m, qr_m * qi_p, qr_m * qi_m
+    return np.exp(logw), g
 
 
 def _training_products(prefix: np.ndarray, g: np.ndarray, depth: int):

@@ -353,6 +353,14 @@ class TestExact:
         assert code == 1 and out == ""
         assert "samples must be positive" in err
 
+    def test_too_many_monte_carlo_samples_exit_one_before_any_table(self, capsys):
+        # 10^8 nodes at m = 2 would ask for about 100 GB of tables
+        code, out, err = run_cli(["exact", "--m", "2", "--n", "1", "--t", "2", "--rho", "1",
+                                  "--mc-samples", "100000000"], capsys)
+        assert (code, out, err) == (1, "", "onebit-bounds: error: 100000000 channel nodes exceed "
+                                           "the cap of 5000000; lower the quadrature order or use "
+                                           "fewer Monte Carlo samples\n")
+
     def test_negative_seed_exits_one_naming_the_seed(self, capsys):
         args = ["exact", "--m", "1", "--n", "1", "--t", "2", "--rho", "1", "--seed", "-1"]
         code, out, err = run_cli(args + ["--mc-samples", "10"], capsys)

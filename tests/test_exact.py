@@ -33,6 +33,7 @@ from onebit_bounds.exact import (
     _training_products,
 )
 from onebit_bounds.numerics import q_function
+from onebit_bounds.quantizer import sign_log_likelihoods
 
 def sys11(t_total=3, rho=10.0):
     return SmallSystem(1, 1, t_total, rho)
@@ -278,19 +279,24 @@ def loop_reff_exact(t_t, s):
     return max(0.0, total / (s.m * math.log(2.0)))
 
 
-def loop_mi_direct(t_t, s):
-    """mi_direct with one Python iteration per (training matrix, Y_t), summing
-    the full joint law of (x, y_d, Y_t) in np.longdouble from the same
-    float64 likelihood tables: the oracle the direct pipeline must match."""
+def stacked_direct_likelihoods(s, t_t):
+    """mi_direct's (w, g) built whole-table: the tails of every column at
+    once, stacked and transposed into a contiguous copy."""
     h, logw = _channel_nodes(s, t_t, stream=1)
-    w = np.exp(logw)
-    x_cols = _input_vectors(s.m)
-    n_inputs = x_cols.shape[0]
-    z = math.sqrt(s.rho / s.m) * (h @ x_cols.T)
+    z = math.sqrt(s.rho / s.m) * (h @ _input_vectors(s.m).T)
     qr_p, qi_p = q_function(-math.sqrt(2.0) * z.real), q_function(-math.sqrt(2.0) * z.imag)
     qr_m, qi_m = 1.0 - qr_p, 1.0 - qi_p
     g = np.ascontiguousarray(
         np.stack([qr_p * qi_p, qr_p * qi_m, qr_m * qi_p, qr_m * qi_m], axis=0).transpose(2, 0, 1))
+    return np.exp(logw), g
+
+
+def loop_mi_direct(t_t, s):
+    """mi_direct with one Python iteration per (training matrix, Y_t), summing
+    the full joint law of (x, y_d, Y_t) in np.longdouble from the same
+    float64 likelihood tables: the oracle the direct pipeline must match."""
+    w, g = stacked_direct_likelihoods(s, t_t)
+    n_inputs = 4 ** s.m
     strings = _strings(t_t)
     nats = np.longdouble(0.0)
     for cols in itertools.product(range(n_inputs), repeat=t_t):
@@ -363,6 +369,65 @@ class TestBatchedPipelines:
         assert next(products, None) is None
 
 
+def gathered_receiver_tables(tab, cols):
+    """receiver_tables with each training symbol's likelihood rows gathered
+    into a whole (S, nodes) copy before they are added, and the shifted
+    products exponentiated into a new array."""
+    n_nodes = tab.logw.shape[0]
+    s_count = tab.strings.shape[0]
+    acc = np.tile(tab.logw, (s_count, 1))
+    for p, c in enumerate(cols):
+        acc += tab.log_g[c, tab.strings[:, p], :]
+    shift = acc.max(axis=1, keepdims=True)
+    np.maximum(shift, -1e300, out=shift)
+    e = np.exp(acc - shift)
+    with np.errstate(divide="ignore"):
+        v_log = np.log(e.sum(axis=1)) + shift[:, 0]
+        w = e @ tab.g_lin.reshape(tab.n_inputs * 4, n_nodes).T
+        w_log = np.log(w).reshape(s_count, tab.n_inputs, 4) + shift[:, :, None]
+    return v_log, w_log
+
+
+class TestNodeTables:
+    # the tables are built one input column at a time, in place; every value
+    # must carry the bits of the whole-table formulas
+    @pytest.mark.parametrize("s, t_t", [
+        *((SmallSystem(1, 1, 5, 10.0, order=12), t_t) for t_t in range(5)),
+        *((SmallSystem(1, 1, 5, 10.0, samples=200, seed=3), t_t) for t_t in range(5)),
+        *((SmallSystem(2, 1, 3, 10.0, order=8), t_t) for t_t in range(3)),
+        *((SmallSystem(2, 1, 3, 10.0, samples=500, seed=3), t_t) for t_t in range(3)),
+    ], ids=[*(f"m1-quad-t{t}" for t in range(5)), *(f"m1-mc-t{t}" for t in range(5)),
+            *(f"m2-quad-t{t}" for t in range(3)), *(f"m2-mc-t{t}" for t in range(3))])
+    def test_tables_keep_every_bit(self, s, t_t):
+        tab = _Tables(s, t_t)
+        h, logw = _channel_nodes(s, t_t, stream=0)
+        z = math.sqrt(s.rho / s.m) * (h @ _input_vectors(s.m).T)
+        log_g = np.ascontiguousarray(sign_log_likelihoods(z).transpose(2, 0, 1))
+        assert np.array_equal(tab.log_g, log_g)
+        assert np.array_equal(tab.g_lin, np.exp(log_g))
+        for got, want in zip(exact._direct_likelihoods(s, t_t), stacked_direct_likelihoods(s, t_t)):
+            assert np.array_equal(got, want)
+        for cols in itertools.product(range(4 ** s.m), repeat=t_t):
+            for got, want in zip(tab.receiver_tables(cols), gathered_receiver_tables(tab, cols)):
+                assert np.array_equal(got, want)
+
+    def test_peak_memory_stays_near_the_kept_tables(self):
+        # the d-pipeline keeps two tables of 4^m * 4 float64 per node, log_g
+        # and g_lin; a whole-table stack or transposed copy next to them
+        # breaks the bound
+        s = SmallSystem(2, 1, 2, 10.0, samples=20_000, seed=0)
+        c_bound_exact(s)  # fill the caches first
+        mi_direct(1, s)
+        tracemalloc.start()
+        try:
+            c_bound_exact(s)
+            mi_direct(1, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * (2 * 4 ** 2 * 4 * 20_000 * 8)
+
+
 class TestCBoundExact:
     def test_zero_snr_ties_to_least_training(self):
         res, _ = c_bound_exact(sys11(t_total=3, rho=0.0))
@@ -419,13 +484,15 @@ class TestValidationAndBudget:
         (dict(n=0), "n must be 1 or 2, got 0"),
         (dict(t_total=6), "t_total must lie in 1..5, got 6"),
         (dict(rho=-1.0), "rho must be finite and nonnegative, got -1.0"),
-        (dict(order=48), "tensor quadrature with order 48 over 4 real dimensions is too "
-                         "large; lower the order or use Monte Carlo"),
+        (dict(order=48), "5308416 channel nodes exceed the cap of 5000000; lower the "
+                         "quadrature order or use fewer Monte Carlo samples"),
+        (dict(samples=5_000_001), "5000001 channel nodes exceed the cap of 5000000; lower the "
+                                  "quadrature order or use fewer Monte Carlo samples"),
         # the settings of the channel expectation are checked first
         (dict(m=3, order=1), "quadrature order must be >= 2, got 1"),
         (dict(m=3, samples=0), "samples must be positive, got 0"),
     ], ids=["order", "samples", "seed", "m", "n", "t_total", "rho", "tensor-size",
-            "m-and-order", "m-and-samples"])
+            "sample-count", "m-and-order", "m-and-samples"])
     def test_each_bad_field_is_named(self, fields, message):
         with pytest.raises(ValueError) as exc:
             SmallSystem(**{**dict(m=2, n=2, t_total=3, rho=5.0), **fields})
