@@ -29,7 +29,9 @@ through max-shifted log-sum-exp, so deep training blocks cannot underflow.
 Training matrices that differ only by per-transmitter phase rotations,
 transmitter relabeling, or training-symbol reordering give identical rate
 contributions (the channel law absorbs the transformation), so the average
-over X_t runs over canonical representatives with multiplicities.
+over X_t runs over canonical representatives with multiplicities.  A common
+phase j permutes the input columns and turns the sign outputs, so the node
+tables evaluate the likelihoods of one column per orbit, a quarter of them.
 
 ``mi_direct`` recomputes the same conditional mutual information in the
 linear domain, with no symmetry reduction, no tables shared with the
@@ -84,8 +86,8 @@ SIGN_OUT = np.array(SIGN_OUTPUTS)
 ENUMERATION_BUDGET = 10 ** 8
 
 #: Cap on the channel nodes, order^(2M) under quadrature or the Monte Carlo
-#: samples.  Per node the d-pipeline keeps two tables of 4^M * 4 float64 (log
-#: and linear likelihoods) and ``mi_direct`` one.
+#: samples.  Per node the d-pipeline keeps 4^M * 4 linear likelihoods and 4^M
+#: log ones (the phase-orbit minima's), ``mi_direct`` 4^M * 4 linear ones.
 NODE_CAP = 5_000_000
 
 
@@ -185,18 +187,25 @@ def _input_vectors(m: int) -> np.ndarray:
 
 
 class _Tables:
-    """Per-(system, t_t) node tables shared by the d-pipeline operations."""
+    """Per-(system, t_t) node tables shared by the d-pipeline operations: log
+    likelihoods of the phase-orbit minima (:func:`_phase_orbits`) and linear
+    likelihoods of every input column, the W contraction's operand."""
 
     def __init__(self, sys_: SmallSystem, t_t: int):
         h, self.logw = _channel_nodes(sys_, t_t, stream=0)
         self.n_inputs = 4 ** sys_.m
-        z = math.sqrt(sys_.rho / sys_.m) * (h @ _input_vectors(sys_.m).T)
-        # log_g[c, y, k] = ln P(sign(z[k, c] + v) = SIGN_OUT[y]), one column at a time
-        self.log_g = np.empty((self.n_inputs, 4, len(self.logw)))
-        for c in range(self.n_inputs):
-            self.log_g[c] = sign_log_likelihoods(z[:, c])
+        reps, self.place = _phase_orbits(sys_.m)
+        z = math.sqrt(sys_.rho / sys_.m) * (h @ _input_vectors(sys_.m)[reps].T)
+        # log_rep[i, y, k] = ln P(sign(z[k, i] + v) = SIGN_OUT[y]) for minimum i
+        self.log_rep = np.empty((len(reps), 4, len(self.logw)))
+        self.g_lin = np.empty((self.n_inputs, 4, len(self.logw)))
+        for i, r in enumerate(reps):
+            self.log_rep[i] = sign_log_likelihoods(z[:, i])
+            np.exp(self.log_rep[i], out=self.g_lin[r])
         del z
-        self.g_lin = np.exp(self.log_g)                     # linear copy for the W contraction
+        for c, (i, rows) in enumerate(self.place):
+            if c != reps[i]:
+                self.g_lin[c] = self.g_lin[reps[i], rows]
         self.strings = _strings(t_t)                        # (S, t_t)
 
     def receiver_tables(self, cols):
@@ -217,7 +226,8 @@ class _Tables:
         acc = np.tile(self.logw, (s_count, 1))
         grid = acc.reshape((4,) * t_t + (n_nodes,))      # one axis per training symbol
         for p, c in enumerate(cols):
-            grid += self.log_g[c].reshape((4,) + (1,) * (t_t - 1 - p) + (n_nodes,))
+            i, rows = self.place[c]
+            grid += self.log_rep[i, rows].reshape((4,) + (1,) * (t_t - 1 - p) + (n_nodes,))
         shift = acc.max(axis=1, keepdims=True)
         np.maximum(shift, -1e300, out=shift)  # all-(-inf) rows stay harmless
         acc -= shift
@@ -245,22 +255,40 @@ def _conditional_mi_nats(ld3: np.ndarray) -> np.ndarray:
 
 # --- training-matrix symmetry classes -------------------------------------
 
+@lru_cache(maxsize=2)
+def _column_maps(m: int) -> dict:
+    """The symmetry group's action on the input column indices, keyed by
+    element (perm, ks), a transmitter permutation and a power of j per
+    transmitter: the map read back with :func:`_encode` from the input columns
+    with their transmitters permuted and each multiplied by its power of j."""
+    x = _input_vectors(m)
+    return {(perm, ks): _encode(x[:, perm] * 1j ** np.array(ks), QPSK, x.shape, "rotated column")
+            for perm in itertools.permutations(range(m))
+            for ks in itertools.product(range(4), repeat=m)}
+
+
+@lru_cache(maxsize=2)
+def _phase_orbits(m: int):
+    """``(reps, place)``: the minima of the input columns' orbits under the
+    common phase j^k, the group element (identity, (k,) * m), and for each
+    column c = j^k reps[i] the pair (i, rows), rows the indices of
+    (-j)^k SIGN_OUT, since sign(j^k w) = y exactly when sign(w) = (-j)^k y."""
+    orbit = np.array([_column_maps(m)[(tuple(range(m)), (k,) * m)] for k in range(4)])
+    reps, pos = np.unique(orbit.min(axis=0), return_inverse=True)
+    rows = _encode(np.multiply.outer((-1j) ** np.arange(4), SIGN_OUT), SIGN_OUT, (4, 4, 1), "y")
+    return reps, tuple((i, rows[-k % 4]) for i, k in zip(pos, orbit.argmin(axis=0)))
+
+
 @lru_cache(maxsize=32)
 def _training_classes(m: int, t_t: int):
     """Canonical training matrices with multiplicities.
 
     A training matrix is a tuple of t_t column indices in 0..4^m-1.  Rate
-    contributions are invariant under per-transmitter phase rotations by
-    powers of j (absorbed by the channel phase), transmitter relabeling, and
+    contributions are invariant under the group of :func:`_column_maps` and
     training-symbol reordering, so matrices are grouped by the minimum of
-    their orbit under that group.  Each group element acts on the column
-    indices as the map read back with :func:`_encode` from the input columns
-    with their transmitters permuted and each multiplied by its power of j.
+    their orbit under that group.
     """
-    x = _input_vectors(m)
-    maps = [_encode(x[:, perm] * 1j ** np.array(ks), QPSK, x.shape, "rotated column")
-            for perm in itertools.permutations(range(m))
-            for ks in itertools.product(range(4), repeat=m)]
+    maps = _column_maps(m).values()
     counts = Counter(min(tuple(sorted(mp[list(cols)])) for mp in maps)
                      for cols in itertools.product(range(4 ** m), repeat=t_t))
     return tuple(sorted(counts.items()))

@@ -26,6 +26,7 @@ from onebit_bounds.exact import (
 from onebit_bounds.exact import (
     _channel_nodes,
     _input_vectors,
+    _phase_orbits,
     _stack_receivers,
     _strings,
     _Tables,
@@ -369,15 +370,55 @@ class TestBatchedPipelines:
         assert next(products, None) is None
 
 
+class TestPhaseOrbits:
+    # a common phase j on every transmitter maps input columns to input
+    # columns and turns the sign outputs; the node tables rely on both
+
+    def test_quarter_turns_permute_the_output_rows(self):
+        # no matrix product: the rotated inputs come from 1j * z alone
+        parts = [0.0, -0.0, 40.0, -40.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                 *np.random.default_rng(29).standard_normal(24)]
+        z = np.array([complex(a, b) for a in parts for b in parts])
+        _, place = _phase_orbits(1)
+        assert list(place[2][1]) == [1, 3, 0, 2]  # QPSK[2] = j QPSK[0]
+        base, turned = sign_log_likelihoods(z), z
+        for k in range(1, 4):
+            turned = 1j * turned
+            c = int(np.argmin(np.abs(QPSK - 1j ** k * QPSK[0])))
+            assert np.array_equal(sign_log_likelihoods(turned), base[place[c][1]])
+
+    @pytest.mark.parametrize("m, n_orbits", [(1, 1), (2, 4)])
+    def test_orbits_partition_the_columns(self, m, n_orbits):
+        x = _input_vectors(m)
+        reps, place = _phase_orbits(m)
+        assert len(reps) == n_orbits == 4 ** m // 4
+        seen = []
+        for i, r in enumerate(reps):
+            orbit = [int(np.argmin(np.abs(x - 1j ** k * x[r]).sum(axis=1))) for k in range(4)]
+            assert min(orbit) == r and len(set(orbit)) == 4
+            turn = np.arange(4)
+            for k, c in enumerate(orbit):
+                assert place[c][0] == i and list(place[c][1]) == list(turn)
+                turn = turn[[1, 3, 0, 2]]
+            seen += orbit
+        assert sorted(seen) == list(range(4 ** m))
+
+
+def whole_log_tables(tab):
+    """Every input column's log table, rebuilt from its orbit minimum's rows."""
+    return np.array([tab.log_rep[i, rows] for i, rows in tab.place])
+
+
 def gathered_receiver_tables(tab, cols):
     """receiver_tables with each training symbol's likelihood rows gathered
-    into a whole (S, nodes) copy before they are added, and the shifted
-    products exponentiated into a new array."""
+    from the whole log table into a (S, nodes) copy before they are added,
+    and the shifted products exponentiated into a new array."""
     n_nodes = tab.logw.shape[0]
     s_count = tab.strings.shape[0]
+    log_g = whole_log_tables(tab)
     acc = np.tile(tab.logw, (s_count, 1))
     for p, c in enumerate(cols):
-        acc += tab.log_g[c, tab.strings[:, p], :]
+        acc += log_g[c, tab.strings[:, p], :]
     shift = acc.max(axis=1, keepdims=True)
     np.maximum(shift, -1e300, out=shift)
     e = np.exp(acc - shift)
@@ -389,21 +430,28 @@ def gathered_receiver_tables(tab, cols):
 
 
 class TestNodeTables:
-    # the tables are built one input column at a time, in place; every value
-    # must carry the bits of the whole-table formulas
+    # the log tables are built for the phase-orbit minima only, one at a
+    # time, and every other column's rows are read from its minimum's; every
+    # value must carry the bits of the whole-table formulas
     @pytest.mark.parametrize("s, t_t", [
         *((SmallSystem(1, 1, 5, 10.0, order=12), t_t) for t_t in range(5)),
         *((SmallSystem(1, 1, 5, 10.0, samples=200, seed=3), t_t) for t_t in range(5)),
         *((SmallSystem(2, 1, 3, 10.0, order=8), t_t) for t_t in range(3)),
         *((SmallSystem(2, 1, 3, 10.0, samples=500, seed=3), t_t) for t_t in range(3)),
+        *((SmallSystem(1, 1, 5, rho, order=12), t_t) for rho in (0.0, 1e6) for t_t in (1, 3)),
+        *((SmallSystem(2, 1, 3, rho, samples=500, seed=3), t_t) for rho in (0.0, 1e6)
+          for t_t in (1, 2)),
     ], ids=[*(f"m1-quad-t{t}" for t in range(5)), *(f"m1-mc-t{t}" for t in range(5)),
-            *(f"m2-quad-t{t}" for t in range(3)), *(f"m2-mc-t{t}" for t in range(3))])
+            *(f"m2-quad-t{t}" for t in range(3)), *(f"m2-mc-t{t}" for t in range(3)),
+            *(f"m1-quad-rho{r}-t{t}" for r in ("0", "1e6") for t in (1, 3)),
+            *(f"m2-mc-rho{r}-t{t}" for r in ("0", "1e6") for t in (1, 2))])
     def test_tables_keep_every_bit(self, s, t_t):
         tab = _Tables(s, t_t)
         h, logw = _channel_nodes(s, t_t, stream=0)
         z = math.sqrt(s.rho / s.m) * (h @ _input_vectors(s.m).T)
         log_g = np.ascontiguousarray(sign_log_likelihoods(z).transpose(2, 0, 1))
-        assert np.array_equal(tab.log_g, log_g)
+        assert tab.log_rep.shape == (4 ** s.m // 4, 4, len(logw))
+        assert np.array_equal(whole_log_tables(tab), log_g)
         assert np.array_equal(tab.g_lin, np.exp(log_g))
         for got, want in zip(exact._direct_likelihoods(s, t_t), stacked_direct_likelihoods(s, t_t)):
             assert np.array_equal(got, want)
@@ -411,10 +459,27 @@ class TestNodeTables:
             for got, want in zip(tab.receiver_tables(cols), gathered_receiver_tables(tab, cols)):
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("run", [
+        lambda: c_bound_exact(SmallSystem(2, 1, 2, 10.0, samples=20_000, seed=0)),
+        lambda: reff_exact(2, SmallSystem(2, 2, 3, 10.0, samples=20_000, seed=0)),
+    ], ids=["c_bound-m2n1-t2", "reff-m2n2-t2"])
+    def test_d_pipeline_peak_stays_near_its_tables(self, run):
+        # per node the d-pipeline keeps the linear tables of all 4^m input
+        # columns and the log tables of the 4^m / 4 orbit minima; a log table
+        # for every input column breaks the bound
+        run()  # fill the caches first
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.45 * (4 ** 2 + 4 ** 2 // 4) * 4 * 20_000 * 8
+
     def test_peak_memory_stays_near_the_kept_tables(self):
-        # the d-pipeline keeps two tables of 4^m * 4 float64 per node, log_g
-        # and g_lin; a whole-table stack or transposed copy next to them
-        # breaks the bound
+        # per node mi_direct keeps one table of 4^m * 4 float64 and the
+        # d-pipeline less than two; a whole-table stack or transposed copy
+        # next to them breaks the bound
         s = SmallSystem(2, 1, 2, 10.0, samples=20_000, seed=0)
         c_bound_exact(s)  # fill the caches first
         mi_direct(1, s)
