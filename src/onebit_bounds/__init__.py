@@ -16,8 +16,6 @@ from .numerics import (
 )
 from .quantizer import SIGN_OUTPUTS, sign_log_likelihoods
 from .replica import (
-    ChannelOverlap,
-    DataOverlap,
     SolverError,
     SystemParams,
     csir_rate,

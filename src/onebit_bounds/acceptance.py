@@ -27,7 +27,6 @@ from .exact import QPSK, SIGN_OUT, SmallSystem, d2, d3, mi_direct, reff_exact
 from .numerics import gauss_hermite, q_function
 from .optimizer import compare_sweep, low_snr_asymptotics, replica_bound, sweep_onebit_alpha
 from .replica import (
-    ChannelOverlap,
     SystemParams,
     csir_rate,
     f1_value,
@@ -36,7 +35,6 @@ from .replica import (
     solve_qh,
     solve_qx_linear,
     solve_qx_onebit,
-    training_overlaps,
 )
 from .quantizer import sign_log_likelihoods
 
@@ -97,7 +95,7 @@ def criterion_2():
     problems = []
     beta_ts = (0.5, 1.0, 2.0)
     for rho in (0.001, 0.01):
-        for beta_t, q in zip(beta_ts, training_overlaps(rho, beta_ts)[0]):
+        for beta_t, q in zip(beta_ts, solve_qh(rho, beta_ts)[0]):
             ratio = q / (2.0 * beta_t * rho / math.pi)
             if not 0.95 <= ratio <= 1.05:
                 problems.append(f"rho={rho}, beta_t={beta_t}: ratio={ratio:.4f}")
@@ -190,12 +188,11 @@ def criterion_6():
 @_criterion(7, "known-channel reduction identity")
 def criterion_7():
     """Forcing a perfect channel estimate into the trained-rate formula
-    reproduces the known-channel rate."""
+    reproduces the known-channel rate: q_h = 1 gives snr_eff = rho."""
     problems = []
     for alpha in (0.5, 1.0, 4.0):
         for rho in (0.5, 2.0, 10.0):
-            params = SystemParams(alpha, 10.0, rho, "linear")
-            r_forced = reff_linear(params, ChannelOverlap(math.inf, 1.0, math.inf, rho))
+            r_forced = float(reff_linear(alpha, rho)[0])
             r_csir = csir_rate(alpha, rho)
             if abs(r_forced - r_csir) > 1e-8 * max(abs(r_csir), 1e-30):
                 problems.append(f"alpha={alpha}, rho={rho}: {r_forced!r} vs {r_csir!r}")
@@ -288,44 +285,46 @@ def criterion_9():
 
     for rho in (0.01, 1.0, 100.0):
         for beta_t in (0.1, 1.0, 10.0):
-            ov = solve_qh(rho, beta_t)
-            res = abs(residual(ov.q_h, beta_t, rho))
+            q = float(solve_qh(rho, beta_t)[0][0])
+            res = abs(residual(q, beta_t, rho))
             if res > 1e-10:
                 problems.append(f"q_h residual {res:.2e} at rho={rho}, beta_t={beta_t}")
     for s in (0.05, 1.0, 10.0):
         for alpha in (0.5, 2.0):
-            dl = solve_qx_linear(s, alpha)
-            res = abs(residual(dl.q_x, alpha, s))
+            q = float(solve_qx_linear(s, alpha)[0])
+            res = abs(residual(q, alpha, s))
             if res > 1e-10:
                 problems.append(f"q_x linear residual {res:.2e} at s={s}, alpha={alpha}")
-            do = solve_qx_onebit(s, alpha)
-            res = abs(tanh_moment(rhs(do.q_x, alpha, s)) - 1.0 - do.q_x)
+            q = float(solve_qx_onebit(s, alpha)[0][0])
+            res = abs(tanh_moment(rhs(q, alpha, s)) - 1.0 - q)
             if res > 1e-10:
                 problems.append(f"q_x one-bit residual {res:.2e} at s={s}, alpha={alpha}")
 
     # finite-difference stationarity of the free energies
     h = 1e-7
     for rho, beta_t in ((1.0, 1.0), (10.0, 0.5)):
-        ov = solve_qh(rho, beta_t)
-        dq = (f1_value(ov.q_h + h, ov.q_h_hat, rho, beta_t)
-              - f1_value(ov.q_h - h, ov.q_h_hat, rho, beta_t)) / (2 * h)
-        dqh = (f1_value(ov.q_h, ov.q_h_hat + h, rho, beta_t)
-               - f1_value(ov.q_h, ov.q_h_hat - h, rho, beta_t)) / (2 * h)
+        q = float(solve_qh(rho, beta_t)[0][0])
+        q_hat = q / (1.0 - q)
+        dq = (f1_value(q + h, q_hat, rho, beta_t)
+              - f1_value(q - h, q_hat, rho, beta_t)) / (2 * h)
+        dqh = (f1_value(q, q_hat + h, rho, beta_t)
+               - f1_value(q, q_hat - h, rho, beta_t)) / (2 * h)
         if max(abs(dq), abs(dqh)) > 1e-6:
             problems.append(f"F1 gradient ({dq:.2e}, {dqh:.2e}) at rho={rho}, beta_t={beta_t}")
     for s, alpha in ((1.0, 1.0), (5.0, 4.0)):
-        dl = solve_qx_linear(s, alpha)
-        dq = (f1_value(dl.q_x + h, dl.q_x_hat, s, alpha)
-              - f1_value(dl.q_x - h, dl.q_x_hat, s, alpha)) / (2 * h)
-        dqh = (f1_value(dl.q_x, dl.q_x_hat + h, s, alpha)
-               - f1_value(dl.q_x, dl.q_x_hat - h, s, alpha)) / (2 * h)
+        q = float(solve_qx_linear(s, alpha)[0])
+        q_hat = q / (1.0 - q)
+        dq = (f1_value(q + h, q_hat, s, alpha)
+              - f1_value(q - h, q_hat, s, alpha)) / (2 * h)
+        dqh = (f1_value(q, q_hat + h, s, alpha)
+               - f1_value(q, q_hat - h, s, alpha)) / (2 * h)
         if max(abs(dq), abs(dqh)) > 1e-6:
             problems.append(f"F2L gradient ({dq:.2e}, {dqh:.2e}) at s={s}, alpha={alpha}")
-        do = solve_qx_onebit(s, alpha)
-        dq = (f2_onebit(min(do.q_x + h, 1.0), do.q_x_hat, alpha, s)
-              - f2_onebit(do.q_x - h, do.q_x_hat, alpha, s)) / (min(do.q_x + h, 1.0) - (do.q_x - h))
-        dqh = (f2_onebit(do.q_x, do.q_x_hat + h, alpha, s)
-               - f2_onebit(do.q_x, do.q_x_hat - h, alpha, s)) / (2 * h)
+        q, q_hat = (float(v[0]) for v in solve_qx_onebit(s, alpha)[:2])
+        dq = (f2_onebit(min(q + h, 1.0), q_hat, alpha, s)
+              - f2_onebit(q - h, q_hat, alpha, s)) / (min(q + h, 1.0) - (q - h))
+        dqh = (f2_onebit(q, q_hat + h, alpha, s)
+               - f2_onebit(q, q_hat - h, alpha, s)) / (2 * h)
         if max(abs(dq), abs(dqh)) > 1e-6:
             problems.append(f"F2O gradient ({dq:.2e}, {dqh:.2e}) at s={s}, alpha={alpha}")
 

@@ -63,7 +63,7 @@ __all__ = [
     "QPSK",
     "SIGN_OUT",
     "ENUMERATION_BUDGET",
-    "NODE_CAP",
+    "TABLE_CAP",
     "EnumerationBudgetError",
     "check_budget",
     "SmallSystem",
@@ -85,10 +85,10 @@ SIGN_OUT = np.array(SIGN_OUTPUTS)
 #: Cap on 4^(M T_t) * 4^(N T_t), the number of training-block terms.
 ENUMERATION_BUDGET = 10 ** 8
 
-#: Cap on the channel nodes, order^(2M) under quadrature or the Monte Carlo
-#: samples.  Per node the d-pipeline keeps 4^M * 4 linear likelihoods and 4^M
-#: log ones (the phase-orbit minima's), ``mi_direct`` 4^M * 4 linear ones.
-NODE_CAP = 5_000_000
+#: Cap on the node-table entries: channel nodes (order^(2M), or the Monte Carlo
+#: samples) times max(4^(T-1), 4^(M+1)), the training strings and likelihoods
+#: that the d-pipeline and ``mi_direct`` keep per node, T the block length.
+TABLE_CAP = 25_000_000
 
 
 class EnumerationBudgetError(ValueError):
@@ -135,9 +135,11 @@ class SmallSystem:
         if not 0.0 <= self.rho < math.inf:
             raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
         nodes = self.order ** (2 * self.m) if self.samples is None else self.samples
-        if nodes > NODE_CAP:
-            raise ValueError(f"{nodes} channel nodes exceed the cap of {NODE_CAP}; lower the "
-                             "quadrature order or use fewer Monte Carlo samples")
+        per_node = max(4 ** (self.t_total - 1), 4 ** (self.m + 1))
+        if nodes * per_node > TABLE_CAP:
+            raise ValueError(f"{nodes} channel nodes of {per_node} table entries each exceed the "
+                             f"cap of {TABLE_CAP} entries; lower the quadrature order or use "
+                             "fewer Monte Carlo samples")
 
 
 def check_budget(sys_: SmallSystem, t_t: int) -> None:
@@ -164,7 +166,8 @@ def _channel_nodes(sys_: SmallSystem, t_t: int, stream: int):
         grids = np.meshgrid(*([rule.nodes] * dims), indexing="ij")
         g = np.stack([a.reshape(-1) for a in grids], axis=1)
         w = reduce(np.multiply.outer, [rule.weights] * dims).reshape(-1)
-        logw = np.log(w)
+        with np.errstate(divide="ignore"):  # a weight that underflows to 0 adds nothing
+            logw = np.log(w)
     else:
         ss = np.random.SeedSequence(entropy=sys_.seed, spawn_key=(t_t, stream))
         rng = np.random.default_rng(ss)

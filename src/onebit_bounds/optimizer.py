@@ -35,9 +35,9 @@ from .numerics import LN2
 from .replica import (
     SystemParams,
     _linear_rates,
-    onebit_rates,
+    reff_onebit,
     snr_from_db,
-    training_overlaps,
+    solve_qh,
 )
 
 __all__ = [
@@ -246,7 +246,7 @@ def _job_rates(jobs, snr_eff, csir=False):
     onebit = [k for k, (_, method) in enumerate(jobs) if method == "replica-onebit"]
     if onebit:
         alphas = np.array([jobs[k][0].alpha for k in onebit])[:, None]
-        rates[onebit] = onebit_rates(alphas, snr_eff[onebit]).reshape(len(onebit), -1)
+        rates[onebit] = reff_onebit(alphas, snr_eff[onebit]).reshape(len(onebit), -1)
     for k, (params, method) in enumerate(jobs):
         if method == "replica-linear":
             rates[k], r = _linear_rates(params.alpha, snr_eff[k], params.rho if csir else None)
@@ -268,7 +268,7 @@ def _grid_bounds(rho, beta, grid_step, jobs, refine=False, csir=False):
     ``csir``, the list ends with every linear job's ``csir_rate``.
     """
     def snr_effs(bts):
-        return training_overlaps(rho, bts)[1]
+        return solve_qh(rho, bts)[1]
 
     bts = training_grid(beta, grid_step)
     grid_rates, csir_rates = _job_rates(

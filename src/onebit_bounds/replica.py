@@ -31,7 +31,8 @@ scans of ``_FIT_MIN_ROWS`` values or more read their signs from a checked
 sign counts only where |residual| exceeds ``_FIT_MARGIN`` (100) times the
 fit's error bound on the residual's scale, and every other sample and both
 ends of every bracket are taken again exactly.  So the brackets, the
-residuals at their ends and the roots are those of an all-exact scan.
+residuals at their ends and the roots are those of an all-exact scan.  Each
+public solve and rate takes arrays as one batch; one point is a batch of one.
 
 One-bit moments.  With z = a u + q_hat ~ N(q_hat, q_hat), a = sqrt(q_hat), the
 tanh moment minus 1 is m = E[tanh z], and E[ln cosh z] = q_hat - ln 2 + L in
@@ -71,19 +72,14 @@ from .numerics import (LN2, chebyshev_fit, expect, gauss_hermite, mean_exp_ratio
 
 __all__ = [
     "SystemParams",
-    "ChannelOverlap",
-    "DataOverlap",
     "SolverError",
     "snr_from_db",
     "solve_qh",
-    "training_overlaps",
     "f1_value",
     "effective_snr",
     "solve_qx_linear",
     "solve_qx_onebit",
     "f2_onebit",
-    "linear_rates",
-    "onebit_rates",
     "reff_linear",
     "reff_onebit",
     "csir_rate",
@@ -162,25 +158,6 @@ def snr_from_db(db: float) -> float:
     if not math.isfinite(rho):
         raise ValueError(f"SNR of {db} dB is out of range")
     return rho
-
-
-@dataclass(frozen=True)
-class ChannelOverlap:
-    """Training-phase fixed point and the induced effective channel."""
-
-    beta_t: float
-    q_h: float
-    q_h_hat: float
-    snr_eff: float
-
-
-@dataclass(frozen=True)
-class DataOverlap:
-    """Data-phase fixed point, with the free energy used for root selection."""
-
-    q_x: float
-    q_x_hat: float
-    f2_value: float
 
 
 def _k_sq(snr, q) -> np.ndarray:
@@ -431,29 +408,20 @@ def f1_value(q: float, q_hat: float, rho: float, beta_t: float) -> float:
     return float(_free_energy(q, q_hat, beta_t, rho))
 
 
-def training_overlaps(rho: float, beta_ts):
-    """``(q_h, snr_eff)`` at every training length of a grid, as two arrays.
+def solve_qh(rho: float, beta_ts):
+    """Training-phase overlap and effective SNR at every training length of a
+    grid: ``(q_h, snr_eff)``, two arrays.
 
     The grid shares one residual scan, since the Gaussian expectation in the
-    residual depends on rho but not on beta_t.
+    residual depends on rho but not on beta_t.  beta_t = 0 (or rho = 0)
+    degenerates to q_h = 0: no estimate, snr_eff = 0.  Among multiple fixed
+    points the F1 minimizer is returned.
     """
     bts = np.atleast_1d(np.asarray(beta_ts, dtype=float))
     _check_finite("rho", rho)
     _check_finite("beta_t", bts)
     q_h = _solve_overlaps(bts, rho, "channel overlap", "beta_t")
     return q_h, effective_snr(rho, q_h)
-
-
-def solve_qh(rho: float, beta_t: float) -> ChannelOverlap:
-    """Solve the training-phase overlap equation and build the effective channel.
-
-    beta_t = 0 (or rho = 0) degenerates to q_h = 0: no estimate, snr_eff = 0.
-    Among multiple fixed points the F1 minimizer is returned.
-    """
-    q_h, snr_eff = training_overlaps(rho, beta_t)
-    q = float(q_h[0])
-    return ChannelOverlap(beta_t=float(beta_t), q_h=q, q_h_hat=q / (1.0 - q),
-                          snr_eff=float(snr_eff[0]))
 
 
 def _dual_mean(q_hat, rule, g=lambda y: 1.0):
@@ -493,27 +461,31 @@ def f2_onebit(r: float, r_hat: float, alpha: float, snr_eff: float) -> float:
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must lie in [0, 1], got {r}")
     _check_finite("r_hat", r_hat)
-    _check_data_args(snr_eff, alpha)
+    _data_pairs(snr_eff, alpha)
     return float(_f2_onebit(r, r_hat, alpha, snr_eff))
 
 
-def _check_data_args(snr_eff, alpha) -> None:
-    _check_finite("snr_eff", snr_eff)
-    _check_finite("alpha", alpha, positive=True)
+def _data_pairs(snr_eff, alpha):
+    """The (snr_eff, alpha) pairs of two broadcast arrays, flattened; ValueError
+    unless each snr_eff is finite and nonnegative and each alpha finite and positive."""
+    s, a = (v.ravel() for v in np.broadcast_arrays(
+        np.asarray(snr_eff, dtype=float), np.asarray(alpha, dtype=float)))
+    _check_finite("snr_eff", s)
+    _check_finite("alpha", a, positive=True)
+    return s, a
 
 
-def solve_qx_linear(snr_eff: float, alpha: float) -> DataOverlap:
-    """Data-phase overlap for Gaussian data symbols.
+def solve_qx_linear(snr_eff, alpha) -> np.ndarray:
+    """Data-phase overlap q_x for Gaussian data symbols at every (snr_eff,
+    alpha) pair of two broadcast arrays, flattened, solved as one batch.
 
     Substituting q_x = q_x_hat / (1 + q_x_hat) reduces the pair of stationarity
     conditions to one scalar equation of the same form as the training one,
     with (beta_t, rho) -> (alpha, snr_eff).  Among multiple roots the F2_L
     minimizer is returned.
     """
-    _check_data_args(snr_eff, alpha)
-    q = float(_solve_overlaps(alpha, snr_eff, "linear data overlap", "alpha")[0])
-    q_hat = q / (1.0 - q)
-    return DataOverlap(q_x=q, q_x_hat=q_hat, f2_value=f1_value(q, q_hat, snr_eff, alpha))
+    s, a = _data_pairs(snr_eff, alpha)
+    return _solve_overlaps(a, s, "linear data overlap", "alpha")
 
 
 def _tanh_moment(q_hat, rule):
@@ -550,15 +522,19 @@ def _tanh_fit():
                          gauss_hermite(_MOMENT_ORDER))
 
 
-def _onebit_overlaps(alpha, snr):
-    """q_x, q_x_hat and F2_O at every (alpha, snr) pair.
+def solve_qx_onebit(snr_eff, alpha):
+    """Data-phase overlap for one-bit data symbols: ``(q_x, q_x_hat, f2)``,
+    with F2_O, at every (snr_eff, alpha) pair of two broadcast arrays,
+    flattened, solved as one batch.
 
-    q_x is a root of g(q) = tanh_moment(rhs(q)) - 1 - q found by
-    :func:`_roots` on ``_ONEBIT_Q`` (snr == 0 gives the exact zero q_x = 0).
-    Where a pair has several roots the least F2_O wins; every chosen root
-    must meet |g| <= ``_TOL``, or :class:`SolverError` carries its brackets
-    and roots.
+    Substituting q_x_hat = rhs(q_x), the Gaussian-tail right-hand side,
+    leaves one scalar equation g(q) = tanh_moment(rhs(q)) - 1 - q = 0 on
+    [0, 1], whose roots :func:`_roots` finds on ``_ONEBIT_Q`` (snr_eff == 0
+    gives the exact zero q_x = 0; q_x = 1 is the saturated root).  Where a
+    pair has several roots the least F2_O wins; every chosen root must meet
+    |g| <= ``_TOL``, or :class:`SolverError` carries its brackets and roots.
     """
+    snr, alpha = _data_pairs(snr_eff, alpha)
     found = owner, roots, _, _ = _roots(alpha, snr, _onebit_g, _ONEBIT_Q)
     a, s = alpha[owner], snr[owner]
     q_hat = _gaussian_rhs(roots, a, s)
@@ -569,30 +545,17 @@ def _onebit_overlaps(alpha, snr):
     return roots[pick], q_hat[pick], f2[pick]
 
 
-def solve_qx_onebit(snr_eff: float, alpha: float) -> DataOverlap:
-    """Data-phase overlap for one-bit data symbols.
-
-    Substituting q_x_hat = rhs(q_x), the Gaussian-tail right-hand side,
-    leaves one scalar equation g(q) = tanh_moment(rhs(q)) - 1 - q = 0 on
-    [0, 1], solved by :func:`_onebit_overlaps`; q_x = 1 is the saturated
-    root.  Among multiple roots the F2_O minimizer is returned.
-    """
-    _check_data_args(snr_eff, alpha)
-    q, q_hat, f2 = (float(v[0]) for v in _onebit_overlaps(
-        np.array([float(alpha)]), np.array([float(snr_eff)])))
-    return DataOverlap(q_x=q, q_x_hat=q_hat, f2_value=f2)
-
-
-def linear_rates(alpha: float, snr_eff) -> np.ndarray:
-    """:func:`reff_linear` at every effective SNR of an array; the data
+def reff_linear(alpha: float, snr_eff) -> np.ndarray:
+    """Per-transmitter rate of the trained system with Gaussian data symbols,
+    in bits per channel use, at every effective SNR of an array; the data
     overlaps are solved as one batch."""
     return _linear_rates(alpha, snr_eff)[0]
 
 
 def _linear_rates(alpha, snr_eff, known=None):
-    """:func:`linear_rates`, and :func:`csir_rate` at a ``known`` SNR (else None)."""
+    """:func:`reff_linear`, and :func:`csir_rate` at a ``known`` SNR (else None)."""
     s = np.atleast_1d(np.asarray(snr_eff, dtype=float))
-    _check_data_args(np.append(s, [] if known is None else known), alpha)
+    _data_pairs(np.append(s, [] if known is None else known), alpha)
     q = _solve_overlaps(alpha, s, "linear data overlap", "alpha", known)
     q, q_known = q[:s.size], q[s.size:]
     # the tail term at q = 1 is minus the output-entropy term 4 alpha E[Q ln Q]
@@ -608,27 +571,14 @@ def _linear_rates(alpha, snr_eff, known=None):
     return rates, max(0.0, (tails + math.log1p(q_hat) - q_hat + q * q_hat) / LN2)
 
 
-def reff_linear(params: SystemParams, overlap: ChannelOverlap) -> float:
-    """Per-transmitter rate of the trained system with Gaussian data symbols,
-    in bits per channel use."""
-    return float(linear_rates(params.alpha, overlap.snr_eff)[0])
-
-
-def onebit_rates(alpha, snr_eff) -> np.ndarray:
-    """:func:`reff_onebit` at every (alpha, snr_eff) pair of two broadcast
-    arrays, flattened; the data overlaps are solved as one batch."""
-    a, s = (v.ravel() for v in np.broadcast_arrays(
-        np.asarray(alpha, dtype=float), np.asarray(snr_eff, dtype=float)))
-    _check_data_args(s, a)
-    _, _, f2 = _onebit_overlaps(a, s)
-    # the QPSK input alphabet caps the rate at 2 bits; trim float residue
-    return np.clip((f2 - _tail_term(a, s, 1.0)) / LN2, 0.0, 2.0)
-
-
-def reff_onebit(params: SystemParams, overlap: ChannelOverlap) -> float:
+def reff_onebit(alpha, snr_eff) -> np.ndarray:
     """Per-transmitter rate of the trained system with one-bit data symbols,
-    in bits per channel use.  Capped at 2 bits by the QPSK input alphabet."""
-    return float(onebit_rates(params.alpha, overlap.snr_eff)[0])
+    in bits per channel use, at every (alpha, snr_eff) pair of two broadcast
+    arrays, flattened; the data overlaps are solved as one batch.  The QPSK
+    input alphabet caps it at 2 bits, and the clip trims float residue."""
+    s, a = _data_pairs(snr_eff, alpha)
+    _, _, f2 = solve_qx_onebit(s, a)
+    return np.clip((f2 - _tail_term(a, s, 1.0)) / LN2, 0.0, 2.0)
 
 
 def csir_rate(alpha: float, rho: float) -> float:

@@ -1,7 +1,9 @@
 """Command-line contract: schemas, determinism, exit codes, config merging."""
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -357,9 +359,17 @@ class TestExact:
         # 10^8 nodes at m = 2 would ask for about 100 GB of tables
         code, out, err = run_cli(["exact", "--m", "2", "--n", "1", "--t", "2", "--rho", "1",
                                   "--mc-samples", "100000000"], capsys)
-        assert (code, out, err) == (1, "", "onebit-bounds: error: 100000000 channel nodes exceed "
-                                           "the cap of 5000000; lower the quadrature order or use "
-                                           "fewer Monte Carlo samples\n")
+        assert (code, out, err) == (1, "", "onebit-bounds: error: 100000000 channel nodes of 64 "
+                                           "table entries each exceed the cap of 25000000 entries; "
+                                           "lower the quadrature order or use fewer Monte Carlo "
+                                           "samples\n")
+
+    def test_underflowing_quadrature_weight_prints_no_warning(self, capsys):
+        # from order 199 at m = 1 a tensor Gauss-Hermite weight underflows to
+        # 0; its log is -inf, which the tables already handle, and must not warn
+        code, out, err = run_cli(["exact", "--m", "1", "--n", "1", "--t", "2", "--rho", "10",
+                                  "--channel-order", "199"], capsys)
+        assert (code, err) == (0, "") and out
 
     def test_negative_seed_exits_one_naming_the_seed(self, capsys):
         args = ["exact", "--m", "1", "--n", "1", "--t", "2", "--rho", "1", "--seed", "-1"]
@@ -632,6 +642,33 @@ class TestStartup:
         with tracing.Tracer().installed():
             assert replica.solve_qx_onebit is not before
         assert replica.solve_qx_onebit is before
+
+    # the tracer's names that these commands never call, and why
+    OFF_PATH = {
+        "replica.overlap_fixed_points": "lists every root of one equation; the solves pick one",
+        "replica.csir_rate": "the known-channel rate, printed by compare only",
+        "replica.reff_linear": "the grid path takes the linear rates and csir_rate in one batch",
+        "replica.solve_qx_linear": "the linear rates solve their overlaps inside that batch",
+        "numerics.exp_ratio": "mean_exp_ratio changes variables and averages 2 / erfcx",
+        "numerics.q_log_q": "mean_q_log_q changes variables and averages erfcx times log_ndtr",
+    }
+
+    def test_benchmark_tracer_names_stay_on_the_cli_path(self):
+        # a traced benchmark run counts calls of these names, so each must run
+        # under the command that exercises its layer
+        tracer = load_perfbench("tracing").Tracer()
+        with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+            for args in ("bound --alpha 4 --beta 8 --rho 10 --tx onebit --refine",
+                         "bound --alpha 4 --beta 8 --rho 10 --tx linear",
+                         "exact --m 1 --n 1 --t 3 --rho 10"):
+                assert main(args.split()) == 0
+        metrics = tracer.layer_metrics(0)
+        on_path = ["replica.solve_qh", "replica.solve_qx_onebit", "replica.reff_onebit",
+                   "optimizer.optimize_training", "exact.reff_exact", "exact.mi_direct",
+                   "exact.receiver_tables"]
+        assert [name for name in on_path if metrics[f"{name}.calls"] < 1] == []
+        assert {name: metrics[f"{name}.calls"] for name in self.OFF_PATH} == \
+               dict.fromkeys(self.OFF_PATH, 0)
 
 
 class TestGoldenBytes:

@@ -549,10 +549,14 @@ class TestValidationAndBudget:
         (dict(n=0), "n must be 1 or 2, got 0"),
         (dict(t_total=6), "t_total must lie in 1..5, got 6"),
         (dict(rho=-1.0), "rho must be finite and nonnegative, got -1.0"),
-        (dict(order=48), "5308416 channel nodes exceed the cap of 5000000; lower the "
-                         "quadrature order or use fewer Monte Carlo samples"),
-        (dict(samples=5_000_001), "5000001 channel nodes exceed the cap of 5000000; lower the "
-                                  "quadrature order or use fewer Monte Carlo samples"),
+        # 64 entries per node at (m, t_total) = (2, 3): order 25 and 390,625
+        # samples are at the cap, one more node is over it
+        (dict(order=26), "456976 channel nodes of 64 table entries each exceed the cap of "
+                         "25000000 entries; lower the quadrature order or use fewer Monte "
+                         "Carlo samples"),
+        (dict(samples=390_626), "390626 channel nodes of 64 table entries each exceed the cap "
+                                "of 25000000 entries; lower the quadrature order or use fewer "
+                                "Monte Carlo samples"),
         # the settings of the channel expectation are checked first
         (dict(m=3, order=1), "quadrature order must be >= 2, got 1"),
         (dict(m=3, samples=0), "samples must be positive, got 0"),
@@ -562,6 +566,16 @@ class TestValidationAndBudget:
         with pytest.raises(ValueError) as exc:
             SmallSystem(**{**dict(m=2, n=2, t_total=3, rho=5.0), **fields})
         assert str(exc.value) == message
+
+    def test_table_cap_counts_the_block_length(self):
+        # 64 entries per node up to t_total = 4 at m = 2, so systems at the
+        # cap are admitted; at t_total = 5 each node keeps 4^4 = 256 training
+        # strings, which puts the default order at m = 2 over the cap
+        SmallSystem(2, 2, 3, 5.0, order=25)
+        SmallSystem(2, 2, 4, 5.0, samples=390_625)
+        SmallSystem(1, 1, 5, 5.0, order=312)
+        with pytest.raises(ValueError, match="^331776 channel nodes of 256 table entries each"):
+            SmallSystem(2, 1, 5, 5.0)
 
     def test_antenna_counts_capped(self):
         with pytest.raises(ValueError):

@@ -14,9 +14,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "onebit_bounds"
 ALLOWED = {
     "overlap_fixed_points": "lists every root of one overlap equation, to inspect root "
                             "multiplicity; perfbench's tracer wraps it by name",
-    "reff_onebit": "the one-point one-bit rate, onebit_rates([alpha], [snr_eff])[0]; tests "
-                   "use it to check that a batch gives the bits of one-point solves, and "
-                   "perfbench's tracer wraps it by name",
     "exp_ratio": "the pointwise ratio exp(-x^2)/Q(x) behind mean_exp_ratio; perfbench's "
                  "tracer wraps it by name",
     "q_log_q": "the pointwise Q(x) ln Q(x) behind mean_q_log_q; perfbench's tracer wraps "

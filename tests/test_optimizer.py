@@ -24,11 +24,9 @@ from onebit_bounds.optimizer import (
 from onebit_bounds.replica import (
     SystemParams,
     csir_rate,
-    onebit_rates,
     reff_onebit,
     snr_from_db,
     solve_qh,
-    training_overlaps,
 )
 
 
@@ -97,13 +95,14 @@ class TestOptimizeTraining:
 
     def test_onebit_bound_against_fine_grid_oracle(self):
         # exhaustive fine grid (step 0.001) as one batched solve, which
-        # TestBatchedSolve checks point by point against solve_qh and
-        # reff_onebit; the coarse run's step-0.1 grid is a separate batch
+        # TestBatchedSolve checks point by point against one-point batches of
+        # solve_qh and reff_onebit; the coarse run's step-0.1 grid is a
+        # separate batch
         params = SystemParams(8.0, 8.0, 10.0, "onebit")
         res, _ = replica_bound(params, 0.1)
         fine_grid = training_grid(8.0, 0.001)
-        _, snr_eff = training_overlaps(10.0, fine_grid)
-        objective = (8.0 - fine_grid) / 8.0 * onebit_rates(params.alpha, snr_eff)
+        _, snr_eff = solve_qh(10.0, fine_grid)
+        objective = (8.0 - fine_grid) / 8.0 * reff_onebit(params.alpha, snr_eff)
         bt_fine = float(fine_grid[int(np.argmax(objective))])
         assert abs(res.beta_t_opt - bt_fine) <= 0.1 + 1e-9
         # the refinement resolves beta_t to grid_step * 1e-3, inside half a
@@ -166,13 +165,12 @@ class TestBrent:
         # the oracle: scipy's search, one scalar solve per point
         swept = sweep_onebit_alpha(alphas, beta, rho, step)
         grid = training_grid(beta, step)
-        _, snr_eff = training_overlaps(rho, grid)
+        _, snr_eff = solve_qh(rho, grid)
         for alpha, (res, _) in zip(alphas, swept):
-            params = SystemParams(alpha, beta, rho, "onebit")
-            objective = (beta - grid) / beta * onebit_rates(alpha, snr_eff)
+            objective = (beta - grid) / beta * reff_onebit(alpha, snr_eff)
             i = int(np.argmax(objective))
             x, fun, _ = scipy_bounded(
-                lambda bt: -(beta - bt) / beta * reff_onebit(params, solve_qh(rho, bt)),
+                lambda bt: -(beta - bt) / beta * float(reff_onebit(alpha, solve_qh(rho, bt)[1])[0]),
                 grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], step * 1e-3)
             assert -fun > objective[i]
             assert as_hex([res.beta_t_opt, res.c_bound]) == as_hex([x, -fun]), alpha

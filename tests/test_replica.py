@@ -21,22 +21,18 @@ from onebit_bounds import numerics, replica
 from onebit_bounds.numerics import LN2, QuadratureRule, gauss_hermite
 from onebit_bounds.optimizer import training_grid
 from onebit_bounds.replica import (
-    ChannelOverlap,
     SolverError,
     SystemParams,
     csir_rate,
     effective_snr,
     f1_value,
     f2_onebit,
-    linear_rates,
-    onebit_rates,
     overlap_fixed_points,
     reff_linear,
     reff_onebit,
     solve_qh,
     solve_qx_linear,
     solve_qx_onebit,
-    training_overlaps,
 )
 from onebit_bounds.replica import _ONEBIT_Q, _SCAN_Q, _gaussian_g, _illinois, _onebit_g, _roots
 
@@ -179,49 +175,48 @@ def o_f1(q, coef, snr, nodes, weights):
 
 class TestSolveQh:
     def test_no_training_degenerates(self):
-        ov = solve_qh(1.0, 0.0)
-        assert ov.q_h == 0.0 and ov.snr_eff == 0.0
+        q_h, snr_eff = solve_qh(1.0, 0.0)
+        assert q_h.tolist() == snr_eff.tolist() == [0.0]
         # in one batch with beta_t = 1e-13, whose root 2 beta_t rho / (pi (1 + rho))
         # lies below the scan's first point after q = 0
-        q_h, _ = training_overlaps(1.0, [0.0, 1e-13])
+        q_h, _ = solve_qh(1.0, [0.0, 1e-13])
         assert q_h[0] == 0.0
         assert q_h[1] == pytest.approx(1e-13 / math.pi, rel=1e-3)
 
     def test_zero_snr_degenerates(self):
-        ov = solve_qh(0.0, 3.0)
-        assert ov.q_h == 0.0 and ov.snr_eff == 0.0
+        q_h, snr_eff = solve_qh(0.0, 3.0)
+        assert q_h.tolist() == snr_eff.tolist() == [0.0]
 
     def test_low_snr_law(self):
-        ov = solve_qh(0.01, 1.0)
-        assert ov.q_h == pytest.approx(2.0 * 1.0 * 0.01 / math.pi, rel=0.05)
+        q_h, _ = solve_qh(0.01, 1.0)
+        assert q_h[0] == pytest.approx(2.0 * 1.0 * 0.01 / math.pi, rel=0.05)
 
     def test_against_bisection_oracle(self):
         for rho, beta_t in ((10.0, 1.0), (1.0, 0.5), (100.0, 2.0), (0.1, 5.0)):
-            got = solve_qh(rho, beta_t).q_h
+            got = solve_qh(rho, beta_t)[0][0]
             assert got == pytest.approx(o_bisect_root(beta_t, rho), abs=1e-8)
 
     def test_overlap_record_is_consistent(self):
-        ov = solve_qh(10.0, 1.0)
-        assert 0.0 <= ov.q_h < 1.0
-        assert ov.q_h_hat == pytest.approx(ov.q_h / (1.0 - ov.q_h), rel=1e-10)
-        assert ov.snr_eff == pytest.approx(10.0 * ov.q_h / (1.0 + 10.0 * (1.0 - ov.q_h)), rel=1e-12)
+        (q,), (snr_eff,) = solve_qh(10.0, 1.0)
+        assert 0.0 <= q < 1.0
+        assert snr_eff == pytest.approx(10.0 * q / (1.0 + 10.0 * (1.0 - q)), rel=1e-12)
 
     def test_monotone_in_training_and_snr(self):
         betas = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
         rhos = (0.01, 0.1, 1.0, 10.0, 100.0)
         for rho in rhos:
-            qs = [solve_qh(rho, bt).q_h for bt in betas]
+            qs = solve_qh(rho, betas)[0].tolist()
             assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
         for bt in betas:
-            qs = [solve_qh(rho, bt).q_h for rho in rhos]
+            qs = [solve_qh(rho, bt)[0][0] for rho in rhos]
             assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
 
     def test_low_snr_effective_snr_band(self):
         for rho in (0.001, 0.01):
             for bt in (0.5, 1.0, 2.0):
-                ov = solve_qh(rho, bt)
-                assert 0.95 <= ov.q_h / (2 * bt * rho / math.pi) <= 1.05
-                assert 0.9 <= ov.snr_eff / (2 * bt * rho**2 / math.pi) <= 1.1
+                (q,), (snr_eff,) = solve_qh(rho, bt)
+                assert 0.95 <= q / (2 * bt * rho / math.pi) <= 1.05
+                assert 0.9 <= snr_eff / (2 * bt * rho**2 / math.pi) <= 1.1
 
     def test_all_roots_exposed(self):
         roots, brackets = overlap_fixed_points(1.0, 10.0)
@@ -237,7 +232,7 @@ class TestSolveQh:
         with pytest.raises(ValueError, match="beta_t must be finite"):
             solve_qh(1.0, math.inf)
         with pytest.raises(ValueError, match="beta_t must be finite"):
-            training_overlaps(1.0, [1.0, math.nan])
+            solve_qh(1.0, [1.0, math.nan])
         with pytest.raises(ValueError, match="rho must be finite"):
             effective_snr(math.inf, 0.5)
         with pytest.raises(ValueError, match="alpha must be finite"):
@@ -313,7 +308,7 @@ class TestBatchedSolve:
     def test_grid_picks_least_free_energy(self, rho, fold):
         # where there are three roots (beta_t >= 3 at rho = 10, >= 2 at
         # rho = 100) the pick is the middle one
-        q_h, _ = training_overlaps(rho, GRID_BETAS)
+        q_h, _ = solve_qh(rho, GRID_BETAS)
         for bt, q in zip(GRID_BETAS.tolist(), q_h.tolist()):
             roots = o_bisect_root(bt, rho, **fold, width=0.0, every=True)
             energy = [o_f1(r, bt, rho, **fold) for r in roots]
@@ -322,15 +317,15 @@ class TestBatchedSolve:
     @pytest.mark.parametrize("rho", [0.01, 1.0, 10.0, 100.0])
     def test_snr_eff_has_the_bits_of_effective_snr(self, rho):
         for bts in (GRID_BETAS, training_grid(8.0, 0.1)):
-            q_h, snr_eff = training_overlaps(rho, bts)
+            q_h, snr_eff = solve_qh(rho, bts)
             assert [v.hex() for v in snr_eff.tolist()] == \
                    [effective_snr(rho, q).hex() for q in q_h.tolist()]
 
     def test_grid_matches_pointwise_solves(self):
-        q_h, snr_eff = training_overlaps(10.0, GRID_BETAS)
-        pointwise = [solve_qh(10.0, float(bt)) for bt in GRID_BETAS]
-        assert q_h.tolist() == [ov.q_h for ov in pointwise]
-        assert snr_eff.tolist() == [ov.snr_eff for ov in pointwise]
+        q_h, snr_eff = solve_qh(10.0, GRID_BETAS)
+        pointwise = [solve_qh(10.0, [bt]) for bt in GRID_BETAS.tolist()]
+        assert q_h.tolist() == [q[0] for q, _ in pointwise]
+        assert snr_eff.tolist() == [s[0] for _, s in pointwise]
 
     @pytest.mark.xfail(strict=True, reason="the 64-point scan puts both roots of a close "
                        "pair in one interval, so neither is bracketed")
@@ -347,14 +342,14 @@ class TestBatchedSolve:
         # at beta_t rho = 1e14 the root lies above the scan's last point, 1 - 1e-9
         with pytest.raises(SolverError, match=r"^no channel overlap fixed point bracketed "
                                               r"\(beta_t=1e\+06, snr=1e\+08\)$"):
-            training_overlaps(1e8, [1.0, 1e6, 2.0])
+            solve_qh(1e8, [1.0, 1e6, 2.0])
 
     @pytest.fixture
     def unrefined(self, monkeypatch):
         """The SolverError of a grid whose brackets stay as the scan left them."""
         monkeypatch.setattr(replica, "_MAX_STEPS", 0)
         with pytest.raises(SolverError) as exc:
-            training_overlaps(1.0, [1.0, 2.0])
+            solve_qh(1.0, [1.0, 2.0])
         return exc.value
 
     def test_open_bracket_names_its_training_length(self, unrefined):
@@ -396,7 +391,7 @@ class TestBatchedSolve:
         rhs, sizes = replica._gaussian_rhs, []
         monkeypatch.setattr(replica, "_gaussian_rhs",
                             lambda q, *args: sizes.append(np.size(q)) or rhs(q, *args))
-        training_overlaps(rho, grid)
+        solve_qh(rho, grid)
         assert 2 * grid.size <= sum(sizes) <= 10 * grid.size
 
 
@@ -466,7 +461,7 @@ class TestCertifiedScan:
         monkeypatch.setattr(replica, "tail_fit", refuse)
         monkeypatch.setattr(replica, "_tanh_fit", refuse)
         assert 66 < replica._FIT_MIN_ROWS
-        training_overlaps(10.0, GRID_BETAS)
+        solve_qh(10.0, GRID_BETAS)
         csir_rate(2.0, 10.0)
         solve_qx_onebit(10.0, 4.0)
 
@@ -608,14 +603,12 @@ class TestEffectiveSnr:
 
 class TestSolveQxLinear:
     def test_zero_snr(self):
-        d = solve_qx_linear(0.0, 1.0)
-        assert d.q_x == 0.0 and d.q_x_hat == 0.0
-        assert d.f2_value == pytest.approx(2 * LN2, rel=1e-12)
+        assert solve_qx_linear(0.0, 1.0).tolist() == [0.0]
+        assert f1_value(0.0, 0.0, 0.0, 1.0) == pytest.approx(2 * LN2, rel=1e-12)
 
     def test_low_snr_law(self):
         s = 1e-4
-        d = solve_qx_linear(s, 1.0)
-        assert d.q_x == pytest.approx(2 * s / math.pi, rel=0.05)
+        assert solve_qx_linear(s, 1.0)[0] == pytest.approx(2 * s / math.pi, rel=0.05)
 
     def test_against_damped_iteration_oracle(self):
         s, alpha = 1.0, 2.0
@@ -626,21 +619,18 @@ class TestSolveQxLinear:
             if abs(q_new - q) < 1e-14:
                 break
             q = q + 0.3 * (q_new - q)
-        d = solve_qx_linear(s, alpha)
-        assert d.q_x == pytest.approx(q, abs=1e-8)
-        assert d.q_x_hat == pytest.approx(d.q_x / (1 - d.q_x), rel=1e-10)
+        assert solve_qx_linear(s, alpha)[0] == pytest.approx(q, abs=1e-8)
 
 
 class TestSolveQxOnebit:
     def test_zero_snr(self):
-        d = solve_qx_onebit(0.0, 1.0)
-        assert d.q_x == 0.0 and d.q_x_hat == 0.0
-        assert d.f2_value == pytest.approx(2 * LN2, rel=1e-12)
+        (q,), (q_hat,), (f2,) = solve_qx_onebit(0.0, 1.0)
+        assert q == 0.0 and q_hat == 0.0
+        assert f2 == pytest.approx(2 * LN2, rel=1e-12)
 
     def test_low_snr_law(self):
         s = 1e-4
-        d = solve_qx_onebit(s, 1.0)
-        assert d.q_x == pytest.approx(2 * s / math.pi, rel=0.05)
+        assert solve_qx_onebit(s, 1.0)[0][0] == pytest.approx(2 * s / math.pi, rel=0.05)
 
     def test_against_grid_refinement_oracle(self):
         # exhaustive grid on q, oracle-coded tanh moment, bisection refine
@@ -668,24 +658,23 @@ class TestSolveQxOnebit:
                 b = m
             else:
                 a, fa = m, fm
-        d = solve_qx_onebit(s, alpha)
-        assert d.q_x == pytest.approx(0.5 * (a + b), abs=1e-6)
-        assert 0.0 <= d.q_x <= 1.0
+        q = solve_qx_onebit(s, alpha)[0][0]
+        assert q == pytest.approx(0.5 * (a + b), abs=1e-6)
+        assert 0.0 <= q <= 1.0
 
     @pytest.mark.parametrize("s", [1e-9, 1e-10, 1e-12])
     def test_series_branch_keeps_relative_accuracy(self, s):
         # q_hat < 1e-8: the direct form of the tanh moment is a sum of
         # positive terms, so q_x keeps its relative accuracy; forming 1 + m
         # and subtracting 1 would leave it 1.5e-7 off at snr_eff = 1e-9
-        d = solve_qx_onebit(s, 1.0)
-        assert d.q_x_hat < 1e-8
-        assert d.q_x == pytest.approx(mp_tanh_moment(d.q_x_hat), rel=1e-12, abs=0.0)
+        (q,), (q_hat,), _ = solve_qx_onebit(s, 1.0)
+        assert q_hat < 1e-8
+        assert q == pytest.approx(mp_tanh_moment(q_hat), rel=1e-12, abs=0.0)
 
     def test_residuals_below_tolerance(self):
         for s, alpha in ((0.05, 0.5), (1.0, 1.0), (10.0, 4.0)):
-            d = solve_qx_onebit(s, alpha)
-            q_hat = o_rhs(d.q_x, alpha, s)
-            assert q_hat == pytest.approx(d.q_x_hat, rel=1e-6)
+            (q,), (q_hat,), _ = solve_qx_onebit(s, alpha)
+            assert o_rhs(q, alpha, s) == pytest.approx(q_hat, rel=1e-6)
 
 
 def mp_moments(q_hat):
@@ -801,7 +790,7 @@ class TestOnebitBatch:
     def test_roots_match_bisection_oracle(self):
         alpha = np.repeat(ONEBIT_ALPHAS, len(ONEBIT_SNRS))
         snr = np.tile(ONEBIT_SNRS, len(ONEBIT_ALPHAS))
-        q, _, _ = replica._onebit_overlaps(alpha, snr)
+        q, _, _ = solve_qx_onebit(snr, alpha)
         for i, (a, s) in enumerate(zip(alpha, snr)):
             roots = o_onebit_roots(a, s)
             assert len(roots) == 1, f"alpha={a}, snr={s}"
@@ -810,7 +799,7 @@ class TestOnebitBatch:
     def test_saturated_pairs_give_unit_overlap(self):
         alpha = np.array([64.0, 64.0, 256.0, 256.0, 64.0])
         snr = np.array([10.0, 100.0, 1.0, 10.0, 1.0])
-        q, _, _ = replica._onebit_overlaps(alpha, snr)
+        q, _, _ = solve_qx_onebit(snr, alpha)
         assert q[:4].tolist() == [1.0] * 4
         assert all(o_onebit_roots(a, s) == [1.0] for a, s in zip(alpha[:4], snr[:4]))
         assert 0.0 < q[4] < 1.0  # alpha 64 at snr 1 is short of saturation
@@ -818,32 +807,29 @@ class TestOnebitBatch:
     def test_moment_rounded_above_two_still_saturates(self):
         # here the 128-node tanh moment at q = 1 sums to 2 + 4.4e-16, above
         # its exact bound 2, which left g > 0 on all of [0, 1] and no bracket
-        d = solve_qx_onebit(5.284161765473836, 256.0)
-        assert d.q_x == 1.0
+        q, _, _ = solve_qx_onebit(5.284161765473836, 256.0)
+        assert q.tolist() == [1.0]
 
     def test_zero_snr_pairs_give_zero_overlap(self):
         alpha, snr = np.array([1.0, 4.0, 2.0, 8.0]), np.array([0.0, 1.0, 0.0, 10.0])
-        q, q_hat, f2 = replica._onebit_overlaps(alpha, snr)
+        q, q_hat, f2 = solve_qx_onebit(snr, alpha)
         assert q[0] == q[2] == q_hat[0] == q_hat[2] == 0.0
         assert f2[2] == f2_onebit(0.0, 0.0, 2.0, 0.0)
         assert q[1] > 0.0 and q[3] > 0.0
-        rates = onebit_rates(alpha, snr)
+        rates = reff_onebit(alpha, snr)
         assert rates[0] == rates[2] == 0.0 and (rates[[1, 3]] > 0.0).all()
 
     def test_batch_matches_pointwise_solves(self, monkeypatch):
         monkeypatch.setattr(numerics, "_SLAB", 5)  # several slabs, the last partial
-        overlaps = [solve_qh(10.0, bt) for bt in GRID_BETAS.tolist()]
+        _, snr = solve_qh(10.0, GRID_BETAS)
         alphas = (1.0, 8.0)
-        snr = np.array([ov.snr_eff for ov in overlaps])
-        q, q_hat, f2 = replica._onebit_overlaps(np.repeat(alphas, snr.size),
-                                                np.tile(snr, len(alphas)))
-        pointwise = [solve_qx_onebit(s, a) for a in alphas for s in snr]
-        assert q.tolist() == [d.q_x for d in pointwise]
-        assert q_hat.tolist() == [d.q_x_hat for d in pointwise]
-        assert f2.tolist() == [d.f2_value for d in pointwise]
-        rates = onebit_rates(np.array(alphas)[:, None], snr)
-        assert rates.tolist() == [reff_onebit(SystemParams(a, 8.0, 10.0, "onebit"), ov)
-                                  for a in alphas for ov in overlaps]
+        q, q_hat, f2 = solve_qx_onebit(np.tile(snr, len(alphas)), np.repeat(alphas, snr.size))
+        pointwise = [solve_qx_onebit([s], [a]) for a in alphas for s in snr.tolist()]
+        assert q.tolist() == [d[0][0] for d in pointwise]
+        assert q_hat.tolist() == [d[1][0] for d in pointwise]
+        assert f2.tolist() == [d[2][0] for d in pointwise]
+        rates = reff_onebit(np.array(alphas)[:, None], snr)
+        assert rates.tolist() == [reff_onebit([a], [s])[0] for a in alphas for s in snr.tolist()]
 
     @pytest.fixture
     def unrefined(self, monkeypatch):
@@ -852,7 +838,7 @@ class TestOnebitBatch:
         monkeypatch.setattr(replica, "_MAX_STEPS", 0)
         monkeypatch.setattr(numerics, "_SLAB", 2)  # the failing pair in slab 2
         with pytest.raises(SolverError) as exc:
-            onebit_rates([256.0, 256.0, 8.0], [1.0, 10.0, 100.0])
+            reff_onebit([256.0, 256.0, 8.0], [1.0, 10.0, 100.0])
         return exc.value
 
     def test_failing_point_is_named(self, unrefined):
@@ -897,18 +883,19 @@ class TestF2:
     def test_stationarity_at_solutions(self):
         h = 1e-7
         for s, alpha in ((1.0, 1.0), (5.0, 4.0)):
-            d = solve_qx_linear(s, alpha)
-            grad_q = (f1_value(d.q_x + h, d.q_x_hat, s, alpha)
-                      - f1_value(d.q_x - h, d.q_x_hat, s, alpha)) / (2 * h)
-            grad_qh = (f1_value(d.q_x, d.q_x_hat + h, s, alpha)
-                       - f1_value(d.q_x, d.q_x_hat - h, s, alpha)) / (2 * h)
+            q = float(solve_qx_linear(s, alpha)[0])
+            q_hat = q / (1.0 - q)
+            grad_q = (f1_value(q + h, q_hat, s, alpha)
+                      - f1_value(q - h, q_hat, s, alpha)) / (2 * h)
+            grad_qh = (f1_value(q, q_hat + h, s, alpha)
+                       - f1_value(q, q_hat - h, s, alpha)) / (2 * h)
             assert abs(grad_q) < 1e-6 and abs(grad_qh) < 1e-6
-            o = solve_qx_onebit(s, alpha)
-            hi = min(o.q_x + h, 1.0)
-            grad_q = (f2_onebit(hi, o.q_x_hat, alpha, s)
-                      - f2_onebit(o.q_x - h, o.q_x_hat, alpha, s)) / (hi - o.q_x + h)
-            grad_qh = (f2_onebit(o.q_x, o.q_x_hat + h, alpha, s)
-                       - f2_onebit(o.q_x, o.q_x_hat - h, alpha, s)) / (2 * h)
+            q, q_hat = (float(v[0]) for v in solve_qx_onebit(s, alpha)[:2])
+            hi = min(q + h, 1.0)
+            grad_q = (f2_onebit(hi, q_hat, alpha, s)
+                      - f2_onebit(q - h, q_hat, alpha, s)) / (hi - q + h)
+            grad_qh = (f2_onebit(q, q_hat + h, alpha, s)
+                       - f2_onebit(q, q_hat - h, alpha, s)) / (2 * h)
             assert abs(grad_q) < 1e-6 and abs(grad_qh) < 1e-6
 
 
@@ -961,45 +948,39 @@ def _csir_at_each(alpha, snr_eff):
 
 class TestRates:
     def test_no_estimate_means_no_rate(self):
-        ov = solve_qh(10.0, 0.0)
-        p = SystemParams(2.0, 8.0, 10.0, "linear")
-        assert reff_linear(p, ov) == 0.0
-        assert reff_onebit(SystemParams(2.0, 8.0, 10.0, "onebit"), ov) == 0.0
+        _, snr_eff = solve_qh(10.0, 0.0)
+        assert reff_linear(2.0, snr_eff).tolist() == [0.0]
+        assert reff_onebit(2.0, snr_eff).tolist() == [0.0]
         for alpha in (1e-3, 1.0, 2.0, 256.0, 1e9):
-            assert linear_rates(alpha, [0.0]).tolist() == [0.0]
-            assert onebit_rates(alpha, 0.0).tolist() == [0.0]
+            assert reff_linear(alpha, [0.0]).tolist() == [0.0]
+            assert reff_onebit(alpha, 0.0).tolist() == [0.0]
             assert csir_rate(alpha, 0.0) == 0.0
         # snr_eff = 1e-320 makes coef K^2 subnormal; the scan still brackets it
-        rates = linear_rates(1.0, [0.0, 1e-320, 1e-300])
+        rates = reff_linear(1.0, [0.0, 1e-320, 1e-300])
         assert (np.isfinite(rates) & (rates >= 0.0)).all()
 
     def test_linear_against_independent_chain(self):
-        p = SystemParams(1.0, 10.0, 10.0, "linear")
-        ov = solve_qh(10.0, 1.0)
-        assert reff_linear(p, ov) == pytest.approx(
+        _, snr_eff = solve_qh(10.0, 1.0)
+        assert reff_linear(1.0, snr_eff)[0] == pytest.approx(
             o_reff_chain(1.0, 10.0, 1.0, "linear"), abs=1e-7)
 
     def test_onebit_against_independent_chain(self):
-        p = SystemParams(4.0, 8.0, 10.0, "onebit")
-        ov = solve_qh(10.0, 1.0)
-        assert reff_onebit(p, ov) == pytest.approx(
+        _, snr_eff = solve_qh(10.0, 1.0)
+        assert reff_onebit(4.0, snr_eff)[0] == pytest.approx(
             o_reff_chain(4.0, 10.0, 1.0, "onebit"), abs=1e-7)
 
     def test_onebit_hard_cap(self):
+        _, snr_eff = solve_qh(10.0, [0.2, 1.0, 4.0])
         for alpha in (1.0, 8.0, 64.0, 256.0):
-            p = SystemParams(alpha, 8.0, 10.0, "onebit")
-            for bt in (0.2, 1.0, 4.0):
-                ov = solve_qh(10.0, bt)
-                assert reff_onebit(p, ov) <= 2.0
+            assert (reff_onebit(alpha, snr_eff) <= 2.0).all()
 
     def test_monotone_in_overlap_quality(self):
-        p = SystemParams(2.0, 8.0, 10.0, "linear")
-        rates = [reff_linear(p, solve_qh(10.0, bt))
-                 for bt in (0.1, 0.5, 1.0, 2.0, 5.0)]
+        rates = reff_linear(2.0, solve_qh(10.0, [0.1, 0.5, 1.0, 2.0, 5.0])[1]).tolist()
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
     @pytest.mark.parametrize("rates", [
-        linear_rates, onebit_rates, pytest.param(_csir_at_each, id="csir_rate")])
+        pytest.param(reff_linear, id="linear_rates"), pytest.param(reff_onebit, id="onebit_rates"),
+        pytest.param(_csir_at_each, id="csir_rate")])
     @pytest.mark.parametrize("alpha, snr_eff", [
         (1.0, [-0.5, 1.0]),
         (-1.0, [0.5]),
@@ -1040,8 +1021,8 @@ class TestCsirRate:
     def test_reduction_identity_grid(self):
         for alpha in (0.5, 1.0, 4.0):
             for rho in (0.5, 2.0, 10.0):
-                p = SystemParams(alpha, 10.0, rho, "linear")
-                forced = reff_linear(p, ChannelOverlap(math.inf, 1.0, math.inf, rho))
+                # q_h = 1 gives snr_eff = rho
+                forced = reff_linear(alpha, rho)[0]
                 assert forced == pytest.approx(csir_rate(alpha, rho), rel=1e-8)
 
 
@@ -1104,5 +1085,5 @@ class TestHighSnrOracles:
         oracle = (-4.0 * alpha * (q_qlnq(a) - q_qlnq(math.sqrt(snr)))
                   + q_hat - 2.0 * ln_cosh + q * q_hat) / LN2
         assert oracle < 2.0
-        assert onebit_rates(alpha, snr)[0] == pytest.approx(oracle, abs=1e-10)
-        assert 1.9993 < onebit_rates(alpha, snr)[0] < 2.0  # below the clip
+        assert reff_onebit(alpha, snr)[0] == pytest.approx(oracle, abs=1e-10)
+        assert 1.9993 < reff_onebit(alpha, snr)[0] < 2.0  # below the clip
