@@ -39,7 +39,6 @@ from .optimizer import (
     training_grid,
 )
 from .exact import (
-    EnumerationBudgetError,
     SmallSystem,
     c_bound_exact,
     d1,

@@ -48,11 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _resolved_rho(cfg: argparse.Namespace) -> float:
     if (cfg.rho is None) == (cfg.rho_db is None):
         raise ValueError("exactly one of --rho / --rho-db must be provided")
-    if cfg.rho is None:
-        return snr_from_db(cfg.rho_db)
-    if not math.isfinite(cfg.rho):
-        raise ValueError(f"rho must be finite, got {cfg.rho}")
-    return float(cfg.rho)
+    return snr_from_db(cfg.rho_db) if cfg.rho is None else cfg.rho
 
 
 def _load_config_file(path: str) -> dict:

@@ -64,8 +64,6 @@ __all__ = [
     "SIGN_OUT",
     "ENUMERATION_BUDGET",
     "TABLE_CAP",
-    "EnumerationBudgetError",
-    "check_budget",
     "SmallSystem",
     "d1",
     "d2",
@@ -82,21 +80,13 @@ QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 #: Sign-quantizer output alphabet in the same enumeration order.
 SIGN_OUT = np.array(SIGN_OUTPUTS)
 
-#: Cap on 4^(M T_t) * 4^(N T_t), the number of training-block terms.
+#: Cap on 4^((M + N) T_t), the number of training-block terms, at T_t = T - 1.
 ENUMERATION_BUDGET = 10 ** 8
 
 #: Cap on the node-table entries: channel nodes (order^(2M), or the Monte Carlo
 #: samples) times max(4^(T-1), 4^(M+1)), the training strings and likelihoods
 #: that the d-pipeline and ``mi_direct`` keep per node, T the block length.
 TABLE_CAP = 25_000_000
-
-
-class EnumerationBudgetError(ValueError):
-    """The training-block enumeration exceeds the term budget."""
-
-    def __init__(self, terms: int, message: str):
-        super().__init__(message)
-        self.terms = terms
 
 
 @dataclass(frozen=True)
@@ -109,6 +99,11 @@ class SmallSystem:
     Monte Carlo streams are derived from ``seed`` per training length and per
     pipeline, so the d-pipeline and ``mi_direct`` never share draws and
     repeated runs are bit-reproducible.
+
+    Construction is the engine's one admission check: past the ranges, the
+    node tables and the training-block terms are capped at the longest
+    training length t_total - 1.  The term budget refuses only m = n = 2,
+    t_total = 5; t_total = 4 gives the same rates up to T_t = 3.
     """
 
     m: int
@@ -140,19 +135,10 @@ class SmallSystem:
             raise ValueError(f"{nodes} channel nodes of {per_node} table entries each exceed the "
                              f"cap of {TABLE_CAP} entries; lower the quadrature order or use "
                              "fewer Monte Carlo samples")
-
-
-def check_budget(sys_: SmallSystem, t_t: int) -> None:
-    """Raise :class:`EnumerationBudgetError` if the training enumeration for
-    t_t training symbols exceeds the term budget."""
-    if not 0 <= t_t <= sys_.t_total - 1:
-        raise ValueError(f"t_t must lie in 0..{sys_.t_total - 1}, got {t_t}")
-    terms = 4 ** (sys_.m * t_t) * 4 ** (sys_.n * t_t)
-    if terms > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            terms,
-            f"training enumeration needs {terms} terms, budget is {ENUMERATION_BUDGET}",
-        )
+        terms = 4 ** ((self.m + self.n) * (self.t_total - 1))
+        if terms > ENUMERATION_BUDGET:
+            raise ValueError(f"training enumeration needs {terms} terms, "
+                             f"budget is {ENUMERATION_BUDGET}")
 
 
 def _channel_nodes(sys_: SmallSystem, t_t: int, stream: int):
@@ -160,6 +146,8 @@ def _channel_nodes(sys_: SmallSystem, t_t: int, stream: int):
 
     ``stream`` separates the Monte Carlo draws of the two rate pipelines.
     """
+    if not 0 <= t_t <= sys_.t_total - 1:
+        raise ValueError(f"t_t must lie in 0..{sys_.t_total - 1}, got {t_t}")
     if sys_.samples is None:
         rule = gauss_hermite(sys_.order)
         dims = 2 * sys_.m
@@ -312,13 +300,13 @@ def _encode(values, alphabet: np.ndarray, shape: tuple, name: str) -> np.ndarray
 
 
 def _block(x_t, y_t, t_t: int, sys_: SmallSystem):
-    """``(ld2, ld1)`` of the training block (x_t, y_t) after the budget check:
+    """``(ld2, ld1)`` of the training block (x_t, y_t), t_t checked first:
     ld2 = ln p(y_t | x_t) and ld1[x, y] = ln p(y_d, y_t | x_d, x_t), with x
     the data column's index and y the data outputs' (first receiver slowest)."""
-    check_budget(sys_, t_t)
+    tab = _block_tables(sys_, t_t)
     cols = _encode(np.transpose(np.reshape(x_t, (sys_.m, t_t))), QPSK, (t_t, sys_.m), "x_t")
     s_idx = _encode(y_t, SIGN_OUT, (sys_.n, t_t), "y_t")
-    v_log, w_log = _block_tables(sys_, t_t).receiver_tables(cols)
+    v_log, w_log = tab.receiver_tables(cols)
     ld2, ld1 = _stack_receivers(v_log, w_log, s_idx[:, None])
     return float(ld2[0]), ld1[0]
 
@@ -366,7 +354,6 @@ def _stack_receivers(v_log, w_log, s_idx):
 def reff_exact(t_t: int, sys_: SmallSystem) -> float:
     """Exact per-transmitter rate (bits per channel use) after t_t training
     symbols, averaged over training matrices and training outputs."""
-    check_budget(sys_, t_t)
     tab = _Tables(sys_, t_t)
     s_count = tab.strings.shape[0]
     # every Y_t, one string index per receiver, first receiver slowest
@@ -389,13 +376,10 @@ def c_bound_exact(sys_: SmallSystem):
     lengths 1..T-1 with :func:`optimize_training`, on the grid
     beta_t = T_t / m; ties break toward less training.
 
-    Returns ``(BoundResult, RateCurve)``.  Every training length is checked
-    against the enumeration budget before any rate is computed.
+    Returns ``(BoundResult, RateCurve)``.
     """
     if sys_.t_total < 2:
         raise ValueError("c_bound_exact needs t_total >= 2 (--t >= 2) to split training and data")
-    for t_t in range(1, sys_.t_total):
-        check_budget(sys_, t_t)
     return optimize_training([reff_exact(t_t, sys_) for t_t in range(1, sys_.t_total)],
                              sys_.t_total / sys_.m, 1 / sys_.m, method="exact")
 
@@ -410,7 +394,6 @@ def mi_direct(t_t: int, sys_: SmallSystem) -> float:
     Carlo stream, one training matrix at a time and factored over the
     receivers (:func:`_information`); the d-pipeline sums the full joint law.
     """
-    check_budget(sys_, t_t)
     w, g = _direct_likelihoods(sys_, t_t)
     g_flat = g.reshape(-1, g.shape[2]).T
     # pr[s, x, y] = E_h[ g_data(x, y) prod_p g_p(s_p) ] for one receiver

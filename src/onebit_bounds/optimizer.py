@@ -13,7 +13,8 @@ replica bounds may refine the optimum inside the winning bracket when the grid
 is too coarse, e.g. for training-length studies at large receiver counts, with
 the package's own bounded Brent search, transcribed from scipy so that it
 visits the same points and returns the same bits; it resolves beta_t to
-grid_step * 1e-3.  Every job on one training grid is refined in lockstep.
+grid_step * 1e-3 (absolute), and below the grid when that search ends at
+the first point.  Every job on one training grid is refined in lockstep.
 
 Also here: the Bussgang-linearization comparison bound for Gaussian inputs,
 
@@ -214,13 +215,21 @@ def _refine(found, rates_at):
     ``found``) at training lengths ``xs``.  A search result replaces the
     grid optimum if it improves the objective.
     """
+    def search(bts, i, xatol):
+        lo = float(bts[i - 1]) if i > 0 else float(bts[0])
+        hi = float(bts[i + 1]) if i + 1 < len(bts) else float(bts[-1])
+        x, fun, _ = yield from _brent(lo, hi, xatol)
+        if i == 0 and x - lo <= 2.0 * xatol:  # the optimum may lie below the grid
+            x0, fun0, _ = yield from _brent(0.0, lo, xatol)
+            if fun0 < fun:
+                x, fun = x0, fun0
+        return x, fun
+
     searches, xs = {}, {}
     for k, (result, curve) in enumerate(found):
         bts, i = curve.beta_t, int(np.argmax(curve.objective))
-        lo = float(bts[i - 1]) if i > 0 else float(bts[0])
-        hi = float(bts[i + 1]) if i + 1 < len(bts) else float(bts[-1])
-        if hi > lo:
-            searches[k] = _brent(lo, hi, curve.grid_step * 1e-3)
+        if len(bts) > 1:
+            searches[k] = search(bts, i, curve.grid_step * 1e-3)
             xs[k] = next(searches[k])
     out = list(found)
     while xs:
@@ -231,7 +240,7 @@ def _refine(found, rates_at):
                 xs[k] = searches[k].send(-(beta - xs[k]) / beta * float(rate))
             except StopIteration as stop:
                 del xs[k]
-                x, fun, _ = stop.value
+                x, fun = stop.value
                 result, curve = found[k]
                 if -fun > result.c_bound:
                     out[k] = (replace(result, beta_t_opt=float(x), c_bound=-fun), curve)

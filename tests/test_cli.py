@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,15 @@ class TestBound:
         code, _, err = run_cli(["bound", "--alpha", "1", "--beta", "2", "--rho", "inf"], capsys)
         assert code == 1
         assert "finite" in err
+
+    @pytest.mark.parametrize("command", ["bound --alpha 1 --beta 2", "figure --which 2 --beta 8",
+                                         "exact --m 1 --n 1 --t 2",
+                                         "asymptotics --alpha 1 --beta 2"])
+    @pytest.mark.parametrize("rho", ["inf", "nan"])
+    def test_non_finite_snr_is_named_by_the_system_check(self, command, rho, capsys):
+        code, out, err = run_cli(f"{command} --rho {rho}".split(), capsys)
+        assert (code, out, err) == (1, "", "onebit-bounds: error: rho must be finite and "
+                                           f"nonnegative, got {rho}\n")
 
     @pytest.mark.parametrize("args", [
         "bound --alpha 1 --beta inf --rho 1",
@@ -338,6 +348,16 @@ class TestExact:
                                 "--rho", "1", "--channel-order", "4"], capsys)
         assert code == 1
         assert str(4 ** 8 * 4 ** 8) in err
+
+    def test_budget_refuses_before_any_table(self, capsys):
+        # Monte Carlo keeps the tables small; the terms at T_t = 4 are refused
+        # at construction, before any node is drawn
+        start = time.perf_counter()
+        code, out, err = run_cli(["exact", "--m", "2", "--n", "2", "--t", "5", "--rho", "1",
+                                  "--mc-samples", "100"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", f"onebit-bounds: error: training enumeration needs "
+                                           f"{4 ** 16} terms, budget is 100000000\n")
 
     def test_missing_block_length_exits_one(self, capsys):
         code, out, err = run_cli("exact --m 1 --n 1 --rho 1".split(), capsys)

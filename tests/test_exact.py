@@ -13,7 +13,6 @@ from onebit_bounds import exact
 from onebit_bounds.exact import (
     QPSK,
     SIGN_OUT,
-    EnumerationBudgetError,
     SmallSystem,
     c_bound_exact,
     d1,
@@ -448,7 +447,17 @@ class TestNodeTables:
     def test_tables_keep_every_bit(self, s, t_t):
         tab = _Tables(s, t_t)
         h, logw = _channel_nodes(s, t_t, stream=0)
-        z = math.sqrt(s.rho / s.m) * (h @ _input_vectors(s.m).T)
+        # every column's z from its orbit minimum's, formed with the tables'
+        # operand shape (BLAS kernels may round h @ x differently per shape)
+        # and turned exactly by the power of j that maps the minimum to it
+        x = _input_vectors(s.m)
+        reps = _phase_orbits(s.m)[0]
+        z_rep = math.sqrt(s.rho / s.m) * (h @ x[reps].T)
+        z = np.empty((len(logw), len(x)), dtype=complex)
+        for c in range(len(x)):
+            i, k = next((i, k) for i in range(len(reps)) for k in range(4)
+                        if np.allclose(1j ** k * x[reps[i]], x[c]))
+            z[:, c] = 1j ** k * z_rep[:, i]
         log_g = np.ascontiguousarray(sign_log_likelihoods(z).transpose(2, 0, 1))
         assert tab.log_rep.shape == (4 ** s.m // 4, 4, len(logw))
         assert np.array_equal(whole_log_tables(tab), log_g)
@@ -560,8 +569,11 @@ class TestValidationAndBudget:
         # the settings of the channel expectation are checked first
         (dict(m=3, order=1), "quadrature order must be >= 2, got 1"),
         (dict(m=3, samples=0), "samples must be positive, got 0"),
+        # 100 samples keep the tables far under their cap; 4^16 terms are not
+        (dict(t_total=5, samples=100), "training enumeration needs 4294967296 terms, budget is "
+                                       "100000000"),
     ], ids=["order", "samples", "seed", "m", "n", "t_total", "rho", "tensor-size",
-            "sample-count", "m-and-order", "m-and-samples"])
+            "sample-count", "m-and-order", "m-and-samples", "terms"])
     def test_each_bad_field_is_named(self, fields, message):
         with pytest.raises(ValueError) as exc:
             SmallSystem(**{**dict(m=2, n=2, t_total=3, rho=5.0), **fields})
@@ -593,14 +605,25 @@ class TestValidationAndBudget:
             SmallSystem(1, 1, 6, 1.0)
 
     def test_enumeration_budget_enforced(self):
-        s = SmallSystem(2, 2, 5, 1.0, order=8)
-        with pytest.raises(EnumerationBudgetError) as exc:
-            reff_exact(4, s)
-        assert exc.value.terms == 4 ** 8 * 4 ** 8
+        # the longest training length, T_t = 4, decides at construction
+        with pytest.raises(ValueError) as exc:
+            SmallSystem(2, 2, 5, 1.0, order=8)
+        assert str(exc.value) == f"training enumeration needs {4 ** 16} terms, budget is 100000000"
 
-    def test_training_length_range_checked(self):
-        with pytest.raises(ValueError):
-            reff_exact(3, sys11(t_total=3))
+    def test_enumeration_budget_refuses_only_the_largest_block(self):
+        for m, n, t_total in itertools.product((1, 2), (1, 2), range(1, 6)):
+            if (m, n, t_total) != (2, 2, 5):
+                SmallSystem(m, n, t_total, 1.0, samples=1)
+
+    @pytest.mark.parametrize("run", [
+        lambda s: reff_exact(3, s),
+        lambda s: mi_direct(3, s),
+        lambda s: d2(QPSK[[0, 0, 0]].reshape(1, 3), SIGN_OUT[[0, 0, 0]].reshape(1, 3), 3, s),
+    ], ids=["reff_exact", "mi_direct", "d2"])
+    def test_training_length_range_checked(self, run):
+        with pytest.raises(ValueError) as exc:
+            run(sys11(t_total=3))
+        assert str(exc.value) == "t_t must lie in 0..2, got 3"
 
     def test_alphabet_membership_checked(self):
         s = sys11()

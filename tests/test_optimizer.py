@@ -111,6 +111,19 @@ class TestOptimizeTraining:
         assert abs(refined.beta_t_opt - bt_fine) <= 0.0005 + 0.1 * 1e-3
         assert refined.c_bound >= objective.max()
 
+    @pytest.mark.parametrize("alpha", [512.0, 4096.0, 16384.0])
+    def test_optimum_below_the_first_grid_point(self, alpha):
+        # the grid argmax is the first point, 0.1, and the optimum lies
+        # below it; the oracle is a step-1e-4 grid on (0, 0.1], and the
+        # refinement's absolute tolerance is 0.1 * 1e-3
+        grid = np.arange(1, 1001) * 1e-4
+        _, snr_eff = solve_qh(10.0, grid)
+        objective = (8.0 - grid) / 8.0 * reff_onebit(alpha, snr_eff)
+        refined, curve = replica_bound(SystemParams(alpha, 8.0, 10.0, "onebit"), 0.1, refine=True)
+        assert int(np.argmax(curve.objective)) == 0
+        assert abs(refined.beta_t_opt - grid[int(np.argmax(objective))]) <= 0.1 * 1e-3
+        assert refined.c_bound >= objective.max()
+
 
 def run_brent(f, lo, hi, xatol):
     """Drive the :func:`_brent` generator with f; returns (x, f(x), nfev)."""
@@ -174,6 +187,16 @@ class TestBrent:
                 grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], step * 1e-3)
             assert -fun > objective[i]
             assert as_hex([res.beta_t_opt, res.c_bound]) == as_hex([x, -fun]), alpha
+
+    @pytest.mark.parametrize("alpha", [512.0, 4096.0])
+    def test_search_below_the_grid_matches_scipy(self, alpha):
+        # the search of [0.1, 0.2] ends within two tolerances of 0.1, so
+        # [0, 0.1] is searched as well and the better point is kept
+        f = lambda bt: -(8.0 - bt) / 8.0 * float(reff_onebit(alpha, solve_qh(10.0, bt)[1])[0])
+        above, below = scipy_bounded(f, 0.1, 0.2, 1e-4), scipy_bounded(f, 0.0, 0.1, 1e-4)
+        assert above[0] - 0.1 <= 2e-4 and below[1] < above[1]
+        res, _ = replica_bound(SystemParams(alpha, 8.0, 10.0, "onebit"), 0.1, refine=True)
+        assert as_hex([res.beta_t_opt, res.c_bound]) == as_hex([below[0], -below[1]])
 
 
 class TestBussgangBound:

@@ -66,7 +66,6 @@ def test_linear_bound_at_large_receiver_ratio_and_snr(capsys):
     _bound("--alpha 1e6 --beta 5 --rho-db 40 --tx linear", capsys)
 
 
-@_xfail(4, "the refinement never searches below the first grid point")
 def test_refined_optimum_below_the_first_grid_point(capsys):
     # a 0.001 grid puts the optimum at 0.067, with c_bound 1.9804505284
     beta_t_opt, c_bound = _bound("--alpha 512 --beta 8 --rho 10 --tx onebit --refine", capsys)
