@@ -34,15 +34,18 @@ phase j permutes the input columns and turns the sign outputs, so the node
 tables evaluate the likelihoods of one column per orbit, a quarter of them.
 
 ``mi_direct`` recomputes the same conditional mutual information in the
-linear domain, with no symmetry reduction, no tables shared with the
-d-pipeline and, under Monte Carlo, independent channel samples, so it
-cross-checks the d-pipeline.  It also differs in method: the d-pipeline sums
-the full joint law of (x, y_d, Y_t) per training outcome in a loop-order
-pass per symmetry class; ``mi_direct`` factors the information over the
-receivers, independent given the training matrix, and never forms that law.
-It forms each training prefix's likelihood product once, shared by every matrix
-that extends it, contracts it over the channel nodes with one matrix
-product per training matrix, and adds the matrices' terms with ``math.fsum``.
+linear domain, with no tables shared with the d-pipeline and, under Monte
+Carlo, independent channel samples, so it cross-checks the d-pipeline.  It
+also differs in method: the d-pipeline sums the full joint law of
+(x, y_d, Y_t) per training outcome in a loop-order pass per symmetry class;
+``mi_direct`` factors the information over the receivers, independent given
+the training matrix, and never forms that law.  Its only reduction is its
+own: reordering the training symbols permutes the training strings it sums
+over, so it walks the nondecreasing column tuples, each weighted by its
+number of orderings.  It forms each training prefix's likelihood product
+once, shared by every tuple that extends it, contracts it over the channel
+nodes with one matrix product per tuple, and adds the weighted terms with
+``math.fsum``.
 """
 from __future__ import annotations
 
@@ -393,12 +396,17 @@ def mi_direct(t_t: int, sys_: SmallSystem) -> float:
     Recomputed from first principles in the linear domain on its own Monte
     Carlo stream, one training matrix at a time and factored over the
     receivers (:func:`_information`); the d-pipeline sums the full joint law.
+    Reordering the training symbols permutes the training strings s, which
+    :func:`_information` sums over, so only nondecreasing column tuples are
+    walked, each weighted by its t_t! / prod(mult!) orderings.
     """
     w, g = _direct_likelihoods(sys_, t_t)
     g_flat = g.reshape(-1, g.shape[2]).T
+    counts = (math.factorial(t_t) // math.prod(map(math.factorial, Counter(cols).values()))
+              for cols in itertools.combinations_with_replacement(range(len(g)), t_t))
     # pr[s, x, y] = E_h[ g_data(x, y) prod_p g_p(s_p) ] for one receiver
-    nats = math.fsum(_information((gg @ g_flat).reshape(4 ** t_t, len(g), 4), sys_.n)
-                     for gg in _training_products(w[None, :], g, t_t)) / len(g)
+    nats = math.fsum(count * _information((gg @ g_flat).reshape(4 ** t_t, len(g), 4), sys_.n)
+                     for count, gg in zip(counts, _training_products(w[None, :], g, t_t))) / len(g)
     if not math.isfinite(nats):
         raise FloatingPointError(f"mi_direct: information sum is not finite: {nats}")
     nats /= 4 ** (sys_.m * t_t)
@@ -465,15 +473,16 @@ def _direct_likelihoods(sys_: SmallSystem, t_t: int):
     return np.exp(logw), g
 
 
-def _training_products(prefix: np.ndarray, g: np.ndarray, depth: int):
+def _training_products(prefix: np.ndarray, g: np.ndarray, depth: int, start: int = 0):
     """Yield gg[(r, s), k] = prefix[r, k] prod_p g[c_p, s_p, k] for every
-    training matrix (c_1, ..., c_depth) in itertools.product order, with r
-    and then the first symbol slowest.  Each prefix product is formed once
-    and shared by every matrix that extends it; the factors multiply in the
-    same order as a from-scratch product, so the bits are the same."""
+    nondecreasing training matrix start <= c_1 <= ... <= c_depth, in
+    itertools.combinations_with_replacement order, with r and then the first
+    symbol slowest.  Each prefix product is formed once and shared by every
+    matrix that extends it; the factors multiply in the same order as a
+    from-scratch product, so the bits are the same."""
     if depth == 0:
         yield prefix
         return
-    for g_c in g:
+    for c, g_c in enumerate(g[start:], start):
         yield from _training_products((prefix[:, None, :] * g_c[None]).reshape(-1, prefix.shape[1]),
-                                      g, depth - 1)
+                                      g, depth - 1, c)

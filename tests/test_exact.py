@@ -231,6 +231,43 @@ class TestD4AndRates:
         for (t_t, s), a in zip(cases, reduced):
             assert a == pytest.approx(reff_exact(t_t, s), abs=1e-12)
 
+    @pytest.mark.parametrize("s, t_t", [
+        (SmallSystem(2, 2, 3, 10.0, samples=2_000, seed=7), 2),
+        (SmallSystem(1, 1, 5, 10.0), 4),
+        (SmallSystem(1, 2, 4, 5.0), 3),
+    ], ids=["m2n2-mc-t2", "m1n1-t4", "m1n2-t3"])
+    def test_symbol_order_reduction_matches_full_enumeration(self, monkeypatch, s, t_t):
+        information = exact._information
+        calls = []
+
+        def counted(pr, n):
+            calls.append(1)
+            return information(pr, n)
+
+        monkeypatch.setattr(exact, "_information", counted)
+        reduced = mi_direct(t_t, s)
+        # one call per multiset of t_t columns out of 4^m, not per matrix
+        assert len(calls) == math.comb(4 ** s.m + t_t - 1, t_t)
+        full = full_walk_mi_direct(t_t, s, information)
+        assert reduced > 0.0
+        assert abs(reduced - full) <= 1e-14 * full
+
+
+def full_walk_mi_direct(t_t, s, information):
+    """mi_direct summed over every one of the 4^(m t_t) training matrices,
+    each with weight 1, its training products gathered per matrix."""
+    w, g = exact._direct_likelihoods(s, t_t)
+    g_flat = g.reshape(-1, g.shape[2]).T
+    strings = _strings(t_t)
+    terms = []
+    for cols in itertools.product(range(len(g)), repeat=t_t):
+        gg = np.tile(w, (len(strings), 1))
+        for p, c in enumerate(cols):
+            gg *= g[c, strings[:, p], :]
+        terms.append(information((gg @ g_flat).reshape(len(strings), len(g), 4), s.n))
+    nats = math.fsum(terms) / len(g) / 4 ** (s.m * t_t)
+    return max(0.0, nats / (s.m * math.log(2.0)))
+
 
 # sha256 of repr([(tuple(map(int, key)), count), ...]) of each class list:
 # reff_exact sums the classes in this order, so keys, counts and order are pinned
@@ -361,7 +398,7 @@ class TestBatchedPipelines:
         w, g = rng.random(5), rng.random((4 ** m, 4, 5))
         strings = _strings(t_t)
         products = _training_products(w[None, :], g, t_t)
-        for cols in itertools.product(range(4 ** m), repeat=t_t):
+        for cols in itertools.combinations_with_replacement(range(4 ** m), t_t):
             gg = np.tile(w, (len(strings), 1))
             for p, c in enumerate(cols):
                 gg *= g[c, strings[:, p], :]
