@@ -224,7 +224,8 @@ def _cmd_exact(args) -> int:
     for beta_t, r, obj in curve.rows():
         t_t = round(beta_t * m)
         mi = mi_direct(t_t, system)
-        rows.append([t_t, r, mi, abs(r - mi), obj])
+        # rates that print the same digits differ only by rounding noise
+        rows.append([t_t, r, mi, 0.0 if _fmt(r) == _fmt(mi) else abs(r - mi), obj])
     sections = [
         ("rates", ["t_t", "reff_exact", "mi_direct", "abs_diff", "objective"], rows),
         ("result", ["t_t_opt", "c_bound"], [[round(result.beta_t_opt * m), result.c_bound]]),

@@ -691,6 +691,33 @@ class TestStartup:
                dict.fromkeys(self.OFF_PATH, 0)
 
 
+# (command, sha256 of its stdout), pinned by TestGoldenBytes
+GOLDEN = [
+    ("compare --alpha 2 --beta 5",
+     "f6f2a9b5021364806b729e94c56c8e1cced93ff6b50877cd84a990dead22cb44"),
+    ("figure --which 3 --beta 8",
+     "2d68334faed280abeaaf65e1f07f1635346c5e846c02f232702b80f9a9ee3016"),
+    ("bound --alpha 4 --beta 8 --rho 10 --tx onebit --refine",
+     "fc6a43b48c3943463bb3d86df05011df2ff955d0594d238c6a267c6b2962898d"),
+    ("figure --which 2 --beta 4 --rho-db 0 --grid-step 0.05",
+     "f79f166b50317aeb4c58e66bfadb21983ddcda1734fa2e16c405d0c4d5a912ae"),
+    ("bound --alpha 256 --beta 8 --rho-db 0 --tx onebit --refine",
+     "d56409f94a72073adeff71966e53f00d2c86a264a9c34f4955cf73dc26ddc413"),
+    ("exact --m 1 --n 1 --t 3 --rho 10",
+     "786b7ad500f2b511b69a29ee0d516bcad0628ac9e8dd5e589bf3696973facd8f"),
+    ("exact --m 2 --n 2 --t 2 --rho 10 --mc-samples 2000 --seed 0",
+     "2e31e8b3cb3f062699200c77f168a2f84955e72daab7c0adbb20b15c462a10f0"),
+    ("exact --m 1 --n 1 --t 4 --rho 0 --format json",
+     "4b51bdd2e3180fe554395d00266f32d548c5f82bb3695d0b6688a7f95c7a5935"),
+    ("exact --m 2 --n 1 --t 3 --rho 5 --channel-order 8 --format json",
+     "1c6fbdeea72e3b777c893ab57ff2d26b1d275abb05456b0e00ae98b8c81b2277"),
+    ("exact --m 2 --n 2 --t 3 --rho 10 --mc-samples 2000 --seed 0",
+     "423bdece9504a67adfb2a4ce2e8eca4f06b673221b82091ad2187b2f2da924a5"),
+    ("exact --m 1 --n 2 --t 4 --rho 5",
+     "9e05d74169ea463fe1ff32bbbf5972bf33de6a27967951378986384d62fae821"),
+]
+
+
 class TestGoldenBytes:
     """sha256 of outputs as earlier releases printed them: the replica rows
     from overlap roots within a few ulp of the residual's sign change, the
@@ -702,7 +729,11 @@ class TestGoldenBytes:
     exact rows at (m, n, t) = (1, 1, 3), (2, 1, 3) and (1, 2, 4) are from
     mi_direct's receiver factorization: only their abs_diff column moved,
     since mi_direct came within 1e-15 of a long-double sum of the joint
-    law where the summed joint law had been up to 2.4e-12 off.  The four
+    law where the summed joint law had been up to 2.4e-12 off.  Those three
+    now print abs_diff 0, since both rates print the same 12 digits: each
+    row's mi_direct is within 6e-16 of that long-double sum, and its
+    difference from reff_exact (1e-16 to 5e-14) was rounding noise that
+    moved with the BLAS kernel and the summation order.  The four
     replica digests that read a Gaussian-tail mean at a >= 1 are from the
     exact 48-node means: compare's r_csir rows from 8 dB up came within
     1e-15 of a quad oracle (they were up to 5.2e-2 off at 20 dB), and the
@@ -712,30 +743,7 @@ class TestGoldenBytes:
     up to 3.5e-8 off), and every moved beta_t_opt by less than its
     grid_step * 1e-3 resolution."""
 
-    @pytest.mark.parametrize("args, digest", [
-        ("compare --alpha 2 --beta 5",
-         "f6f2a9b5021364806b729e94c56c8e1cced93ff6b50877cd84a990dead22cb44"),
-        ("figure --which 3 --beta 8",
-         "2d68334faed280abeaaf65e1f07f1635346c5e846c02f232702b80f9a9ee3016"),
-        ("bound --alpha 4 --beta 8 --rho 10 --tx onebit --refine",
-         "fc6a43b48c3943463bb3d86df05011df2ff955d0594d238c6a267c6b2962898d"),
-        ("figure --which 2 --beta 4 --rho-db 0 --grid-step 0.05",
-         "f79f166b50317aeb4c58e66bfadb21983ddcda1734fa2e16c405d0c4d5a912ae"),
-        ("bound --alpha 256 --beta 8 --rho-db 0 --tx onebit --refine",
-         "d56409f94a72073adeff71966e53f00d2c86a264a9c34f4955cf73dc26ddc413"),
-        ("exact --m 1 --n 1 --t 3 --rho 10",
-         "e6bfbde42f5f23df162b89db17a851a458a42d0614f1827e5df1720b91bde220"),
-        ("exact --m 2 --n 2 --t 2 --rho 10 --mc-samples 2000 --seed 0",
-         "2e31e8b3cb3f062699200c77f168a2f84955e72daab7c0adbb20b15c462a10f0"),
-        ("exact --m 1 --n 1 --t 4 --rho 0 --format json",
-         "4b51bdd2e3180fe554395d00266f32d548c5f82bb3695d0b6688a7f95c7a5935"),
-        ("exact --m 2 --n 1 --t 3 --rho 5 --channel-order 8 --format json",
-         "02edcf0b7e7d706a82e5474873cc70c4b84f6aaed6e7f89a7f87c9cab97357fe"),
-        ("exact --m 2 --n 2 --t 3 --rho 10 --mc-samples 2000 --seed 0",
-         "423bdece9504a67adfb2a4ce2e8eca4f06b673221b82091ad2187b2f2da924a5"),
-        ("exact --m 1 --n 2 --t 4 --rho 5",
-         "c6056633d797dfa5bd9c6483e29571c8488ac022e976319875df8c58515e361d"),
-    ])
+    @pytest.mark.parametrize("args, digest", GOLDEN)
     def test_output_bytes(self, args, digest, capsys):
         code, out, _ = run_cli(args.split(), capsys)
         assert code == 0
