@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -748,3 +749,24 @@ class TestGoldenBytes:
         code, out, _ = run_cli(args.split(), capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE=Prescott names an x86-64 BLAS kernel")
+    def test_exact_bytes_hold_on_a_second_blas_kernel(self):
+        # OPENBLAS_CORETYPE picks the kernel of one process only; Prescott (a
+        # build may name it Katmai) runs on every x86-64 CPU and rounds its
+        # products unlike the AVX2 and AVX-512 kernels
+        golden = [(args, digest) for args, digest in GOLDEN if args.startswith("exact")]
+        probe = ("import contextlib, hashlib, io, sys\n"
+                 "from onebit_bounds.cli import main\n"
+                 "for args in sys.argv[1:]:\n"
+                 "    out = io.StringIO()\n"
+                 "    with contextlib.redirect_stdout(out):\n"
+                 "        main(args.split())\n"
+                 "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())")
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", probe, *(args for args, _ in golden)],
+                              env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert len(golden) == 6
+        assert proc.stdout.split() == [digest for _, digest in golden]
