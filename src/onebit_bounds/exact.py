@@ -39,9 +39,12 @@ Carlo, independent channel samples, so it cross-checks the d-pipeline.  It
 also differs in method: the d-pipeline sums the full joint law of
 (x, y_d, Y_t) per training outcome in a loop-order pass per symmetry class;
 ``mi_direct`` factors the information over the receivers, independent given
-the training matrix, and never forms that law.  Its only reduction is its
-own: reordering the training symbols permutes the training strings it sums
-over, so it walks the nondecreasing column tuples, each weighted by its
+the training matrix, and never forms that law.  Its two reductions are its
+own, coded apart from the symmetry classes: reordering the training symbols
+permutes the training strings it sums over, and a common phase j on every
+transmitter maps the input columns to input columns and turns the outputs,
+which relabels x, y and the strings.  So it walks one nondecreasing column
+tuple per common-phase orbit, each weighted by the orbit size times its
 number of orderings.  It forms each training prefix's likelihood product
 once, shared by every tuple that extends it, contracts it over the channel
 nodes with one matrix product per tuple, and adds the weighted terms with
@@ -396,17 +399,21 @@ def mi_direct(t_t: int, sys_: SmallSystem) -> float:
     Recomputed from first principles in the linear domain on its own Monte
     Carlo stream, one training matrix at a time and factored over the
     receivers (:func:`_information`); the d-pipeline sums the full joint law.
-    Reordering the training symbols permutes the training strings s, which
-    :func:`_information` sums over, so only nondecreasing column tuples are
-    walked, each weighted by its t_t! / prod(mult!) orderings.
+    It has two reductions of its own.  Reordering the training symbols
+    permutes the training strings s, which :func:`_information` sums over.
+    A common phase j on every transmitter maps input column c to a column
+    j c, and g[j c, y] = g[c, (-j) y] at every node since the noise is
+    circularly symmetric, so the turned matrix has the same information
+    with x, y and s relabelled.  So one nondecreasing column tuple per
+    common-phase orbit is walked (:func:`_phase_tuples`).
     """
     w, g = _direct_likelihoods(sys_, t_t)
     g_flat = g.reshape(-1, g.shape[2]).T
-    counts = (math.factorial(t_t) // math.prod(map(math.factorial, Counter(cols).values()))
-              for cols in itertools.combinations_with_replacement(range(len(g)), t_t))
+    tuples, weights = zip(*_phase_tuples(sys_.m, t_t))
     # pr[s, x, y] = E_h[ g_data(x, y) prod_p g_p(s_p) ] for one receiver
-    nats = math.fsum(count * _information((gg @ g_flat).reshape(4 ** t_t, len(g), 4), sys_.n)
-                     for count, gg in zip(counts, _training_products(w[None, :], g, t_t))) / len(g)
+    nats = math.fsum(weight * _information((gg @ g_flat).reshape(4 ** t_t, len(g), 4), sys_.n)
+                     for weight, gg in zip(weights, _training_products(w[None, :], g, tuples))
+                     ) / len(g)
     if not math.isfinite(nats):
         raise FloatingPointError(f"mi_direct: information sum is not finite: {nats}")
     nats /= 4 ** (sys_.m * t_t)
@@ -473,16 +480,39 @@ def _direct_likelihoods(sys_: SmallSystem, t_t: int):
     return np.exp(logw), g
 
 
-def _training_products(prefix: np.ndarray, g: np.ndarray, depth: int, start: int = 0):
-    """Yield gg[(r, s), k] = prefix[r, k] prod_p g[c_p, s_p, k] for every
-    nondecreasing training matrix start <= c_1 <= ... <= c_depth, in
-    itertools.combinations_with_replacement order, with r and then the first
-    symbol slowest.  Each prefix product is formed once and shared by every
-    matrix that extends it; the factors multiply in the same order as a
-    from-scratch product, so the bits are the same."""
-    if depth == 0:
+@lru_cache(maxsize=16)
+def _phase_tuples(m: int, t_t: int):
+    """mi_direct's training matrices: ``(cols, weight)`` for the smallest
+    nondecreasing column tuple of each orbit under the common phase j, in
+    lexicographic order, weighted by the orbit size times the tuple's
+    t_t! / prod(mult!) orderings.  The turn c -> j c is read back from the
+    input columns times j, apart from the d-pipeline's class lists.  Each
+    tuple starts at a column that is smallest in its own orbit, since a
+    turn of it would otherwise give a smaller tuple."""
+    turn = _encode(_input_vectors(m) * 1j, QPSK, (4 ** m, m), "turned column").tolist()
+    turns = [list(range(4 ** m))]
+    for _ in range(3):
+        turns.append([turn[c] for c in turns[-1]])
+    kept = []
+    for cols in itertools.combinations_with_replacement(range(4 ** m), t_t):
+        orbit = {tuple(sorted(t[c] for c in cols)) for t in turns}
+        if cols == min(orbit):
+            orderings = math.factorial(t_t) // math.prod(map(math.factorial,
+                                                             Counter(cols).values()))
+            kept.append((cols, len(orbit) * orderings))
+    return tuple(kept)
+
+
+def _training_products(prefix: np.ndarray, g: np.ndarray, tuples):
+    """Yield gg[(r, s), k] = prefix[r, k] prod_p g[c_p, s_p, k] for each
+    column tuple (c_1, ..., c_t) of ``tuples``, all of one length, in their
+    order, with r and then the first symbol slowest.  Each prefix product is
+    formed once and shared by the consecutive tuples that extend it; the
+    factors multiply in the same order as a from-scratch product, so the
+    bits are the same."""
+    if not tuples[0]:
         yield prefix
         return
-    for c, g_c in enumerate(g[start:], start):
-        yield from _training_products((prefix[:, None, :] * g_c[None]).reshape(-1, prefix.shape[1]),
-                                      g, depth - 1, c)
+    for c, rest in itertools.groupby(tuples, key=lambda cols: cols[0]):
+        yield from _training_products((prefix[:, None, :] * g[c][None]).reshape(-1, prefix.shape[1]),
+                                      g, [cols[1:] for cols in rest])

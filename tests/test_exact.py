@@ -231,12 +231,12 @@ class TestD4AndRates:
         for (t_t, s), a in zip(cases, reduced):
             assert a == pytest.approx(reff_exact(t_t, s), abs=1e-12)
 
-    @pytest.mark.parametrize("s, t_t", [
-        (SmallSystem(2, 2, 3, 10.0, samples=2_000, seed=7), 2),
-        (SmallSystem(1, 1, 5, 10.0), 4),
-        (SmallSystem(1, 2, 4, 5.0), 3),
+    @pytest.mark.parametrize("s, t_t, n_orbits", [
+        (SmallSystem(2, 2, 3, 10.0, samples=2_000, seed=7), 2, 36),
+        (SmallSystem(1, 1, 5, 10.0), 4, 10),
+        (SmallSystem(1, 2, 4, 5.0), 3, 5),
     ], ids=["m2n2-mc-t2", "m1n1-t4", "m1n2-t3"])
-    def test_symbol_order_reduction_matches_full_enumeration(self, monkeypatch, s, t_t):
+    def test_symbol_order_reduction_matches_full_enumeration(self, monkeypatch, s, t_t, n_orbits):
         information = exact._information
         calls = []
 
@@ -246,8 +246,9 @@ class TestD4AndRates:
 
         monkeypatch.setattr(exact, "_information", counted)
         reduced = mi_direct(t_t, s)
-        # one call per multiset of t_t columns out of 4^m, not per matrix
-        assert len(calls) == math.comb(4 ** s.m + t_t - 1, t_t)
+        # one call per orbit of the multisets of t_t columns out of 4^m under
+        # the common phase j, not per multiset (C(4^m + t_t - 1, t_t) of them)
+        assert len(calls) == n_orbits < math.comb(4 ** s.m + t_t - 1, t_t)
         full = full_walk_mi_direct(t_t, s, information)
         assert reduced > 0.0
         assert abs(reduced - full) <= 1e-14 * full
@@ -397,18 +398,42 @@ class TestBatchedPipelines:
         rng = np.random.default_rng(11)
         w, g = rng.random(5), rng.random((4 ** m, 4, 5))
         strings = _strings(t_t)
-        products = _training_products(w[None, :], g, t_t)
-        for cols in itertools.combinations_with_replacement(range(4 ** m), t_t):
-            gg = np.tile(w, (len(strings), 1))
-            for p, c in enumerate(cols):
-                gg *= g[c, strings[:, p], :]
-            assert np.array_equal(next(products), gg)
-        assert next(products, None) is None
+        # every matrix, and the nondecreasing ones mi_direct walks a subset of
+        for tuples in (list(itertools.product(range(4 ** m), repeat=t_t)),
+                       list(itertools.combinations_with_replacement(range(4 ** m), t_t))):
+            products = _training_products(w[None, :], g, tuples)
+            for cols in tuples:
+                gg = np.tile(w, (len(strings), 1))
+                for p, c in enumerate(cols):
+                    gg *= g[c, strings[:, p], :]
+                assert np.array_equal(next(products), gg)
+            assert next(products, None) is None
 
 
 class TestPhaseOrbits:
     # a common phase j on every transmitter maps input columns to input
-    # columns and turns the sign outputs; the node tables rely on both
+    # columns and turns the sign outputs; the node tables and mi_direct's
+    # walk rely on both
+
+    @pytest.mark.parametrize("s", [
+        SmallSystem(1, 1, 3, 10.0),
+        SmallSystem(1, 1, 3, 1e6),
+        SmallSystem(2, 1, 3, 5.0, order=8),
+        SmallSystem(2, 1, 3, 0.0, order=8),
+        SmallSystem(2, 2, 3, 10.0, samples=2_000, seed=7),
+        SmallSystem(2, 2, 3, 10 ** 2.5, samples=20_000, seed=0),
+    ], ids=["m1-quad", "m1-quad-rho1e6", "m2-quad", "m2-quad-rho0", "m2-mc", "m2-mc-25dB"])
+    def test_turned_column_has_the_turned_outputs_at_every_node(self, s):
+        # g[j c, j y] = g[c, y] at each node, Monte Carlo nodes included; the
+        # turn is found here by nearest points, not read from the package.
+        # The likelihoods are probabilities, formed as 1 - Q on one side and
+        # Q on the other, so they agree to a few ulp of 1, not of themselves
+        _, g = exact._direct_likelihoods(s, 1)
+        x = _input_vectors(s.m)
+        turn = [int(np.argmin(np.abs(x - 1j * col).sum(axis=1))) for col in x]
+        rows = [int(np.argmin(np.abs(SIGN_OUT - 1j * y))) for y in SIGN_OUT]
+        assert sorted(turn) == list(range(4 ** s.m)) and sorted(rows) == [0, 1, 2, 3]
+        assert np.abs(g[turn][:, rows] - g).max() <= 4 * np.finfo(float).eps
 
     def test_quarter_turns_permute_the_output_rows(self):
         # no matrix product: the rotated inputs come from 1j * z alone
