@@ -732,8 +732,8 @@ class TestGoldenBytes:
     since mi_direct came within 1e-15 of a long-double sum of the joint
     law where the summed joint law had been up to 2.4e-12 off.  Those three
     now print abs_diff 0, since both rates print the same 12 digits: each
-    row's mi_direct is within 6e-16 of that long-double sum, and its
-    difference from reff_exact (1e-16 to 5e-14) was rounding noise that
+    row's mi_direct is within 1e-15 of that long-double sum, and its
+    difference from reff_exact (5e-17 to 5e-14) was rounding noise that
     moved with the BLAS kernel and the summation order.  The four
     replica digests that read a Gaussian-tail mean at a >= 1 are from the
     exact 48-node means: compare's r_csir rows from 8 dB up came within
