@@ -270,14 +270,14 @@ _FLAGS = {
     "rho_db": dict(type=float, help="per-receiver SNR in dB (power)"),
     "tx": dict(type=str, default="linear", choices=TX_TYPES, help="transmitter type"),
     "grid_step": dict(type=float, default=0.1, help="training-length grid step"),
-    "seed": dict(type=int, default=0, help="Monte Carlo seed"),
+    "seed": dict(type=int, default=SmallSystem.seed, help="Monte Carlo seed"),
     "out": dict(type=str, help="output path (default stdout)"),
     "format": dict(type=str, default="csv", choices=("csv", "json"), help="output format"),
     "m": dict(type=int, help="transmitters (<= 2)"),
     "n": dict(type=int, help="receivers (<= 2)"),
     "t": dict(type=int, help="coherence block length (<= 5)"),
     "mc_samples": dict(type=int, help="Monte Carlo channel samples (default: tensor quadrature)"),
-    "channel_order": dict(type=int, default=24,
+    "channel_order": dict(type=int, default=SmallSystem.order,
                           help="tensor quadrature order per real dimension"),
     "config": dict(type=str, help="JSON config file; flags override its values"),
 }

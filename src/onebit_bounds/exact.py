@@ -16,10 +16,11 @@ and averages:
     c_bound = max_{T_t in 1..T-1} ((T - T_t) / T) reff_exact(T_t),
 
 the maximum taken by ``optimizer.optimize_training`` over the rates at every
-T_t.  The public d1-d4 read one training block's tables: with
-ld1 = ln p(y_d, Y_t | x_d, X_t) and ld2 = ln p(Y_t | X_t), d1 = exp(ld1),
-d2 = exp(ld2), d3 = exp(ld1 - ld2) and d4 is the mutual information of the
-channel ld1 - ld2.
+T_t.  d2 cancels: over C inputs p(y | x, Y_t) / p(y | Y_t) = d1 / mean_x d1,
+so d2 d4 = (1/C) sum_{x, y} d1 ln(d1 / mean_x d1).  The public d1-d4 read one
+training block's tables: with ld1 = ln p(y_d, Y_t | x_d, X_t) and
+ld2 = ln p(Y_t | X_t), d1 = exp(ld1), d2 = exp(ld2), d3 = exp(ld1 - ld2) and
+d4 is the mutual information of the channel ld1 - ld2.
 
 Channel coefficients are iid CN(0, 1); their expectation runs over a tensor
 Gauss-Hermite grid on the 2M real dimensions or over seeded Monte Carlo
@@ -29,18 +30,19 @@ through max-shifted log-sum-exp, so deep training blocks cannot underflow.
 Training matrices that differ only by per-transmitter phase rotations,
 transmitter relabeling, or training-symbol reordering give identical rate
 contributions (the channel law absorbs the transformation), so the average
-over X_t runs over canonical representatives with multiplicities.  A common
-phase j permutes the input columns and turns the sign outputs, so the node
+over X_t runs over canonical representatives with multiplicities; under
+Monte Carlo this holds in law, not draw by draw.  A common phase j permutes
+the input columns and turns the sign outputs at every node, so the node
 tables evaluate the likelihoods of one column per orbit, a quarter of them.
 
 ``mi_direct`` recomputes the same conditional mutual information in the
 linear domain, with no tables shared with the d-pipeline and, under Monte
 Carlo, independent channel samples, so it cross-checks the d-pipeline.  It
 also differs in method: the d-pipeline sums the full joint law of
-(x, y_d, Y_t) per training outcome in a loop-order pass per symmetry class;
-``mi_direct`` factors the information over the receivers, independent given
-the training matrix, and never forms that law.  Its two reductions are its
-own, coded apart from the symmetry classes: reordering the training symbols
+(x, y_d, Y_t) in one batch per symmetry class; ``mi_direct`` factors the
+information over the receivers, independent given the training matrix, and
+never forms that law.  Its two reductions are its own, coded apart from the
+symmetry classes, and both hold at every draw: reordering the training symbols
 permutes the training strings it sums over, and a common phase j on every
 transmitter maps the input columns to input columns and turns the outputs,
 which relabels x, y and the strings.  So it walks one nondecreasing column
@@ -241,7 +243,8 @@ _block_tables = lru_cache(maxsize=1)(_Tables)  # d1-d4 keep the last (system, t_
 
 def _conditional_mi_nats(ld3: np.ndarray) -> np.ndarray:
     """Mutual information (nats) of each channel of a batch given as
-    ld3[b, x, y] = ln p(y | x), with uniform inputs."""
+    ld3[b, x, y] = ln p(y | x), with uniform inputs.  A positive factor on
+    one entry's law multiplies its result: handed ld1, it returns d2 d4."""
     n_inputs = ld3.shape[1]
     lpy = logsumexp(ld3, axis=1, keepdims=True) - math.log(n_inputs)
     p = np.exp(ld3)
@@ -313,8 +316,7 @@ def _block(x_t, y_t, t_t: int, sys_: SmallSystem):
     cols = _encode(np.transpose(np.reshape(x_t, (sys_.m, t_t))), QPSK, (t_t, sys_.m), "x_t")
     s_idx = _encode(y_t, SIGN_OUT, (sys_.n, t_t), "y_t")
     v_log, w_log = tab.receiver_tables(cols)
-    ld2, ld1 = _stack_receivers(v_log, w_log, s_idx[:, None])
-    return float(ld2[0]), ld1[0]
+    return float(v_log[s_idx].sum()), _stack_receivers(w_log, s_idx[:, None])[0]
 
 
 def _data_entry(ld1, x_d, y_d, sys_: SmallSystem) -> float:
@@ -347,32 +349,28 @@ def d4(x_t, y_t, t_t: int, sys_: SmallSystem) -> float:
     return float(_conditional_mi_nats(ld1[None] - ld2)[0])
 
 
-def _stack_receivers(v_log, w_log, s_idx):
-    """ld2[b] = ln p(Y_t) and ld1[b, x, y-vector] = ln p(y_d, Y_t | x) for a
-    batch of training outputs, given as one string-index array per receiver."""
+def _stack_receivers(w_log, s_idx):
+    """ld1[b, x, y-vector] = ln p(y_d, Y_t | x) for a batch of training
+    outputs, given as one string-index array per receiver."""
     if len(s_idx) == 1:
-        return v_log[s_idx[0]], w_log[s_idx[0]]
+        return w_log[s_idx[0]]
     s1, s2 = s_idx
     ld1 = w_log[s1][:, :, :, None] + w_log[s2][:, :, None, :]
-    return v_log[s1] + v_log[s2], ld1.reshape(len(s1), -1, 16)
+    return ld1.reshape(len(s1), -1, 16)
 
 
 def reff_exact(t_t: int, sys_: SmallSystem) -> float:
     """Exact per-transmitter rate (bits per channel use) after t_t training
-    symbols, averaged over training matrices and training outputs."""
+    symbols: each symmetry class adds its count times the sum over Y_t of
+    d2 d4, which :func:`_conditional_mi_nats` forms from the joint law ld1."""
     tab = _Tables(sys_, t_t)
     s_count = tab.strings.shape[0]
     # every Y_t, one string index per receiver, first receiver slowest
     outputs = np.unravel_index(np.arange(s_count ** sys_.n), (s_count,) * sys_.n)
     total = 0.0
     for cols, count in _training_classes(sys_.m, t_t):
-        v_log, w_log = tab.receiver_tables(cols)
-        ld2, ld1 = _stack_receivers(v_log, w_log, outputs)
-        # libm's exp, which differs from np.exp in the last bit on some inputs
-        p_yt = np.fromiter(map(math.exp, ld2.tolist()), float, ld2.size)
-        # a running sum adds the outputs one by one, in enumeration order
-        contrib = float(np.cumsum(p_yt * _conditional_mi_nats(ld1 - ld2[:, None, None]))[-1])
-        total += count * contrib
+        ld1 = _stack_receivers(tab.receiver_tables(cols)[1], outputs)
+        total += count * float(_conditional_mi_nats(ld1).sum())
     total /= 4 ** (sys_.m * t_t)
     return max(0.0, total / (sys_.m * LN2))
 

@@ -733,8 +733,10 @@ class TestGoldenBytes:
     law where the summed joint law had been up to 2.4e-12 off.  Those three
     now print abs_diff 0, since both rates print the same 12 digits: each
     row's mi_direct is within 1e-15 of that long-double sum, and its
-    difference from reff_exact (5e-17 to 5e-14) was rounding noise that
-    moved with the BLAS kernel and the summation order.  The four
+    difference from reff_exact (at most 9e-16 since reff_exact sums the
+    joint law; up to 5e-14 while it summed d2 d4 per training output) is
+    rounding noise that moves with the BLAS kernel and the summation
+    order.  The four
     replica digests that read a Gaussian-tail mean at a >= 1 are from the
     exact 48-node means: compare's r_csir rows from 8 dB up came within
     1e-15 of a quad oracle (they were up to 5.2e-2 off at 20 dB), and the

@@ -27,7 +27,6 @@ from onebit_bounds.exact import (
     _input_vectors,
     _phase_orbits,
     _phase_tuples,
-    _stack_receivers,
     _strings,
     _Tables,
     _training_classes,
@@ -117,7 +116,7 @@ class TestD2D3:
     def test_training_outcomes_form_a_distribution(self):
         # d2 over the 16 training outputs of one pilot matrix, for one
         # receiver with t_t = 2 and for two receivers with t_t = 1; each
-        # value is p(Y_t) as the batched rate pipeline computes it
+        # value is exp of the receivers' v_log = ln p(s) summed over Y_t's strings
         for s, t_t in ((sys11(), 2), (SmallSystem(1, 2, 2, 10.0), 1)):
             x_t = QPSK[[0, 2][:t_t]].reshape(1, t_t)
             outputs = list(itertools.product(range(4), repeat=s.n * t_t))
@@ -125,10 +124,9 @@ class TestD2D3:
             assert len(vals) == 16
             assert all(0.0 < v <= 1.0 for v in vals)
             assert sum(vals) == pytest.approx(1.0, abs=1e-8)
-            v_log, w_log = _Tables(s, t_t).receiver_tables((0, 2)[:t_t])
+            v_log = _Tables(s, t_t).receiver_tables((0, 2)[:t_t])[0]
             batch = np.unravel_index(np.arange(16), (4 ** t_t,) * s.n)
-            ld2, _ = _stack_receivers(v_log, w_log, batch)
-            assert vals == [math.exp(v) for v in ld2]
+            assert vals == [math.exp(v) for v in sum(v_log[b] for b in batch)]
 
     def test_d3_equals_d1_over_d2(self):
         s = sys11()
@@ -292,36 +290,11 @@ def test_symmetry_classes_are_pinned(m, t_t, n_classes, digest):
     assert hashlib.sha256(repr(listed).encode()).hexdigest() == digest
 
 
-def loop_reff_exact(t_t, s):
-    """reff_exact with one Python iteration per (class, Y_t): the reference
-    the batched d-pipeline must match bit for bit."""
-    tab = _Tables(s, t_t)
-    n_inputs = 4 ** s.m
-    total = 0.0
-    for cols, count in _training_classes(s.m, t_t):
-        v_log, w_log = tab.receiver_tables(cols)
-        contrib = 0.0
-        for yt in itertools.product(range(4 ** t_t), repeat=s.n):
-            ld2 = float(sum(v_log[k] for k in yt))
-            if s.n == 1:
-                ld3 = w_log[yt[0]] - v_log[yt[0]]
-            else:
-                ld3 = ((w_log[yt[0]][:, :, None] + w_log[yt[1]][:, None, :])
-                       - (v_log[yt[0]] + v_log[yt[1]])).reshape(n_inputs, 16)
-            lpy = special.logsumexp(ld3, axis=0) - math.log(n_inputs)
-            p = np.exp(ld3)
-            with np.errstate(invalid="ignore"):
-                terms = np.where(p > 0.0, p * (ld3 - lpy), 0.0)
-            contrib += math.exp(ld2) * (float(terms.sum()) / n_inputs)
-        total += count * contrib
-    total /= 4 ** (s.m * t_t)
-    return max(0.0, total / (s.m * math.log(2.0)))
-
-
-def stacked_direct_likelihoods(s, t_t):
-    """mi_direct's (w, g) built whole-table: the tails of every column at
-    once, stacked and transposed into a contiguous copy."""
-    h, logw = _channel_nodes(s, t_t, stream=1)
+def stacked_direct_likelihoods(s, t_t, stream):
+    """Node weights w and output likelihoods g[c, y, k] on Monte Carlo stream
+    ``stream``, built whole-table: the tails of every column at once, stacked
+    and transposed into a contiguous copy."""
+    h, logw = _channel_nodes(s, t_t, stream=stream)
     z = math.sqrt(s.rho / s.m) * (h @ _input_vectors(s.m).T)
     qr_p, qi_p = q_function(-math.sqrt(2.0) * z.real), q_function(-math.sqrt(2.0) * z.imag)
     qr_m, qi_m = 1.0 - qr_p, 1.0 - qi_p
@@ -330,15 +303,17 @@ def stacked_direct_likelihoods(s, t_t):
     return np.exp(logw), g
 
 
-def loop_mi_direct(t_t, s):
-    """mi_direct with one Python iteration per (training matrix, Y_t), summing
-    the full joint law of (x, y_d, Y_t) in np.longdouble from the same
-    float64 likelihood tables: the oracle the direct pipeline must match."""
-    w, g = stacked_direct_likelihoods(s, t_t)
+def loop_mi_direct(t_t, s, stream, matrices):
+    """The rate with one Python iteration per (training matrix, Y_t), summing
+    the full joint law of (x, y_d, Y_t) in np.longdouble from float64
+    likelihoods recoded from Q tails on the nodes of ``stream``, over the
+    ``(cols, count)`` pairs of ``matrices``: the oracle both pipelines must
+    match, each on its own stream and with its own matrix list."""
+    w, g = stacked_direct_likelihoods(s, t_t, stream)
     n_inputs = 4 ** s.m
     strings = _strings(t_t)
     nats = np.longdouble(0.0)
-    for cols in itertools.product(range(n_inputs), repeat=t_t):
+    for cols, count in matrices:
         gg = np.tile(w, (len(strings), 1))
         for p, c in enumerate(cols):
             gg *= g[c, strings[:, p], :]
@@ -355,15 +330,15 @@ def loop_mi_direct(t_t, s):
             px, py = joint.sum(axis=1), joint.sum(axis=0)
             mask = joint > 0.0
             ratio = joint[mask] * p_yt / np.outer(px, py)[mask]
-            nats += joint[mask] @ np.log(ratio)
+            nats += count * (joint[mask] @ np.log(ratio))
     nats /= 4 ** (s.m * t_t)
     return max(np.longdouble(0.0), nats / (s.m * np.log(np.longdouble(2.0))))
 
 
 class TestBatchedPipelines:
     # M=2, N=1 at 25 dB with order 8 has training outputs with zeros in the
-    # joint law, which both pipelines sum as 0 ln 0 = 0; the last case changes
-    # reff_exact's last bit if p(Y_t) is taken with np.exp
+    # joint law, which both pipelines sum as 0 ln 0 = 0; at M=1, N=2, T_t=3
+    # a float64 sum of d2 * d4 over the outputs sat 4.6e-14 off the oracle
     @pytest.mark.parametrize("s, t_t", [
         (SmallSystem(1, 1, 4, 10.0), 1),
         (SmallSystem(1, 1, 4, 10.0), 3),
@@ -373,11 +348,17 @@ class TestBatchedPipelines:
         (SmallSystem(2, 2, 3, 10 ** 2.5, samples=20_000, seed=0), 1),
         (SmallSystem(2, 2, 3, 10.0, samples=500, seed=5), 2),
         (SmallSystem(2, 2, 2, 10 ** 2.5, order=6), 1),
+        (SmallSystem(1, 2, 4, 5.0), 3),
     ], ids=["m1n1-t1", "m1n1-t3", "m1n2-t2", "m2n1-25dB-t2", "m2n2-mc-t1", "m2n2-mc-25dB-t1",
-            "m2n2-mc-t2", "m2n2-o6-25dB-t1"])
+            "m2n2-mc-t2", "m2n2-o6-25dB-t1", "m1n2-t3"])
     def test_rates_equal_the_per_output_loop(self, s, t_t):
-        assert reff_exact(t_t, s) == loop_reff_exact(t_t, s)
-        assert abs(np.longdouble(mi_direct(t_t, s)) - loop_mi_direct(t_t, s)) <= 4e-15
+        # reff_exact against its own class list on stream 0, mi_direct against
+        # every matrix on stream 1: under Monte Carlo the classes hold in law,
+        # not draw by draw, while mi_direct's reductions hold at every draw
+        every = [(cols, 1) for cols in itertools.product(range(4 ** s.m), repeat=t_t)]
+        oracle = loop_mi_direct(t_t, s, 0, _training_classes(s.m, t_t))
+        assert abs(np.longdouble(reff_exact(t_t, s)) - oracle) <= 4e-15
+        assert abs(np.longdouble(mi_direct(t_t, s)) - loop_mi_direct(t_t, s, 1, every)) <= 4e-15
 
     def test_direct_pipeline_never_builds_the_joint_law(self):
         # the law of (x, y_d, Y_t) at M=1, N=2, T_t=3 has 4^3 * 4^3 * 4 * 16
@@ -525,7 +506,7 @@ class TestNodeTables:
         assert tab.log_rep.shape == (4 ** s.m // 4, 4, len(logw))
         assert np.array_equal(whole_log_tables(tab), log_g)
         assert np.array_equal(tab.g_lin, np.exp(log_g))
-        for got, want in zip(exact._direct_likelihoods(s, t_t), stacked_direct_likelihoods(s, t_t)):
+        for got, want in zip(exact._direct_likelihoods(s, t_t), stacked_direct_likelihoods(s, t_t, 1)):
             assert np.array_equal(got, want)
         for cols in itertools.product(range(4 ** s.m), repeat=t_t):
             for got, want in zip(tab.receiver_tables(cols), gathered_receiver_tables(tab, cols)):
